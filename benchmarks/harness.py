@@ -188,18 +188,6 @@ def serving_sweep(models=("squeezenet",), traffics=("uniform", "bursty",
     return run_serving_sweep(points, processes=processes)
 
 
-def perf_suite(quick: bool = True, repeats: int | None = None) -> dict:
-    """Hot-path segment timings (see :mod:`benchmarks.perf_suite`).
-
-    Returns the ``BENCH_perf.json`` artifact payload: before/after wall
-    clocks and speedups for im2col, RPQ projection growth, the
-    multi-word Hitmap path, a full train step, baseline memoization and
-    the reference functional sweep.
-    """
-    from benchmarks.perf_suite import run_suite
-    return run_suite(quick=quick, repeats=repeats)
-
-
 def print_header(title: str) -> None:
     print()
     print("=" * 78)

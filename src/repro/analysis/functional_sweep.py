@@ -68,7 +68,7 @@ from repro.training.trainer import Trainer, TrainingConfig, TrainingResult
 # (asserted by tests/test_functional_sweep.py).
 FUNCTIONAL_RESULT_KEYS = frozenset({
     "model", "dataset_scale", "adaptation", "signature_bits",
-    "mcache_entries", "mcache_ways", "mcache_backend",
+    "mcache_entries", "mcache_ways",
     "epochs", "batch_size", "learning_rate", "optimizer", "seed",
     "baseline_accuracy", "reuse_accuracy", "accuracy_delta",
     "baseline_losses", "reuse_losses",
@@ -130,7 +130,6 @@ class FunctionalPoint:
     signature_bits: int = 20
     mcache_entries: int = 1024
     mcache_ways: int = 16
-    mcache_backend: str = "vectorized"
     epochs: int = 2
     batch_size: int = 8
     learning_rate: float = 0.01
@@ -205,7 +204,6 @@ def mercury_config_for(point: FunctionalPoint) -> MercuryConfig:
                          max_signature_bits=max(64, point.signature_bits),
                          mcache_entries=point.mcache_entries,
                          mcache_ways=point.mcache_ways,
-                         mcache_backend=point.mcache_backend,
                          **ADAPTATION_POLICIES[point.adaptation])
 
 
@@ -274,15 +272,14 @@ def _layer_stats_rows(stats) -> list[dict]:
 # ----------------------------------------------------------------------
 # Baseline memoization: the exact (ExactCountingEngine) run of a point
 # never depends on the MercuryConfig axes (signature bits, MCACHE
-# organisation, backend, adaptation policy), so one baseline training is
+# organisation, adaptation policy), so one baseline training is
 # shared by every config variant in a grid.  The key is derived as
 # *every other* FunctionalPoint field, so a future training-affecting
 # field fails closed (extra baseline groups) instead of silently
 # sharing a wrong baseline.
 # ----------------------------------------------------------------------
 MERCURY_AXIS_FIELDS = frozenset({"adaptation", "signature_bits",
-                                 "mcache_entries", "mcache_ways",
-                                 "mcache_backend"})
+                                 "mcache_entries", "mcache_ways"})
 BASELINE_KEY_FIELDS = tuple(
     field_.name for field_ in dataclasses.fields(FunctionalPoint)
     if field_.name not in MERCURY_AXIS_FIELDS)
@@ -407,8 +404,7 @@ def run_functional_sweep(points, processes: int | None = None,
     field is bit-identical either way except ``elapsed_s``, which is a
     wall-clock measurement and therefore excludes the memoized baseline
     training in shared mode.  ``share_baselines=False`` restores the
-    paired-run-per-point behaviour (the perf suite times the two
-    against each other).
+    paired-run-per-point behaviour.
     """
     points = list(points)
     if not share_baselines:

@@ -14,13 +14,7 @@ from repro.core.hitmap import (
     codes_to_states,
     states_to_codes,
 )
-from repro.core.mcache import MCache
 from repro.core.mcache_vec import VectorizedMCache
-from repro.core.differential import (
-    DifferentialReport,
-    run_differential,
-    scalar_reference_simulation,
-)
 from repro.core.reuse import ReuseEngine
 from repro.core.session import (
     ADMISSION_POLICIES,
@@ -47,11 +41,7 @@ __all__ = [
     "STATE_TO_CODE",
     "codes_to_states",
     "states_to_codes",
-    "MCache",
     "VectorizedMCache",
-    "DifferentialReport",
-    "run_differential",
-    "scalar_reference_simulation",
     "ReuseEngine",
     "ADMISSION_POLICIES",
     "CacheCounters",

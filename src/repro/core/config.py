@@ -25,14 +25,6 @@ class MercuryConfig:
     # --- MCACHE ---------------------------------------------------------
     mcache_entries: int = 1024
     mcache_ways: int = 16
-    # Number of data versions per line (asynchronous design keeps one
-    # version per in-flight filter); the synchronous design uses 1.
-    mcache_versions: int = 1
-    # Which MCACHE model builds the Hitmap: "vectorized" (the batch
-    # array-of-sets engine), "groupby" (the stateless numpy group-by
-    # simulation) or "scalar" (the line-level oracle; exact but slow).
-    # All three are bit-identical — the differential suite enforces it.
-    mcache_backend: str = "vectorized"
 
     # --- Adaptation (§III-D) ---------------------------------------------
     # Increase signature length by one bit when the running loss changes
@@ -59,20 +51,6 @@ class MercuryConfig:
     # a new channel is processed).  ``None`` hashes the whole
     # cross-channel patch in one signature.
     conv_channel_group: int | None = 1
-    # Service all channel groups of one convolution call through a
-    # single multi-group signature/group-by phase (one engine call)
-    # instead of one engine call per group.  Bit-identical to the
-    # per-call path — each group still probes a fresh MCACHE — and
-    # regression-tested so; ``False`` restores the per-call loop (the
-    # oracle for that test).
-    batch_channel_groups: bool = True
-    # Run the cache ride of a batched multi-group call as one fused
-    # gather → block GEMM → scatter (``ReuseSession.ride_groups``)
-    # instead of one masked GEMM per group.  Bit-identical by
-    # construction (per-group GEMMs keep their per-call shapes) and
-    # regression-tested so; ``False`` restores the per-group masked
-    # ride, the oracle for that test.
-    fused_ride: bool = True
 
     # --- Accelerator ------------------------------------------------------
     dataflow: str = "row_stationary"
@@ -92,8 +70,6 @@ class MercuryConfig:
         if self.dataflow not in ("row_stationary", "weight_stationary",
                                  "input_stationary"):
             raise ValueError(f"unknown dataflow {self.dataflow!r}")
-        if self.mcache_backend not in ("vectorized", "groupby", "scalar"):
-            raise ValueError(f"unknown mcache_backend {self.mcache_backend!r}")
 
     @property
     def mcache_sets(self) -> int:

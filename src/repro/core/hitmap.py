@@ -12,8 +12,8 @@ for an input vector it consults the Hitmap entry —
   was not inserted; compute but do not store.
 
 Two representations coexist.  The :class:`HitState` enum is the
-user-facing view (and the scalar :class:`~repro.core.mcache.MCache`
-oracle's vocabulary); every hot path — batch classification, the
+user-facing view (and the vocabulary of the line-level MCACHE oracle
+the tests keep); every hot path — batch classification, the
 session's probe/admit loops, the cache ride — carries the dense ``int8``
 *state codes* :data:`HIT_CODE` / :data:`MAU_CODE` / :data:`MNU_CODE`
 instead, so no Python enum object is ever materialised per vector.

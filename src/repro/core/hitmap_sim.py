@@ -1,11 +1,10 @@
 """Vectorised simulation of the signature phase.
 
-The object-level :class:`~repro.core.mcache.MCache` models the hardware
-structure line by line; probing it once per vector from Python is exact
+Probing a line-level MCACHE model once per vector from Python is exact
 but slow for the tens of thousands of vectors a convolution layer
 produces.  ``simulate_hitmap`` reproduces the *same* HIT / MAU / MNU
 decisions (the test suite checks equivalence against the line-level
-model) using numpy group-by operations:
+model in ``tests/oracles``) using numpy group-by operations:
 
 * the first occurrence of a signature whose set still has a free way is
   MAU and owns the cache line;
@@ -17,8 +16,8 @@ model) using numpy group-by operations:
 Signatures arrive either as a 1-D ``int64`` array or — beyond 62 bits —
 as the multi-word ``(n_vectors, n_words)`` ``uint64`` representation
 (:mod:`repro.core.rpq`); the multi-word path groups by lexicographic
-row sort and stays fully vectorised.  Object arrays of exact Python
-ints are still accepted and run through the sequential reference.
+row sort and stays fully vectorised.  Any other representation is
+rejected (:func:`~repro.core.rpq.coerce_packed`).
 """
 
 from __future__ import annotations
@@ -104,21 +103,11 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
     """
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
-    signatures = np.asarray(signatures)
-    num_vectors = len(signatures)
-
-    if num_vectors == 0:
+    signatures = coerce_packed(signatures)
+    if len(signatures) == 0:
         return HitmapSimulation(states=np.empty(0, dtype=np.int8),
                                 representative=np.empty(0, dtype=np.int64),
                                 hits=0, mau=0, mnu=0, unique_signatures=0)
-
-    signatures, wide = coerce_packed(signatures)
-    if signatures.ndim == 2:
-        return _simulate_vectorised(signatures.astype(np.uint64, copy=False),
-                                    num_sets, ways)
-    if wide:
-        # 1-D object array of exact ints: the sequential reference.
-        return _simulate_sequential(signatures, num_sets, ways)
     return _simulate_vectorised(signatures, num_sets, ways)
 
 
@@ -222,26 +211,12 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
     group_sizes = [int(size) for size in group_sizes]
     if any(size < 0 for size in group_sizes):
         raise ValueError("group sizes must be non-negative")
-    signatures = np.asarray(signatures)
+    signatures = coerce_packed(signatures)
     num_vectors = len(signatures)
     if sum(group_sizes) != num_vectors:
         raise ValueError("group sizes must sum to the number of signatures")
 
     starts = np.concatenate([[0], np.cumsum(group_sizes)]).astype(np.int64)
-
-    signatures, wide = coerce_packed(signatures)
-    if wide and signatures.ndim == 1:
-        # Object array of exact ints: per-group sequential reference.
-        return [_simulate_sequential(signatures[starts[g]:starts[g + 1]],
-                                     num_sets, ways)
-                for g in range(len(group_sizes))]
-    if signatures.ndim == 1 and num_vectors and (signatures < 0).any():
-        # Negative signatures have no unsigned composite representation;
-        # per-group classification is still exact.
-        return [simulate_hitmap(signatures[starts[g]:starts[g + 1]],
-                                num_sets, ways)
-                for g in range(len(group_sizes))]
-
     num_groups = len(group_sizes)
     fused_bits = None
     if (signatures.ndim == 1 and signature_bits is not None
@@ -265,8 +240,7 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
         group_ids = np.repeat(np.arange(num_groups, dtype=np.uint64),
                               group_sizes)
         if signatures.ndim == 2:
-            composite = np.hstack([group_ids[:, None],
-                                   signatures.astype(np.uint64, copy=False)])
+            composite = np.hstack([group_ids[:, None], signatures])
         else:
             composite = np.stack([group_ids,
                                   signatures.astype(np.uint64)], axis=1)
@@ -306,44 +280,3 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
             mnu=int(mnu_per_group[group]),
             unique_signatures=int(unique_per_group[group])))
     return simulations
-
-
-def _simulate_sequential(signatures: np.ndarray, num_sets: int,
-                         ways: int) -> HitmapSimulation:
-    """Reference implementation used for object arrays of exact ints."""
-    num_vectors = len(signatures)
-    states = np.empty(num_vectors, dtype=np.int8)
-    representative = np.arange(num_vectors, dtype=np.int64)
-
-    set_occupancy: dict[int, int] = {}
-    owner_of_signature: dict[int, int] = {}
-    rejected: set[int] = set()
-    hits = mau = mnu = 0
-
-    for index in range(num_vectors):
-        signature = int(signatures[index])
-        if signature in owner_of_signature:
-            states[index] = HIT_CODE
-            representative[index] = owner_of_signature[signature]
-            hits += 1
-            continue
-        if signature in rejected:
-            states[index] = MNU_CODE
-            mnu += 1
-            continue
-        set_index = signature % num_sets
-        occupancy = set_occupancy.get(set_index, 0)
-        if occupancy < ways:
-            set_occupancy[set_index] = occupancy + 1
-            owner_of_signature[signature] = index
-            states[index] = MAU_CODE
-            mau += 1
-        else:
-            rejected.add(signature)
-            states[index] = MNU_CODE
-            mnu += 1
-
-    unique = len(owner_of_signature) + len(rejected)
-    return HitmapSimulation(states=states, representative=representative,
-                            hits=hits, mau=mau, mnu=mnu,
-                            unique_signatures=unique)

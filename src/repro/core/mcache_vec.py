@@ -1,19 +1,23 @@
-"""Vectorized batch MCACHE.
+"""The batch MCACHE: MERCURY's signature-indexed result cache.
 
-:class:`VectorizedMCache` is a drop-in, array-backed implementation of
-the signature-indexed result cache in :mod:`repro.core.mcache`.  Where
-the scalar :class:`~repro.core.mcache.MCache` models the hardware line
-by line (one Python loop iteration per probe), this engine keeps the
-tag / Valid-Tag / Valid-Data state as dense numpy arrays over the
-``(set, way)`` grid and services a whole batch of probes with sort-based
-group-by operations, the same technique as
+MCACHE differs from a conventional cache in two ways (§III-B3): the tag
+(a signature) is produced *before* the data, so tag and data validity
+are tracked separately, and there is **no replacement** — when a set is
+full, new signatures are simply not inserted (their Hitmap entry
+becomes MNU).
+
+:class:`VectorizedMCache` keeps the tag / Valid-Tag state as dense
+numpy arrays over the ``(set, way)`` grid and services a whole batch of
+probes with sort-based group-by operations, the same technique as
 :func:`repro.core.hitmap_sim.simulate_hitmap` but against *persistent*
-cache state.
+cache state.  It models the signature phase only; the computed results
+live in :class:`~repro.core.session.ReuseSession`'s dense store, keyed
+by the entry ids this cache hands out.
 
-The two implementations are bit-identical by construction and by test:
-``tests/test_mcache_differential.py`` replays randomized traces through
-both and asserts equal Hitmap states, entry ids, stats counters and
-data-phase contents.  The scalar model stays in the tree as the oracle.
+The line-level model of the hardware lives with the tests
+(``tests/oracles/mcache.py``); ``tests/test_mcache_differential.py``
+replays randomized traces through both and asserts equal Hitmap states,
+entry ids and stats counters.
 
 Batch semantics match a sequential replay of the trace:
 
@@ -25,10 +29,9 @@ Batch semantics match a sequential replay of the trace:
 * every occurrence of a new signature whose set was already full at its
   first occurrence is MNU — no replacement (§III-B3, Figure 9).
 
-Because Valid-Tag bits are only ever cleared by a full :meth:`clear`
-(``invalidate_data`` flash-clears VD bits only), the occupied ways of a
-set are always a prefix ``0..occupancy-1``, which is what lets the
-batch insert compute way indices arithmetically.
+Because Valid-Tag bits are only ever cleared by a full :meth:`clear`,
+the occupied ways of a set are always a prefix ``0..occupancy-1``,
+which is what lets the batch insert compute way indices arithmetically.
 
 Signatures wider than 62 bits — reachable through adaptive signature
 growth — arrive in the multi-word ``(n_vectors, n_words)`` ``uint64``
@@ -37,38 +40,57 @@ the tag store to a ``(set, way, word)`` array holding full signature
 values; matching becomes an all-words equality and grouping a
 lexicographic row sort, so nothing drops to Python loops.  Equality by
 full value and set indexing by ``value % num_sets`` are exactly the
-scalar model's (set, tag) split, so bit-identity is preserved — mixed
-int64/multi-word traces included.
+line-level model's (set, tag) split, so mixed int64/multi-word traces
+stay bit-identical to it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, HitState
 from repro.core.hitmap_sim import (HitmapSimulation, rank_within_groups,
                                    signature_sets, simulate_hitmap)
-from repro.core.mcache import MCacheStats
-from repro.core.rpq import (coerce_packed, ints_to_words, pad_words,
-                            signature_words, unique_signatures)
+from repro.core.rpq import (coerce_packed, pad_words, signature_words,
+                            unique_signatures)
+
+
+@dataclass
+class MCacheStats:
+    """Access counters for characterisation (Figure 15a)."""
+
+    hits: int = 0
+    mau: int = 0
+    mnu: int = 0
+    # Lines recycled by a replacement policy (persistent serving
+    # sessions only; the paper's no-replacement model never evicts).
+    evictions: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.mau + self.mnu
+
+    def as_fractions(self) -> dict:
+        total = max(self.accesses, 1)
+        return {"HIT": self.hits / total, "MAU": self.mau / total,
+                "MNU": self.mnu / total}
 
 
 class VectorizedMCache:
     """Set-associative, no-replacement cache with batch probe/insert.
 
-    Parameters mirror :class:`~repro.core.mcache.MCache`: ``entries``
-    total lines, ``ways`` associativity and ``versions`` data slots per
-    line.
+    ``entries`` total lines, ``ways`` associativity.
     """
 
-    def __init__(self, entries: int = 1024, ways: int = 16, versions: int = 1):
-        if entries <= 0 or ways <= 0 or versions <= 0:
-            raise ValueError("entries, ways and versions must be positive")
+    def __init__(self, entries: int = 1024, ways: int = 16):
+        if entries <= 0 or ways <= 0:
+            raise ValueError("entries and ways must be positive")
         if entries % ways != 0:
             raise ValueError("entries must be divisible by ways")
         self.entries = entries
         self.ways = ways
-        self.versions = versions
         self.num_sets = entries // ways
         self.stats = MCacheStats()
         self._tags = np.zeros((self.num_sets, ways), dtype=np.int64)
@@ -79,30 +101,15 @@ class VectorizedMCache:
         self._valid_tag = np.zeros((self.num_sets, ways), dtype=bool)
         self._line_entry = np.full((self.num_sets, ways), -1, dtype=np.int64)
         self._occupancy = np.zeros(self.num_sets, dtype=np.int64)
-        self._valid_data = np.zeros((self.num_sets, ways, versions), dtype=bool)
-        # Object grid of stored payloads.  Exercised only by the direct
-        # data-phase API and the differential suite; the serving hot
-        # path keeps results in the session's dense store instead.
-        self._data = np.empty((self.num_sets, ways, versions), dtype=object)
-        # entry_id -> (set, way); entry ids are dense 0..N-1 so plain
-        # arrays indexed by id replace the scalar model's dict.
+        # entry_id -> (set, way); entry ids are dense 0..N-1, one per
+        # line ever claimed, so plain arrays indexed by id replace the
+        # line-level model's dict.  A recycled line keeps its id.
         self._entry_set = np.empty(0, dtype=np.int64)
         self._entry_way = np.empty(0, dtype=np.int64)
         self._next_entry_id = 0
         # False while every array is in its cleared state, making the
         # per-layer ``clear`` on the simulate hot path free.
         self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Indexing (same split as the scalar model)
-    # ------------------------------------------------------------------
-    def set_index(self, signature: int) -> int:
-        """Cache set for a signature (low-order bits)."""
-        return signature % self.num_sets
-
-    def tag(self, signature: int) -> int:
-        """Tag portion of a signature (remaining high-order bits)."""
-        return signature // self.num_sets
 
     # ------------------------------------------------------------------
     # Representation management
@@ -114,22 +121,12 @@ class VectorizedMCache:
         time a batch needs it; afterwards int64 batches are widened on
         the fly so mixed traces keep comparing by full value.
         """
-        arr, wide = coerce_packed(signatures)
-        if arr.ndim > 2:
-            raise ValueError("signatures must be one-dimensional "
-                             "or multi-word (n_vectors, n_words)")
-        if wide:
-            words = arr.astype(np.uint64, copy=False) if arr.ndim == 2 \
-                else ints_to_words(arr)
-            self._enter_words_mode(words.shape[1])
-            return pad_words(words, self._tag_words.shape[2])
+        arr = coerce_packed(signatures)
+        if arr.ndim == 2:
+            self._enter_words_mode(arr.shape[1])
+            return pad_words(arr, self._tag_words.shape[2])
         if self._tag_words is not None:
             # int64 batch while wide signatures are resident: widen.
-            # (Negative signatures — a floor-mod edge the int64 path
-            # supports — cannot be represented as unsigned words.)
-            if (arr < 0).any():
-                raise ValueError("negative signatures cannot mix with "
-                                 "multi-word signatures")
             return pad_words(arr.astype(np.uint64)[:, None],
                              self._tag_words.shape[2])
         return arr
@@ -144,33 +141,21 @@ class VectorizedMCache:
         widened[:, :, num_words - words.shape[2]:] = words
         return widened
 
-    def _resident_full_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full signature values of int64-mode lines: tag*num_sets + set.
-
-        Returns ``(full, negative)`` where ``negative`` marks valid
-        lines holding a negative signature (the floor-mod int64 edge),
-        which has no unsigned-word representation.
-        """
+    def _int64_tag_words(self, num_words: int) -> np.ndarray:
+        """The int64-mode lines as full-value words (invalid lines 0)."""
         full = (self._tags * self.num_sets
                 + np.arange(self.num_sets, dtype=np.int64)[:, None])
-        return full, (full < 0) & self._valid_tag
+        words = np.zeros((self.num_sets, self.ways, num_words),
+                         dtype=np.uint64)
+        words[:, :, -1] = np.where(self._valid_tag, full, 0).astype(
+            np.uint64)
+        return words
 
     def _enter_words_mode(self, num_words: int) -> None:
         """Promote (or widen) the tag store to hold full-value words."""
         self._dirty = True
         if self._tag_words is None:
-            full, negative = self._resident_full_values()
-            if bool(negative.any()):
-                # Wrapping a negative resident would break oracle
-                # bit-identity, so refuse loudly — same contract as the
-                # negative-batch guard in ``_normalize``.
-                raise ValueError("negative signatures cannot mix with "
-                                 "multi-word signatures")
-            words = np.zeros((self.num_sets, self.ways, num_words),
-                             dtype=np.uint64)
-            words[:, :, -1] = np.where(self._valid_tag, full, 0).astype(
-                np.uint64)
-            self._tag_words = words
+            self._tag_words = self._int64_tag_words(num_words)
         else:
             self._tag_words = self._widen_tag_words(self._tag_words,
                                                     num_words)
@@ -181,7 +166,7 @@ class VectorizedMCache:
     def lookup_or_insert_batch(self, signatures) -> tuple[np.ndarray, np.ndarray]:
         """Probe MCACHE with a batch of signatures in arrival order.
 
-        Equivalent to calling the scalar model's ``lookup_or_insert``
+        Equivalent to calling the line-level model's ``lookup_or_insert``
         once per element; returns ``(states, entry_ids)`` where
         ``states`` is an ``int8`` array of state codes
         (:data:`~repro.core.hitmap.HIT_CODE` / ``MAU_CODE`` /
@@ -251,8 +236,8 @@ class VectorizedMCache:
         inserted_arrival = np.empty(len(arrival), dtype=bool)
         inserted_arrival[by_set] = inserted_sorted
         # Valid ways form a prefix, so the k-th insertion into a set
-        # lands in way occupancy + k (the scalar model's "first invalid
-        # way" scan).
+        # lands in way occupancy + k (the line-level model's "first
+        # invalid way" scan).
         way_sorted = self._occupancy[sorted_sets] + rank_within_set
         way_arrival = np.empty(len(arrival), dtype=np.int64)
         way_arrival[by_set] = way_sorted
@@ -302,37 +287,25 @@ class VectorizedMCache:
 
         Unlike the insert path, a multi-word probe never promotes the
         tag store: representation mismatches are bridged by a temporary
-        word view.  A negative resident (unrepresentable as unsigned
-        words) simply cannot match a multi-word probe — a miss, not an
-        error.
+        word view.
         """
-        arr, wide = coerce_packed(signatures)
-        if len(arr) == 0:
+        sigs = coerce_packed(signatures)
+        if len(sigs) == 0:
             return (np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
 
-        if not wide and self._tag_words is None:
-            sigs = arr
+        if sigs.ndim == 1 and self._tag_words is None:
             sets = signature_sets(sigs, self.num_sets)
             match = self._match_resident(sigs, sets)
         else:
             store_words = 1 if self._tag_words is None \
                 else self._tag_words.shape[2]
-            negative_probe = None
-            if not wide:
-                # int64 probes against a words-mode store: negatives
-                # have no unsigned representation, so they are misses.
-                ints = arr.astype(np.int64)
-                negative_probe = ints < 0
-                arr = np.where(negative_probe, 0, ints)
-            sigs = signature_words(arr)
+            sigs = signature_words(sigs)
             width = max(sigs.shape[1], store_words)
             sigs = pad_words(sigs, width)
             sets = signature_sets(sigs, self.num_sets)
-            candidates, candidate_valid = self._tag_words_view(width)
-            match = candidate_valid[sets] & (
+            candidates = self._tag_words_view(width)
+            match = self._valid_tag[sets] & (
                 candidates[sets] == sigs[:, None, :]).all(axis=2)
-            if negative_probe is not None:
-                match &= ~negative_probe[:, None]
 
         present = match.any(axis=1)
         way = np.argmax(match, axis=1)
@@ -340,24 +313,14 @@ class VectorizedMCache:
         entry_ids[present] = self._line_entry[sets[present], way[present]]
         return present, entry_ids
 
-    def _tag_words_view(self, num_words: int) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-        """(tags-as-words, matchable-validity) without mutating state.
+    def _tag_words_view(self, num_words: int) -> np.ndarray:
+        """Tags as full-value words without mutating state.
 
-        The read-path twin of :meth:`_enter_words_mode`: same widening
-        and reconstruction, but negative residents are excluded from
-        matching (they can never equal an unsigned probe) instead of
-        raising.
+        The read-path twin of :meth:`_enter_words_mode`.
         """
         if self._tag_words is not None:
-            return (self._widen_tag_words(self._tag_words, num_words),
-                    self._valid_tag)
-        full, negative = self._resident_full_values()
-        words = np.zeros((self.num_sets, self.ways, num_words),
-                         dtype=np.uint64)
-        words[:, :, -1] = np.where(negative | ~self._valid_tag, 0,
-                                   full).astype(np.uint64)
-        return words, self._valid_tag & ~negative
+            return self._widen_tag_words(self._tag_words, num_words)
+        return self._int64_tag_words(num_words)
 
     def probe(self, signature: int) -> tuple[bool, int]:
         """Non-mutating scalar lookup; returns (present, entry_id)."""
@@ -366,15 +329,14 @@ class VectorizedMCache:
 
     def replace_line(self, set_index: int, way: int, signature) -> int:
         """Evict the resident of ``(set, way)`` and hand its line to
-        ``signature``; returns the new owner's entry id.
+        ``signature``; returns the line's entry id.
 
-        The replacement-policy hook: the victim's tag is overwritten,
-        its data slots are invalidated (stale rows must not survive the
-        new owner), and a fresh dense entry id is appended — the
-        victim's id is orphaned, which is behaviourally invisible
-        because probes resolve ids through ``_line_entry``.  Occupancy
-        is unchanged, so the valid-way prefix invariant that the batch
-        insert relies on still holds.
+        The replacement-policy hook: the victim's tag is overwritten and
+        the new owner inherits the victim's entry id, so ids stay bounded
+        by ``entries`` however many evictions a long-running session
+        sees.  Whoever keeps results by entry id must drop the victim's
+        result.  Occupancy is unchanged, so the valid-way prefix
+        invariant that the batch insert relies on still holds.
         """
         if not 0 <= set_index < self.num_sets or not 0 <= way < self.ways:
             raise IndexError(f"({set_index}, {way}) outside the "
@@ -387,16 +349,8 @@ class VectorizedMCache:
             raise ValueError("signature does not map to the victim's set")
         self._store_tags(sigs, np.array([0]),
                          np.array([set_index]), np.array([way]))
-        new_id = self._next_entry_id
-        self._line_entry[set_index, way] = new_id
-        self._valid_data[set_index, way, :] = False
-        self._data[set_index, way, :] = None
-        self._entry_set = np.append(self._entry_set, set_index)
-        self._entry_way = np.append(self._entry_way, way)
-        self._next_entry_id += 1
         self.stats.evictions += 1
-        self._dirty = True
-        return new_id
+        return int(self._line_entry[set_index, way])
 
     # ------------------------------------------------------------------
     # Hitmap simulation (fresh cache, one batch — the reuse-engine path)
@@ -422,73 +376,6 @@ class VectorizedMCache:
         self.stats.mnu += simulation.mnu
         return simulation
 
-    # ------------------------------------------------------------------
-    # Data phase — batched VD-bit bookkeeping
-    # ------------------------------------------------------------------
-    def _locate(self, entry_ids) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.atleast_1d(np.asarray(entry_ids, dtype=np.int64))
-        if len(ids) and ((ids < 0).any() or (ids >= self._next_entry_id).any()):
-            bad = ids[(ids < 0) | (ids >= self._next_entry_id)][0]
-            raise KeyError(f"unknown MCACHE entry id {int(bad)}")
-        return self._entry_set[ids], self._entry_way[ids]
-
-    def _check_version(self, version: int) -> None:
-        if not 0 <= version < self.versions:
-            raise IndexError(f"version {version} out of range")
-
-    def write_data_batch(self, entry_ids, values, version: int = 0) -> None:
-        """Store one computed result per entry id and set its VD bit."""
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        self._data[sets, ways, version] = values
-        self._valid_data[sets, ways, version] = True
-        self._dirty = True
-        self.stats.data_writes += len(sets)
-
-    def read_data_batch(self, entry_ids, version: int = 0) -> np.ndarray:
-        """Fetch previously stored results; raises if any VD bit is unset."""
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        valid = self._valid_data[sets, ways, version]
-        if not valid.all():
-            bad = np.atleast_1d(np.asarray(entry_ids))[~valid][0]
-            raise LookupError(
-                f"entry {int(bad)} version {version} has no valid data")
-        self.stats.data_reads += len(sets)
-        return self._data[sets, ways, version]
-
-    def has_data_batch(self, entry_ids, version: int = 0) -> np.ndarray:
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        return self._valid_data[sets, ways, version]
-
-    def write_data(self, entry_id: int, value, version: int = 0) -> None:
-        self._check_version(version)
-        sets, ways = self._locate([entry_id])
-        self._data[sets[0], ways[0], version] = value
-        self._valid_data[sets[0], ways[0], version] = True
-        self._dirty = True
-        self.stats.data_writes += 1
-
-    def read_data(self, entry_id: int, version: int = 0):
-        return self.read_data_batch([entry_id], version=version)[0]
-
-    def has_data(self, entry_id: int, version: int = 0) -> bool:
-        return bool(self.has_data_batch([entry_id], version=version)[0])
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def invalidate_data(self, version: int | None = None) -> None:
-        """Flash-clear VD bits (tags stay valid) — synchronous design."""
-        if version is None:
-            self._valid_data[:] = False
-            self._data[:] = None
-        else:
-            self._check_version(version)
-            self._valid_data[:, :, version] = False
-            self._data[:, :, version] = None
-
     def clear(self) -> None:
         """Full reset (new channel / new set of input vectors)."""
         if not self._dirty:
@@ -498,8 +385,6 @@ class VectorizedMCache:
         self._tag_words = None
         self._line_entry[:] = -1
         self._occupancy[:] = 0
-        self._valid_data[:] = False
-        self._data[:] = None
         self._entry_set = np.empty(0, dtype=np.int64)
         self._entry_way = np.empty(0, dtype=np.int64)
         self._next_entry_id = 0
@@ -514,4 +399,4 @@ class VectorizedMCache:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"VectorizedMCache(entries={self.entries}, ways={self.ways}, "
-                f"versions={self.versions}, occupancy={self.occupancy()})")
+                f"occupancy={self.occupancy()})")

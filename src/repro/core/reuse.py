@@ -83,18 +83,15 @@ class ReuseEngine:
         # matching the hardware's per-channel flush.  The serving
         # engines build on the same ReuseSession in persistent mode, so
         # the two cannot drift.  ``session.mcache`` is the one batch
-        # MCACHE behind the "vectorized" backend — one persistent
-        # instance so its access counters characterise the whole run
-        # (Figure 15a).
+        # MCACHE behind every Hitmap — one persistent instance so its
+        # access counters characterise the whole run (Figure 15a).
         self.session = ReuseSession(
             SessionPolicy(signature_bits=self.config.signature_bits,
                           entries=self.config.mcache_entries,
                           ways=self.config.mcache_ways,
                           exact_check=False,
                           rpq_seed=self.config.rpq_seed),
-            hasher=self.hasher, persistent=False,
-            backend=self.config.mcache_backend,
-            versions=self.config.mcache_versions)
+            hasher=self.hasher, persistent=False)
         self.mcache = self.session.mcache
         # Last Hitmap simulation per (layer, phase), exposed for tests
         # and for the accelerator simulator (call ``.to_hitmap()`` for a
@@ -139,15 +136,6 @@ class ReuseEngine:
         signatures = self.hasher.signatures(vectors, self.signature_bits)
         return signatures, False
 
-    def _build_hitmap(self, signatures: np.ndarray) -> HitmapSimulation:
-        """Simulate the MCACHE signature phase for every vector (Figure 9).
-
-        Delegates to the flash-mode :class:`ReuseSession`, the single
-        home of the backend dispatch (all three backends stay
-        bit-identical — the differential suite asserts it).
-        """
-        return self.session.classify(signatures)
-
     # ------------------------------------------------------------------
     def matmul(self, vectors: np.ndarray, weights: np.ndarray, *,
                layer: str, phase: str = "forward") -> np.ndarray:
@@ -172,7 +160,7 @@ class ReuseEngine:
             return result
 
         signatures, reloaded = self._signatures_for(vectors, layer, phase)
-        simulation = self._build_hitmap(signatures)
+        simulation = self.session.classify(signatures)
         result = ReuseSession.ride(vectors, weights, simulation)
 
         if phase == "forward":
@@ -198,13 +186,15 @@ class ReuseEngine:
         exactly as ``len(vectors_groups)`` successive :meth:`matmul`
         calls would compute it — same results, statistics, MCACHE
         counters and signature-table state, which the regression suite
-        asserts — but the Hitmap classification for all groups runs as
-        one multi-group group-by
-        (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`), so the
-        per-call overhead that dominated ``conv_channel_group=1`` runs
-        is paid once per layer call instead of once per channel group.
-        Each group still probes a fresh MCACHE: signatures never match,
-        and never steal ways, across groups.
+        asserts against that per-call loop — but the Hitmap
+        classification for all groups runs as one multi-group group-by
+        (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`) and the
+        cache ride as one fused gather → block GEMM → scatter
+        (:meth:`ReuseSession.ride_groups`), so the per-call overhead
+        that dominated ``conv_channel_group=1`` runs is paid once per
+        layer call instead of once per channel group.  Each group still
+        probes a fresh MCACHE: signatures never match, and never steal
+        ways, across groups.
         """
         groups = [np.asarray(vectors, dtype=np.float64)
                   for vectors in vectors_groups]
@@ -244,16 +234,16 @@ class ReuseEngine:
         signature_groups = [self.hasher.signatures(vectors,
                                                    self.signature_bits)
                             for vectors in groups]
-        simulations = self._build_hitmaps_grouped(signature_groups)
+        simulations = self.session.classify_groups(signature_groups,
+                                                   self.signature_bits)
 
-        # The fused ride assembles all groups through one gather → block
-        # GEMM → scatter; it needs one shared (length, filters) shape
-        # (a ragged tail group — in_channels not divisible — falls back
-        # to the per-group masked ride, which is the oracle anyway).
+        # The fused ride needs one shared (length, filters) shape; a
+        # ragged tail group (in_channels not divisible by the group
+        # size) rides group by group instead.
         uniform = all(
             weights.shape == weights_list[0].shape
             for weights in weights_list[1:])
-        if self.config.fused_ride and uniform:
+        if uniform:
             results = ReuseSession.ride_groups(groups, weights_list,
                                                simulations)
         else:
@@ -280,11 +270,6 @@ class ReuseEngine:
                          unique=simulation.unique_signatures,
                          detection_on=True, signatures_reloaded=False)
         return results
-
-    def _build_hitmaps_grouped(self, signature_groups) -> list[HitmapSimulation]:
-        """One Hitmap per group, via the session's multi-group phase."""
-        return self.session.classify_groups(signature_groups,
-                                            self.signature_bits)
 
     # ------------------------------------------------------------------
     def _record(self, layer: str, phase: str, *, vectors: int, hits: int,

@@ -103,9 +103,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     vectorised; longer signatures — reachable through the adaptive
     length growth — come back as the multi-word ``(n_vectors, n_words)``
     ``uint64`` representation, which the group-by code handles with a
-    lexicographic row sort.  (The historical object-dtype fallback of
-    exact Python ints is gone; :func:`signatures_to_ints` converts when
-    a scalar consumer needs real integers.)
+    lexicographic row sort.  Either way the result is a valid argument
+    to :func:`coerce_packed`: never negative, never an object array.
 
     Parameters
     ----------
@@ -131,55 +130,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return pack_bits_words(bits)
 
 
-def words_to_ints(words: np.ndarray) -> np.ndarray:
-    """Exact Python integers (object array) for multi-word signatures.
-
-    A scalar-consumer boundary (the differential oracle expands batches
-    here to probe the line-level model); the vectorized engines never
-    leave the packed representations.  One ``int.from_bytes`` per row on
-    a single big-endian serialisation of the batch replaces the old
-    per-word Python shift loop.
-    """
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    out = np.empty(len(words), dtype=object)
-    # Words are most-significant first, so each row's big-endian bytes
-    # concatenate directly into its integer value.
-    data = words.astype(">u8", copy=False).tobytes()
-    stride = words.shape[1] * 8 if words.ndim == 2 else 8
-    for index in range(len(words)):
-        out[index] = int.from_bytes(data[index * stride:(index + 1) * stride],
-                                    "big")
-    return out
-
-
-def ints_to_words(values, num_words: int | None = None) -> np.ndarray:
-    """Multi-word form of a sequence of non-negative integers.
-
-    Values must be exactly integral: truncating (e.g. a float ``0.5``
-    to ``0``) would merge distinct signatures and silently diverge from
-    the scalar oracle's exact-value keying.
-    """
-    raw = list(values)
-    values = [int(v) for v in raw]
-    for original, converted in zip(raw, values):
-        if original != converted:
-            raise ValueError(
-                f"signature {original!r} is not an exact integer")
-    if any(v < 0 for v in values):
-        raise ValueError("signatures must be non-negative")
-    needed = max((v.bit_length() for v in values), default=1)
-    n_words = max(words_for_bits(needed), num_words or 1)
-    out = np.zeros((len(values), n_words), dtype=np.uint64)
-    mask = (1 << WORD_BITS) - 1
-    for index, value in enumerate(values):
-        for col in range(n_words - 1, -1, -1):
-            if value == 0:
-                break
-            out[index, col] = value & mask
-            value >>= WORD_BITS
-    return out
-
-
 def pad_words(words: np.ndarray, num_words: int) -> np.ndarray:
     """Left-pad (most-significant side) to ``num_words`` columns."""
     words = np.asarray(words, dtype=np.uint64)
@@ -190,54 +140,41 @@ def pad_words(words: np.ndarray, num_words: int) -> np.ndarray:
     return np.hstack([padding, words])
 
 
-def signature_words(signatures, num_words: int | None = None) -> np.ndarray:
-    """Normalise any packed-signature representation to multi-word form."""
+def coerce_packed(signatures) -> np.ndarray:
+    """Check a packed-signature argument and return it as an array.
+
+    The single place the accepted-dtype contract lives, shared by the
+    insert, probe and stateless-simulation paths so they cannot drift.
+    Packed signatures are exactly what :func:`pack_bits` emits: a 1-D
+    array of non-negative ``int64`` values, or a 2-D ``(n_vectors,
+    n_words)`` ``uint64`` array of multi-word values.  (An empty 1-D
+    sequence of any dtype counts as an empty ``int64`` batch.)  Anything
+    else raises ``ValueError`` rather than being silently wrapped,
+    truncated or widened.
+    """
     arr = np.atleast_1d(np.asarray(signatures))
-    if arr.ndim == 2:
-        words = arr if arr.dtype == np.uint64 else arr.astype(np.uint64)
-    elif arr.dtype == object:
-        words = ints_to_words(arr)
-    else:
-        ints = arr.astype(np.int64)
-        if (ints < 0).any():
-            raise ValueError("signatures must be non-negative")
-        words = ints.astype(np.uint64)[:, None]
+    if arr.ndim == 1:
+        if arr.dtype == np.int64:
+            if len(arr) and arr.min() < 0:
+                raise ValueError("signatures must be non-negative")
+            return arr
+        if arr.size == 0:
+            return arr.astype(np.int64)
+    elif arr.ndim == 2 and arr.dtype == np.uint64:
+        return arr
+    raise ValueError(
+        f"packed signatures must be 1-D int64 or 2-D uint64 words, got a "
+        f"{arr.ndim}-D {arr.dtype} array")
+
+
+def signature_words(signatures, num_words: int | None = None) -> np.ndarray:
+    """Normalise a packed-signature batch to multi-word form."""
+    words = coerce_packed(signatures)
+    if words.ndim == 1:
+        words = words.astype(np.uint64)[:, None]
     if num_words is not None:
         words = pad_words(words, num_words)
     return words
-
-
-def coerce_packed(signatures) -> tuple[np.ndarray, bool]:
-    """Normalise a packed-signature argument to ``(array, wide)``.
-
-    The single place the accepted-dtype contract lives, shared by the
-    insert, probe and stateless-simulation paths so they cannot drift:
-    2-D arrays are *wide*; 1-D arrays of any dtype (object included)
-    are accepted as int64 whenever every value round-trips exactly, and
-    become wide object arrays otherwise (uint64 values >= 2^63,
-    arbitrary-precision Python ints, non-integral floats) instead of
-    silently wrapping or truncating.
-    """
-    arr = np.atleast_1d(np.asarray(signatures))
-    if arr.ndim != 1:
-        return arr, True
-    if arr.dtype == np.int64:
-        return arr, False
-    try:
-        as_int64 = arr.astype(np.int64)
-        if np.array_equal(as_int64.astype(object), arr.astype(object)):
-            return as_int64, False
-    except (OverflowError, TypeError, ValueError):
-        pass
-    return arr.astype(object), True
-
-
-def signatures_to_ints(signatures) -> np.ndarray:
-    """Object array of exact Python ints for any representation."""
-    arr = np.atleast_1d(np.asarray(signatures))
-    if arr.ndim == 2:
-        return words_to_ints(arr)
-    return arr.astype(object)
 
 
 def words_mod(words: np.ndarray, modulus: int) -> np.ndarray:
@@ -245,18 +182,17 @@ def words_mod(words: np.ndarray, modulus: int) -> np.ndarray:
 
     Folds the words most-significant first (``acc = (acc * 2^64 + word)
     % m``) entirely in uint64 arithmetic; exact because ``m < 2^31``
-    bounds every intermediate below 2^64.  Larger moduli (no MCACHE is
-    ever that big) fall back to exact Python integers.
+    bounds every intermediate below 2^64.  No MCACHE has that many sets,
+    so larger moduli raise.
     """
     words = np.asarray(words, dtype=np.uint64)
     m = int(modulus)
     if m <= 0:
         raise ValueError("modulus must be positive")
+    if m >= (1 << 31):
+        raise ValueError("modulus must be below 2^31")
     if m == 1:
         return np.zeros(len(words), dtype=np.int64)
-    if m >= (1 << 31):
-        return np.array([value % m for value in words_to_ints(words)],
-                        dtype=np.int64)
     shift = np.uint64((1 << WORD_BITS) % m)
     mod = np.uint64(m)
     acc = np.zeros(len(words), dtype=np.uint64)
@@ -348,7 +284,7 @@ class SignaturePipeline:
         # reconcatenating the cached ones every step.
         self._projection: np.ndarray | None = None
         self._valid_bits = 0
-        # Column-count accounting, reported by the perf suite.
+        # Column-count accounting: how much projection work was saved.
         self.projected_columns = 0
         self.reused_columns = 0
 

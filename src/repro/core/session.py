@@ -12,7 +12,7 @@ implementation, instantiated in one of two modes:
   :meth:`classify` call sees a freshly-cleared MCACHE, so similarity is
   exploited only *within* one batch (the paper's per-layer flush).  The
   engine drives the two phases separately — :meth:`classify` builds the
-  Hitmap through the configured backend, :meth:`ride` performs the
+  Hitmap on the batch MCACHE, :meth:`ride` performs the
   compute-misses/copy-hits assembly;
 * **persistent** (``persistent=True``) — the serving semantics: cache
   state survives across :meth:`serve` calls, entries age by micro-batch
@@ -49,11 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.differential import scalar_reference_simulation
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
-                                   simulate_hitmap, simulate_hitmap_grouped)
+                                   simulate_hitmap_grouped)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
@@ -63,6 +62,11 @@ ADMISSION_POLICIES = ("always", "frequency", "size")
 #: array/meta contract changes; ``load_state_dict`` rejects mismatches.
 #: Version 2 added the ``layout`` key and the eviction metadata arrays.
 STATE_VERSION = 2
+
+
+def _same_bytes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-row byte equality of two C-contiguous float64 matrices."""
+    return (left.view(np.uint64) == right.view(np.uint64)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,9 @@ class SessionPolicy:
     entries: int = 4096
     ways: int = 16
     ttl_batches: int | None = None
-    # Collision safety: verify the stored payload equals the incoming
-    # one before serving a hit; mismatches are demoted to computes.
+    # Collision safety: verify the stored payload has the incoming
+    # one's bytes before serving a hit; mismatches are demoted to
+    # computes.
     exact_check: bool = True
     # Insertion gate: "always", "frequency" or "size".
     admission: str = "always"
@@ -212,23 +217,22 @@ class ReuseSession:
     """One signature→result reuse step, flash-clear or persistent.
 
     One instance serves one stream of equal-length vectors (a request
-    payload shape, or one layer's input vectors).  Probing, admission
-    and the result store ride on the persistent batch machinery of
+    payload shape, or one layer's input vectors).  Probing and admission
+    ride on the persistent batch machinery of
     :class:`~repro.core.mcache_vec.VectorizedMCache`
-    (``lookup_or_insert_batch`` + the data phase), so capacity behaves
-    exactly like the hardware structure: set-associative, no
-    replacement.
+    (``lookup_or_insert_batch``), so capacity behaves exactly like the
+    hardware structure: set-associative, no replacement unless an
+    eviction policy is configured.  Results live in a dense store
+    indexed by MCACHE entry id.
     """
 
     def __init__(self, policy: SessionPolicy, hasher: RPQHasher | None = None,
-                 *, persistent: bool = True, backend: str = "vectorized",
-                 versions: int = 1):
+                 *, persistent: bool = True):
         self.policy = policy
         self.hasher = hasher or RPQHasher(seed=policy.rpq_seed)
         self.persistent = persistent
-        self.backend = backend
         self.mcache = VectorizedMCache(entries=policy.entries,
-                                       ways=policy.ways, versions=versions)
+                                       ways=policy.ways)
         self.num_sets = self.mcache.num_sets
         if policy.eviction != "none" and not persistent:
             raise ValueError("eviction policies require a persistent "
@@ -252,10 +256,9 @@ class ReuseSession:
         # sweep rows stay reproducible).
         self._seen: dict = {}
         self._seen_capacity = max(4 * policy.entries, 1024)
-        # Dense result store, indexed by MCACHE entry id: the serving
-        # hot path's replacement for the object grid inside the batch
-        # MCACHE (which stays as the differential suite's data-phase
-        # model).  ``_store_rows`` holds the cached result rows,
+        # Dense result store, indexed by MCACHE entry id (ids are
+        # bounded by ``entries``: a recycled line keeps its id).
+        # ``_store_rows`` holds the cached result rows,
         # ``_store_payloads`` the exact-check input payloads; both are
         # allocated on first write because the row width is only known
         # then (one session serves one stream of equal-length vectors).
@@ -267,38 +270,17 @@ class ReuseSession:
     # Flash phase — the training engine's per-layer Hitmap
     # ------------------------------------------------------------------
     def classify(self, signatures) -> HitmapSimulation:
-        """Simulate the MCACHE signature phase for one batch (Figure 9).
-
-        The three backends are bit-identical (the differential suite
-        asserts it); they differ only in speed and in what they model:
-        ``vectorized`` probes the persistent batch MCACHE, ``groupby``
-        runs the stateless numpy simulation and ``scalar`` replays the
-        line-level oracle one probe at a time.
-        """
-        if self.backend == "vectorized":
-            return self.mcache.simulate(signatures)
-        if self.backend == "scalar":
-            return scalar_reference_simulation(signatures,
-                                               num_sets=self.num_sets,
-                                               ways=self.policy.ways)
-        return simulate_hitmap(signatures, num_sets=self.num_sets,
-                               ways=self.policy.ways)
+        """Simulate the MCACHE signature phase for one batch (Figure 9)."""
+        return self.mcache.simulate(signatures)
 
     def classify_groups(self, signature_groups,
                         signature_bits: int) -> list[HitmapSimulation]:
-        """One Hitmap per group, through the configured backend.
+        """One Hitmap per group, bit-identical to :meth:`classify` per group.
 
-        The vectorized and groupby backends share the multi-group
-        group-by; the scalar oracle replays its line-level model per
-        group.  All backends stay bit-identical to per-call simulation.
-        Each group sees a fresh MCACHE: signatures never match, and
-        never steal ways, across groups.
+        All groups share one multi-group group-by.  Each group sees a
+        fresh MCACHE: signatures never match, and never steal ways,
+        across groups.
         """
-        if self.backend == "scalar":
-            return [scalar_reference_simulation(signatures,
-                                                num_sets=self.num_sets,
-                                                ways=self.policy.ways)
-                    for signatures in signature_groups]
         # One signature length is in force for the whole call, so the
         # groups share a packed representation: all 1-D int64 or all
         # multi-word 2-D with the same word count.
@@ -310,16 +292,15 @@ class ReuseSession:
             stacked, [len(sigs) for sigs in signature_groups],
             num_sets=self.num_sets, ways=self.policy.ways,
             signature_bits=signature_bits)
-        if self.backend == "vectorized":
-            # The persistent batch MCACHE's simulate() path is "clear,
-            # replay, accumulate counters"; mirror it so its stats
-            # characterise the run identically.
-            self.clears += 1
-            self.mcache.clear()
-            for simulation in simulations:
-                self.mcache.stats.hits += simulation.hits
-                self.mcache.stats.mau += simulation.mau
-                self.mcache.stats.mnu += simulation.mnu
+        # The batch MCACHE's simulate() path is "clear, replay,
+        # accumulate counters"; mirror it so its stats characterise the
+        # run identically.
+        self.clears += 1
+        self.mcache.clear()
+        for simulation in simulations:
+            self.mcache.stats.hits += simulation.hits
+            self.mcache.stats.mau += simulation.mau
+            self.mcache.stats.mnu += simulation.mnu
         return simulations
 
     @staticmethod
@@ -432,7 +413,8 @@ class ReuseSession:
             for name in ("_store_rows", "_store_payloads"):
                 store = getattr(self, name)
                 if store is not None and len(store) < capacity:
-                    grown = np.empty((max(capacity, 2 * len(store)),
+                    grown = np.empty((min(max(capacity, 2 * len(store)),
+                                          self.policy.entries),
                                       store.shape[1]), dtype=np.float64)
                     grown[:len(store)] = store
                     setattr(self, name, grown)
@@ -523,21 +505,24 @@ class ReuseSession:
 
     def _probe_and_admit(self, uniques, first_index, inverse,
                          payload_bytes: int, batch_index: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probe residents and insert admitted absents.
 
-        Returns ``(states, entry_ids)`` per unique signature, exactly
-        like ``lookup_or_insert_batch`` but with the admission policy
-        deciding which absent signatures may claim a line.  The
-        ``always`` policy takes the original single-call path, so the
-        default behaviour stays bit-identical to the pre-admission
-        code.
+        Returns ``(states, entry_ids, displaced)`` per unique signature:
+        states and ids exactly like ``lookup_or_insert_batch`` but with
+        the admission policy deciding which absent signatures may claim
+        a line.  The ``always`` policy takes the original single-call
+        path, so the default behaviour stays bit-identical to the
+        pre-admission code.  ``displaced`` marks the uniques that no
+        longer own the line their entry id names (only an eviction
+        policy moves a line between signatures within one batch).
         """
         if self._evictor is not None:
             return self._probe_and_admit_evicting(
                 uniques, first_index, inverse, payload_bytes, batch_index)
+        displaced = np.zeros(len(uniques), dtype=bool)
         if self.policy.admission == "always":
-            return self.mcache.lookup_or_insert_batch(uniques)
+            return (*self.mcache.lookup_or_insert_batch(uniques), displaced)
 
         present, entry_ids = self.mcache.probe_batch(uniques)
         entry_ids = entry_ids.copy()
@@ -558,11 +543,12 @@ class ReuseSession:
                 uniques[arrival])
             states[arrival] = sub_states
             entry_ids[arrival] = sub_ids
-        return states, entry_ids
+        return states, entry_ids, displaced
 
     def _probe_and_admit_evicting(self, uniques, first_index, inverse,
                                   payload_bytes: int, batch_index: int
-                                  ) -> tuple[np.ndarray, np.ndarray]:
+                                  ) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
         """The replacement-policy probe path.
 
         Residents *touch* their line's recency/frequency state in
@@ -573,6 +559,12 @@ class ReuseSession:
         no-replacement model would have called MNU becomes MAU on the
         victim's line.  Frequencies count rows, not batches, so a batch
         with five rows of one signature weighs five.
+
+        A recycled line keeps its entry id, so one id can name several
+        uniques of this batch: a resident whose line was recycled, or an
+        earlier admit whose fresh line was recycled again.  Only the
+        last claimant owns the line; the others are marked displaced so
+        :meth:`serve` never stores their rows under the new owner's id.
         """
         m = self.mcache
         present, entry_ids = m.probe_batch(uniques)
@@ -580,8 +572,11 @@ class ReuseSession:
         states = np.full(len(uniques), MNU_CODE, dtype=np.int8)
         states[present] = HIT_CODE
         counts = np.bincount(inverse, minlength=len(uniques))
+        displaced = np.zeros(len(uniques), dtype=bool)
 
         residents = np.flatnonzero(present)
+        # entry id -> the unique position currently owning that line.
+        owner = dict(zip(entry_ids[residents].tolist(), residents.tolist()))
         for position in residents[np.argsort(first_index[residents],
                                              kind="stable")]:
             entry = int(entry_ids[position])
@@ -607,15 +602,23 @@ class ReuseSession:
                                          int(m._entry_way[entry]),
                                          count=int(counts[position]))
                 else:
-                    way = self._evictor.victim(set_index)
-                    entry = m.replace_line(set_index, way,
-                                           uniques[position])
+                    entry = self._recycle(set_index, uniques[position],
+                                          int(counts[position]))
                     states[position] = MAU_CODE
-                    self._evictor.replace(set_index, way,
-                                          count=int(counts[position]))
-                    self.counters.evicted += 1
+                    if entry in owner:
+                        displaced[owner[entry]] = True
                 entry_ids[position] = entry
-        return states, entry_ids
+                owner[entry] = position
+        return states, entry_ids, displaced
+
+    def _recycle(self, set_index: int, signature, count: int = 1) -> int:
+        """Hand the policy's victim line in ``set_index`` to ``signature``;
+        returns the line's entry id, which the new owner inherits."""
+        way = self._evictor.victim(set_index)
+        entry = self.mcache.replace_line(set_index, way, signature)
+        self._evictor.replace(set_index, way, count=count)
+        self.counters.evicted += 1
+        return entry
 
     def serve(self, vectors: np.ndarray, compute, batch_index: int
               ) -> tuple[np.ndarray, ServeOutcome]:
@@ -631,7 +634,7 @@ class ReuseSession:
         """
         if not self.persistent:
             self.clear()
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("serve expects 2D (rows, features) vectors")
         num_rows = len(vectors)
@@ -644,19 +647,21 @@ class ReuseSession:
                                             self.policy.signature_bits)
         uniques, first_index, inverse = unique_signatures(signatures)
         num_unique = len(uniques)
-        states, entry_ids = self._probe_and_admit(
+        states, entry_ids, displaced = self._probe_and_admit(
             uniques, first_index, inverse, vectors.shape[1] * 8,
             batch_index)
         self._grow_entry_batches(batch_index)
 
         # Intra-batch aliasing: with ``exact_check`` a row may only
-        # share its signature group's result if it *equals* the group's
-        # first occurrence — a colliding (similar-but-different) row is
-        # computed on its own instead.  Without the check, signature
-        # trust applies within the batch exactly as it does across
-        # batches: that is MERCURY's approximate-reuse semantics.
+        # share its signature group's result if it has the *bytes* of
+        # the group's first occurrence — a colliding (similar-but-
+        # different) row is computed on its own instead.  Bytes, not
+        # ``==``: NaN never equals itself, yet identical NaN payloads
+        # have identical results.  Without the check, signature trust
+        # applies within the batch exactly as it does across batches:
+        # that is MERCURY's approximate-reuse semantics.
         if self.policy.exact_check:
-            aliased = ~(vectors == vectors[first_index[inverse]]).all(axis=1)
+            aliased = ~_same_bytes(vectors, vectors[first_index[inverse]])
             counters.collisions += int(aliased.sum())
         else:
             aliased = np.zeros(num_rows, dtype=bool)
@@ -682,11 +687,18 @@ class ReuseSession:
             refresh[stale] = True
             if self.policy.exact_check and valid.any():
                 live = res_idx[valid]
-                match = (self._store_payloads[entry_ids[live]]
-                         == vectors[first_index[live]]).all(axis=1)
+                match = _same_bytes(self._store_payloads[entry_ids[live]],
+                                    vectors[first_index[live]])
                 collided = live[~match]
                 counters.collisions += len(collided)
                 reusable[collided] = False
+
+        # A recycled line keeps its entry id, so the victim's row stays
+        # in the store until the new owner's row replaces it below; if
+        # ``compute`` raises first, it must not be served for the new
+        # owner.  (A resident displaced by a recycle was judged above
+        # and reads its row below, before the new owner's row lands.)
+        self._store_valid[entry_ids[inserted]] = False
 
         needs_compute = ~reusable
         aliased_rows = np.flatnonzero(aliased)
@@ -713,8 +725,9 @@ class ReuseSession:
         # Admit fresh computations: newly claimed lines and refreshed
         # (expired / data-invalidated) residents.  Collisions keep the
         # original owner's payload (first-writer-wins); rejected
-        # signatures have no line to write.
-        admit = np.flatnonzero(inserted | refresh)
+        # signatures have no line to write, and neither do uniques
+        # whose line was recycled later in this batch.
+        admit = np.flatnonzero((inserted | refresh) & ~displaced)
         if len(admit):
             admit_ids = entry_ids[admit]
             self._store_write(
@@ -790,10 +803,7 @@ class ReuseSession:
                 entry = int(sub_ids[0])
                 self._evictor.insert(set_index, int(m._entry_way[entry]))
             else:
-                way = self._evictor.victim(set_index)
-                entry = m.replace_line(set_index, way, signatures[0])
-                self._evictor.replace(set_index, way)
-                self.counters.evicted += 1
+                entry = self._recycle(set_index, signatures[0])
         else:
             sub_states, sub_ids = m.lookup_or_insert_batch(signatures)
             if sub_states[0] == MNU_CODE:
@@ -822,8 +832,8 @@ class ReuseSession:
         Two layouts.  ``entry-order`` (no replacement) lists every
         entry id ever issued — dense ids re-insert to identical
         placement.  ``line-order`` (eviction active) lists only *live*
-        lines in canonical ``(set, way)`` order — evicted ids are
-        orphans that must not be resurrected — plus the replacement
+        lines in canonical ``(set, way)`` order — a recycled line's id
+        says nothing about when it was claimed — plus the replacement
         policy's recency/frequency/segment arrays, so the restored
         session evicts exactly as the donor would have.  Ids renumber
         densely on restore, which is behaviourally invisible (probes

@@ -97,9 +97,9 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int,
         Matrix of shape ``(batch * out_h * out_w, channels * kernel_h *
         kernel_w)``; each row is one input vector in the paper's sense.
         The values (and their order) are identical to the historical
-        loop implementation (:func:`im2col_reference`); only the number
-        of copies differs — one, forced by the contiguity the GEMM
-        consuming the rows requires.
+        loop implementation (``tests/oracles/im2col.py``); only the
+        number of copies differs — one, forced by the contiguity the
+        GEMM consuming the rows requires.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, pad)
@@ -107,33 +107,6 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int,
     patches = im2col_view(x, kernel_h, kernel_w, stride, pad)
     return patches.reshape(batch * out_h * out_w,
                            channels * kernel_h * kernel_w)
-
-
-def im2col_reference(x: np.ndarray, kernel_h: int, kernel_w: int,
-                     stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The pre-optimisation loop-filled im2col.
-
-    Kept as the differential oracle for :func:`im2col` (the equivalence
-    property tests compare the two bit-for-bit) and as the "before"
-    implementation the perf suite (``benchmarks/perf_suite.py``) times
-    the strided rewrite against.
-    """
-    batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel_h, stride, pad)
-    out_w = conv_output_size(width, kernel_w, stride, pad)
-    x = _pad_input(x, pad)
-
-    cols = np.empty((batch, channels, kernel_h, kernel_w, out_h, out_w),
-                    dtype=x.dtype)
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w)
-    return cols
 
 
 def col2im(cols: np.ndarray, input_shape: tuple, kernel_h: int, kernel_w: int,

@@ -120,10 +120,7 @@ class Conv2D(Module):
             group_weights.append(
                 weights3d[start:stop].reshape(-1, self.out_channels))
 
-        batched = (getattr(getattr(self.engine, "config", None),
-                           "batch_channel_groups", False)
-                   and hasattr(self.engine, "matmul_groups"))
-        if batched:
+        if hasattr(self.engine, "matmul_groups"):
             results = self.engine.matmul_groups(group_cols, group_weights,
                                                 layer=self.layer_name,
                                                 phase="forward")

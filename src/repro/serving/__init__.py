@@ -9,7 +9,7 @@ signature machinery pays off *across* requests.  This package provides
   knobs (capacity geometry, TTL by batch age, per-layer enable, exact
   collision checking) shared by both cache granularities;
 * :class:`~repro.serving.engine.SignatureResultCache` — a persistent
-  signature→result store on :class:`~repro.core.mcache_vec.VectorizedMCache`
+  signature→result store over :class:`~repro.core.mcache_vec.VectorizedMCache`
   whose state survives across batches;
 * :class:`~repro.serving.engine.ServingReuseEngine` — the per-layer
   vector-granularity reuse engine a :class:`~repro.nn.module.Module`

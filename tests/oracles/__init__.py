@@ -1,0 +1,27 @@
+"""Differential oracles: slow, obviously-right twins of production code.
+
+Every oracle here answers a question that exactly one production
+function answers in ``src/repro``; the tests replay the same inputs
+through both and require bit-identical results.  Production code never
+imports this package (``tests/test_oracle_boundary.py`` checks).
+
+==========================================  =================================================
+Oracle                                      Production function it checks
+==========================================  =================================================
+``mcache.MCache`` (+ ``CacheLine``)         ``repro.core.mcache_vec.VectorizedMCache``
+                                            (``lookup_or_insert_batch``, ``probe_batch``)
+``differential.scalar_reference_simulation``  ``ReuseSession.classify`` / ``classify_groups``,
+                                            ``hitmap_sim.simulate_hitmap(_grouped)``
+``differential.run_differential``           ``VectorizedMCache.lookup_or_insert_batch``
+                                            over chunked persistent traces
+``differential.run_serve_differential``     ``ReuseSession.serve`` (the dense result store)
+                                            against the line-level data phase
+``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its fused
+(``engine.per_call_engine``)                ``ReuseSession.ride_groups``
+``engine.scalar_engine``                    ``ReuseEngine`` Hitmaps end to end
+``im2col.im2col_reference``                 ``repro.nn.im2col.im2col``
+``eviction.ReferenceLRU/LFU/SLRU``          ``repro.core.eviction`` ``LRU/LFU/SLRUEviction``
+``signatures.words_to_ints`` /              ``repro.core.rpq.pack_bits`` multi-word values
+``ints_to_words`` / ``signatures_to_ints``  (and the int <-> words bridge the oracles need)
+==========================================  =================================================
+"""

@@ -1,0 +1,51 @@
+"""Engine-level oracles: the per-call grouped path and line-level Hitmaps.
+
+Both return an ordinary :class:`~repro.core.reuse.ReuseEngine` with one
+bound method swapped on the instance, so a layer or a training run can
+drive it exactly like the production engine.
+"""
+
+from __future__ import annotations
+
+from repro.core.config import MercuryConfig
+from repro.core.reuse import ReuseEngine
+from tests.oracles.differential import scalar_reference_simulation
+
+
+def per_call_matmul_groups(engine: ReuseEngine, vectors_groups,
+                           weights_groups, *, layer: str,
+                           phase: str = "forward"):
+    """The grouped path's oracle: one ``engine.matmul`` call per group,
+    each with its own signature phase and its own masked ride."""
+    return [engine.matmul(vectors, weights, layer=layer, phase=phase)
+            for vectors, weights in zip(vectors_groups, weights_groups)]
+
+
+def per_call_engine(config: MercuryConfig) -> ReuseEngine:
+    """A reuse engine whose ``matmul_groups`` is the per-call loop."""
+    engine = ReuseEngine(config)
+
+    def matmul_groups(vectors_groups, weights_groups, *, layer,
+                      phase="forward"):
+        return per_call_matmul_groups(engine, vectors_groups,
+                                      weights_groups, layer=layer,
+                                      phase=phase)
+
+    engine.matmul_groups = matmul_groups
+    return engine
+
+
+def scalar_engine(config: MercuryConfig) -> ReuseEngine:
+    """A reuse engine whose Hitmaps come from the line-level MCACHE."""
+    engine = ReuseEngine(config)
+    num_sets, ways = engine.session.num_sets, config.mcache_ways
+
+    def classify(signatures):
+        return scalar_reference_simulation(signatures, num_sets, ways)
+
+    def classify_groups(signature_groups, signature_bits):
+        return [classify(signatures) for signatures in signature_groups]
+
+    engine.session.classify = classify
+    engine.session.classify_groups = classify_groups
+    return engine

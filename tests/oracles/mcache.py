@@ -1,4 +1,5 @@
-"""MCACHE — the signature-indexed result cache.
+"""The line-level MCACHE: the hardware model every batch path is checked
+against.
 
 MCACHE differs from a conventional cache in two ways (§III-B3):
 
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.hitmap import HitState
+from repro.core.mcache_vec import MCacheStats
 
 
 @dataclass
@@ -42,26 +42,11 @@ class CacheLine:
 
 
 @dataclass
-class MCacheStats:
-    """Access counters for characterisation (Figure 15a)."""
+class ScalarMCacheStats(MCacheStats):
+    """Production counters plus the data-phase reads and writes."""
 
-    hits: int = 0
-    mau: int = 0
-    mnu: int = 0
     data_reads: int = 0
     data_writes: int = 0
-    # Lines recycled by a replacement policy (persistent serving
-    # sessions only; the paper's no-replacement model never evicts).
-    evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.mau + self.mnu
-
-    def as_fractions(self) -> dict:
-        total = max(self.accesses, 1)
-        return {"HIT": self.hits / total, "MAU": self.mau / total,
-                "MNU": self.mnu / total}
 
 
 class MCache:
@@ -92,7 +77,7 @@ class MCache:
                       for _ in range(self.num_sets)]
         # entry_id -> (set index, way index) for id-based access (§V).
         self._id_index: dict[int, tuple[int, int]] = {}
-        self.stats = MCacheStats()
+        self.stats = ScalarMCacheStats()
 
     def _new_line(self) -> CacheLine:
         return CacheLine(valid_data=[False] * self.versions,

@@ -1,22 +1,22 @@
 """Dense int8 Hitmap state codes: bit-identity against the enum oracle.
 
-PR "coded states" retired the ``dtype=object`` ``HitState`` arrays from
-the classification and serving hot paths; the enum survives only as the
-user-facing view (``HitmapSimulation.state_objects()`` /
-``.to_hitmap()``) and inside the scalar ``MCache``/``Hitmap`` oracle.
-These suites pin the coded representation to that oracle:
+The classification and serving hot paths carry dense ``int8`` state
+codes; the ``HitState`` enum survives only as the user-facing view
+(``HitmapSimulation.state_objects()`` / ``.to_hitmap()``) and inside the
+line-level ``MCache``/``Hitmap`` oracle.  These suites pin the coded
+representation to that oracle:
 
-* classification codes are bit-identical across all three session
-  backends and equal to an enum-by-enum scalar ``MCache`` replay,
-  including >62-bit multi-word signatures;
+* classification codes (session and stateless group-by) equal an
+  enum-by-enum line-level ``MCache`` replay, including >62-bit
+  multi-word signatures;
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
-  codes whose semantics match a scalar mirror replay;
+  codes whose semantics match a line-level mirror replay;
 * the fused gather->GEMM->scatter ``ride_groups`` is bit-identical to
-  the per-call masked ``ride`` oracle, directly and engine-to-engine
-  via ``MercuryConfig(fused_ride=...)``;
-* ``words_to_ints`` (the exact-Python-int expansion) never runs on the
-  engine path — only the scalar/differential oracle may call it;
+  the per-group masked ``ride``, directly and engine-to-engine against
+  the per-call ``matmul_groups`` oracle;
+* ``words_to_ints`` (the exact-Python-int expansion the oracles use)
+  is exact;
 * ``_prune_seen``'s argpartition selection matches the old
   sort-the-whole-gate semantics, ties included.
 """
@@ -29,15 +29,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
-from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, MAU_CODE, MNU_CODE
+from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
-from repro.core.mcache import MCache
 from repro.core.reuse import ReuseEngine
-from repro.core.rpq import ints_to_words, unique_signatures
+from repro.core.rpq import unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
+from tests.oracles.engine import per_call_engine
+from tests.oracles.mcache import MCache
+from tests.oracles.signatures import ints_to_words, words_to_ints
 
-BACKENDS = ("vectorized", "groupby", "scalar")
+
+def _classifiers(policy: SessionPolicy):
+    """The production session and the stateless group-by it wraps."""
+    session = ReuseSession(policy, persistent=False)
+    num_sets = policy.entries // policy.ways
+    return (session.classify,
+            lambda trace: simulate_hitmap(trace, num_sets, policy.ways))
 
 
 def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
@@ -53,7 +61,7 @@ def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Classification: three backends vs the enum oracle
+# Classification vs the enum oracle
 # ---------------------------------------------------------------------------
 class TestCodedClassification:
     @given(st.integers(0, 2 ** 31), st.integers(1, 400),
@@ -65,10 +73,8 @@ class TestCodedClassification:
         trace = rng.choice(rng.integers(0, 1 << 20, size=pool), size=num)
         expected = _enum_oracle_codes(trace, entries, ways)
         policy = SessionPolicy(entries=entries, ways=ways)
-        for backend in BACKENDS:
-            session = ReuseSession(policy, persistent=False,
-                                   backend=backend)
-            sim = session.classify(trace)
+        for classify in _classifiers(policy):
+            sim = classify(trace)
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
             # The enum view survives as a derived representation.
@@ -84,10 +90,8 @@ class TestCodedClassification:
         expected = _enum_oracle_codes(
             np.array(values, dtype=object), entries=16, ways=4)
         policy = SessionPolicy(entries=16, ways=4)
-        for backend in BACKENDS:
-            session = ReuseSession(policy, persistent=False,
-                                   backend=backend)
-            sim = session.classify(words)
+        for classify in _classifiers(policy):
+            sim = classify(words)
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
 
@@ -123,7 +127,7 @@ class TestProbePathCodes:
         for batch_index in range(6):
             signatures = rng.integers(0, 40, size=rng.integers(1, 30))
             uniques, first_index, inverse = unique_signatures(signatures)
-            states, _ = session._probe_and_admit(
+            states, _, _ = session._probe_and_admit(
                 uniques, first_index, inverse, payload_bytes=64,
                 batch_index=batch_index)
             assert states.dtype == np.int8
@@ -158,7 +162,7 @@ class TestProbePathCodes:
         for batch_index in range(8):
             signatures = rng.integers(0, 200, size=25)
             uniques, first_index, inverse = unique_signatures(signatures)
-            states, entry_ids = session._probe_and_admit(
+            states, entry_ids, _ = session._probe_and_admit(
                 uniques, first_index, inverse, payload_bytes=64,
                 batch_index=batch_index)
             assert states.dtype == np.int8
@@ -222,15 +226,15 @@ class TestFusedRide:
                              [(1, 6), (2, 6), (3, 7)])
     def test_engine_fused_flag_bit_identity(self, rng, channel_group,
                                             in_channels):
-        """``fused_ride=True`` output equals the per-group masked oracle."""
-        base = dict(adaptive_signature_length=False,
-                    adaptive_stoppage=False, batch_channel_groups=True,
-                    conv_channel_group=channel_group, mcache_entries=64,
-                    mcache_ways=4)
+        """The fused ride equals the per-call masked oracle's output."""
+        config = MercuryConfig(adaptive_signature_length=False,
+                               adaptive_stoppage=False,
+                               conv_channel_group=channel_group,
+                               mcache_entries=64, mcache_ways=4)
         x = rng.normal(size=(3, in_channels, 10, 10))
         outputs = {}
-        for fused in (False, True):
-            engine = ReuseEngine(MercuryConfig(fused_ride=fused, **base))
+        for fused, build in ((False, per_call_engine), (True, ReuseEngine)):
+            engine = build(config)
             conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
             conv.engine = engine
             outputs[fused] = conv.forward(x)
@@ -241,14 +245,14 @@ class TestFusedRide:
 
 
 # ---------------------------------------------------------------------------
-# words_to_ints: vectorized, and confined to the oracle
+# words_to_ints: the oracles' exact-int expansion
 # ---------------------------------------------------------------------------
 class TestWordsToInts:
     @given(st.integers(0, 2 ** 31), st.integers(1, 30),
            st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_matches_python_reference(self, seed, num, num_words):
-        from repro.core.rpq import WORD_BITS, words_to_ints
+        from repro.core.rpq import WORD_BITS
         rng = np.random.default_rng(seed)
         words = rng.integers(0, 1 << 63, size=(num, num_words),
                              dtype=np.int64).astype(np.uint64)
@@ -259,32 +263,6 @@ class TestWordsToInts:
             for word in row:
                 expected = (expected << WORD_BITS) | int(word)
             assert value == expected and isinstance(value, int)
-
-    @pytest.mark.parametrize("backend", ["vectorized", "groupby"])
-    def test_engine_path_never_expands_python_ints(self, monkeypatch,
-                                                   backend, rng):
-        """Only the scalar/differential oracle may pay the big-int cost."""
-        import repro.core.rpq as rpq
-
-        def forbidden(words):
-            raise AssertionError("words_to_ints reached the engine path")
-
-        monkeypatch.setattr(rpq, "words_to_ints", forbidden)
-        # Multi-word classification through the session backends...
-        values = [(1 << 70) + int(v) for v in rng.integers(0, 8, size=40)]
-        words = ints_to_words(np.array(values, dtype=object), num_words=2)
-        session = ReuseSession(SessionPolicy(entries=16, ways=4),
-                               persistent=False, backend=backend)
-        sim = session.classify(words)
-        assert sim.states.dtype == np.int8
-        # ... and a full >62-bit engine matmul, fused ride included.
-        engine = ReuseEngine(MercuryConfig(
-            signature_bits=70, max_signature_bits=80,
-            adaptive_signature_length=False, adaptive_stoppage=False,
-            conv_channel_group=2, mcache_entries=64, mcache_ways=4))
-        conv = Conv2D(6, 4, 3, seed=5)
-        conv.engine = engine
-        conv.forward(rng.normal(size=(2, 6, 8, 8)))
 
 
 # ---------------------------------------------------------------------------

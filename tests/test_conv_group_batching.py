@@ -1,10 +1,9 @@
 """Bit-identity of the batched multi-group channel path.
 
-The reuse engine services `conv_channel_group` calls either one engine
-call per group (the seed behaviour, kept as the oracle via
-``MercuryConfig(batch_channel_groups=False)``) or as one multi-group
+The reuse engine services `conv_channel_group` calls as one multi-group
 signature/group-by phase (`ReuseEngine.matmul_groups`).  These tests
-assert the two are bit-identical: outputs, per-layer statistics,
+assert it is bit-identical to one engine call per group (the oracle in
+``tests/oracles/engine.py``): outputs, per-layer statistics,
 signature-table state and MCACHE counters.
 """
 
@@ -17,9 +16,10 @@ from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.reuse import ReuseEngine
-from repro.core.rpq import ints_to_words
 from repro.models.registry import build_model
 from repro.nn.layers.conv import Conv2D
+from tests.oracles.engine import per_call_engine
+from tests.oracles.signatures import ints_to_words
 
 
 def _assert_simulations_equal(left, right):
@@ -101,9 +101,8 @@ def _paired_engines(**config_overrides):
     base = dict(adaptive_signature_length=False, adaptive_stoppage=False,
                 conv_channel_group=1, mcache_entries=64, mcache_ways=4)
     base.update(config_overrides)
-    oracle = ReuseEngine(MercuryConfig(batch_channel_groups=False, **base))
-    batched = ReuseEngine(MercuryConfig(batch_channel_groups=True, **base))
-    return oracle, batched
+    config = MercuryConfig(**base)
+    return per_call_engine(config), ReuseEngine(config)
 
 
 @pytest.mark.parametrize("channel_group,in_channels", [(1, 6), (2, 6),
@@ -130,20 +129,6 @@ def test_conv_forward_bit_identity(rng, channel_group, in_channels):
     right = batched.signature_table.get(conv.layer_name)
     np.testing.assert_array_equal(left.signatures, right.signatures)
     assert left.vector_length == right.vector_length
-
-
-@pytest.mark.parametrize("backend", ["vectorized", "groupby", "scalar"])
-def test_backends_bit_identical_under_batching(rng, backend):
-    oracle, batched = _paired_engines(mcache_backend=backend,
-                                      conv_channel_group=2)
-    x = rng.normal(size=(2, 6, 8, 8))
-    outputs = {}
-    for engine in (oracle, batched):
-        conv = Conv2D(6, 4, 3, seed=5)
-        conv.engine = engine
-        outputs[engine] = conv.forward(x)
-    np.testing.assert_array_equal(outputs[oracle], outputs[batched])
-    assert _stats_snapshot(oracle) == _stats_snapshot(batched)
 
 
 def test_multiword_signature_bits_bit_identity(rng):
@@ -180,11 +165,12 @@ def test_full_model_training_step_bit_identity(rng):
     x = rng.normal(size=(4, 3, 12, 12))
     y = rng.integers(0, 3, size=4)
     results = {}
-    for flag in (False, True):
-        engine = ReuseEngine(MercuryConfig(
-            batch_channel_groups=flag, conv_channel_group=1,
-            adaptive_signature_length=False, adaptive_stoppage=False,
-            mcache_entries=256, mcache_ways=8))
+    config = MercuryConfig(conv_channel_group=1,
+                           adaptive_signature_length=False,
+                           adaptive_stoppage=False,
+                           mcache_entries=256, mcache_ways=8)
+    for flag, build in ((False, per_call_engine), (True, ReuseEngine)):
+        engine = build(config)
         model = build_model("squeezenet", num_classes=3, seed=2)
         model.set_engine(engine)
         loss_fn = CrossEntropyLoss()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.hitmap import (HIT_CODE, Hitmap, HitState, MAU_CODE,
                                MNU_CODE)
 from repro.core.hitmap_sim import simulate_hitmap
-from repro.core.mcache import MCache
+from tests.oracles.mcache import MCache
+from tests.oracles.signatures import ints_to_words
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_simulate_to_hitmap():
 
 
 def test_simulate_long_signatures_fall_back():
-    sigs = np.array([1 << 80, (1 << 80) + 1, 1 << 80], dtype=object)
+    sigs = ints_to_words([1 << 80, (1 << 80) + 1, 1 << 80])
     sim = simulate_hitmap(sigs, num_sets=8, ways=2)
     assert sim.states[2] == HIT_CODE
     assert sim.unique_signatures == 2

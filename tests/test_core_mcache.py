@@ -1,4 +1,4 @@
-"""Tests for the MCACHE structure."""
+"""Tests for the line-level MCACHE model, the oracle in tests/oracles."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hitmap import HitState
-from repro.core.mcache import MCache
+from tests.oracles.mcache import MCache
 
 
 def test_geometry_validation():

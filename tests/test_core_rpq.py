@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rpq import (RPQHasher, ints_to_words, pack_bits,
-                            signature_via_convolution, signatures_to_ints,
+from repro.core.rpq import (RPQHasher, pack_bits, signature_via_convolution,
                             words_for_bits)
+from tests.oracles.signatures import ints_to_words, signatures_to_ints
 
 
 def test_pack_bits_small():

@@ -20,11 +20,14 @@ Two layers of evidence that the O(1) intrusive-list eviction structures
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eviction import (EVICTION_POLICIES, build_eviction_state)
+from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
+from repro.core.session import ReuseSession, SessionPolicy
 from repro.serving import ServingPolicy, SignatureResultCache
+from tests.oracles.eviction import build_reference_eviction_state
 
 REPLACEMENT = [p for p in EVICTION_POLICIES if p != "none"]
 
@@ -96,8 +99,7 @@ def test_fast_structures_match_reference_bit_for_bit(trace):
     """The differential oracle: victims and serialized state agree."""
     policy, num_sets, ways, ops = trace
     fast = build_eviction_state(policy, num_sets, ways)
-    reference = build_eviction_state(policy, num_sets, ways,
-                                     reference=True)
+    reference = build_reference_eviction_state(policy, num_sets, ways)
     fast_victims = _replay(fast, ops, ways)
     reference_victims = _replay(reference, ops, ways)
     assert fast_victims == reference_victims
@@ -224,8 +226,8 @@ def _session(eviction: str, entries: int, ways: int, reference: bool):
                            signature_bits=16, eviction=eviction)
     cache = SignatureResultCache(policy)
     if reference:
-        cache._evictor = build_eviction_state(
-            eviction, cache.num_sets, policy.ways, reference=True)
+        cache._evictor = build_reference_eviction_state(
+            eviction, cache.num_sets, policy.ways)
     return cache
 
 
@@ -272,3 +274,66 @@ def test_capacity_is_never_exceeded_under_eviction(trace):
         # Replacement happens in place, so the prefix-occupancy rule
         # of the no-replacement store still holds.
         assert (per_set == cache.mcache._occupancy).all()
+
+
+def _row_by_row(rows, weights):
+    """Products whose bits never depend on their batch-mates."""
+    return np.array([row @ weights for row in rows])
+
+
+@pytest.mark.parametrize("eviction", REPLACEMENT)
+def test_evictions_do_not_grow_the_result_store(eviction):
+    """A recycled line keeps its entry id, so thousands of evictions
+    leave every per-entry store array at most ``entries`` rows long."""
+    entries = 16
+    policy = SessionPolicy(entries=entries, ways=entries,
+                           signature_bits=20, eviction=eviction)
+    session = ReuseSession(policy)
+    rng = np.random.default_rng(0)
+    pool = rng.normal(size=(512, 64))
+    weights = rng.normal(size=(64, 3))
+
+    def forward(rows):
+        return _row_by_row(rows, weights)
+
+    for batch_index in range(120):
+        batch = pool[rng.integers(0, len(pool), size=24)]
+        rows, _ = session.serve(
+            batch, lambda picks, b=batch: forward(b[picks]), batch_index)
+        np.testing.assert_array_equal(rows, forward(batch))
+    assert session.counters.evicted > 2000, session.counters.evicted
+    for store in (session._entry_batch, session._store_valid,
+                  session._store_rows, session._store_payloads):
+        assert len(store) <= entries
+
+
+def test_line_changing_hands_twice_in_a_batch_stores_the_last_owner():
+    """One line recycled twice within a batch: the stored row, payload
+    and age belong to the signature finally tagged on it."""
+    policy = SessionPolicy(entries=1, ways=1, signature_bits=16,
+                           eviction="lru")
+    session = ReuseSession(policy)
+    rng = np.random.default_rng(3)
+    pool = rng.normal(size=(3, 5))
+    weights = rng.normal(size=(5, 2))
+
+    def serve(batch, batch_index):
+        rows, _ = session.serve(
+            batch, lambda picks, b=batch: _row_by_row(b[picks], weights),
+            batch_index)
+        np.testing.assert_array_equal(rows, _row_by_row(batch, weights))
+
+    serve(pool[:1], 0)               # row 0 owns the only line
+    serve(pool, 1)                   # rows 1 and 2 each take it over
+    owner = [row for row in range(3) if session.mcache.probe_batch(
+        session.hasher.signatures(pool[row:row + 1], 16))[0][0]]
+    assert len(owner) == 1
+    entry = int(session.mcache._line_entry[0, 0])
+    np.testing.assert_array_equal(session._store_payloads[entry],
+                                  pool[owner[0]])
+    np.testing.assert_array_equal(session._store_rows[entry],
+                                  _row_by_row(pool[owner], weights)[0])
+    assert session._entry_batch[entry] == 1
+    before = session.counters.cross_hits
+    serve(pool[owner], 2)            # the owner's stored row is served
+    assert session.counters.cross_hits == before + 1

@@ -6,6 +6,7 @@ import pytest
 from repro.core.hitmap import CODE_TO_STATE, HitState
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
+from tests.oracles.signatures import ints_to_words
 
 
 def test_geometry_validation():
@@ -13,8 +14,6 @@ def test_geometry_validation():
         VectorizedMCache(entries=100, ways=16)
     with pytest.raises(ValueError):
         VectorizedMCache(entries=0, ways=1)
-    with pytest.raises(ValueError):
-        VectorizedMCache(entries=8, ways=2, versions=0)
     cache = VectorizedMCache(entries=1024, ways=16)
     assert cache.num_sets == 64
 
@@ -72,55 +71,6 @@ def test_probe_does_not_insert():
     assert ids[0] == entry and ids[1] == -1
 
 
-def test_data_write_read_and_valid_bits():
-    cache = VectorizedMCache(entries=8, ways=2)
-    _, entry = cache.lookup_or_insert(7)
-    assert not cache.has_data(entry)
-    with pytest.raises(LookupError):
-        cache.read_data(entry)
-    cache.write_data(entry, 3.14)
-    assert cache.has_data(entry)
-    assert cache.read_data(entry) == 3.14
-
-
-def test_batch_data_phase():
-    cache = VectorizedMCache(entries=8, ways=2)
-    states, entries = cache.lookup_or_insert_batch([1, 2, 3])
-    cache.write_data_batch(entries, [10.0, 20.0, 30.0])
-    assert list(cache.read_data_batch(entries)) == [10.0, 20.0, 30.0]
-    assert cache.stats.data_writes == 3
-    assert cache.stats.data_reads == 3
-    with pytest.raises(KeyError):
-        cache.write_data_batch([99], [1.0])
-    with pytest.raises(IndexError):
-        cache.write_data_batch(entries, [0.0] * 3, version=1)
-
-
-def test_multi_version_data():
-    cache = VectorizedMCache(entries=8, ways=2, versions=3)
-    _, entry = cache.lookup_or_insert(9)
-    cache.write_data(entry, "filter0", version=0)
-    cache.write_data(entry, "filter2", version=2)
-    assert cache.read_data(entry, version=2) == "filter2"
-    assert not cache.has_data(entry, version=1)
-    with pytest.raises(IndexError):
-        cache.write_data(entry, "x", version=3)
-
-
-def test_invalidate_data_keeps_tags():
-    cache = VectorizedMCache(entries=8, ways=2, versions=2)
-    _, entry = cache.lookup_or_insert(11)
-    cache.write_data(entry, 1.0, version=0)
-    cache.write_data(entry, 2.0, version=1)
-    cache.invalidate_data(0)
-    assert not cache.has_data(entry, version=0)
-    assert cache.has_data(entry, version=1)
-    cache.invalidate_data()
-    assert not cache.has_data(entry, version=1)
-    # Tag survives the flash invalidate.
-    assert cache.lookup_or_insert(11)[0] is HitState.HIT
-
-
 def test_clear_resets_everything():
     cache = VectorizedMCache(entries=8, ways=2)
     cache.lookup_or_insert_batch([1, 2])
@@ -172,21 +122,41 @@ def test_simulate_to_hitmap_round_trip(make_trace):
 
 
 def test_wide_signatures_promote_to_object():
+    """Multi-word batches promote the tag store to full-value words."""
     cache = VectorizedMCache(entries=4, ways=2)
     # 2 sets x 2 ways; +0/+2/+4 land in set 0, so +4 finds it full.
-    wide = np.array([(1 << 70) + k for k in (0, 1, 0, 2, 4)], dtype=object)
+    wide = ints_to_words([(1 << 70) + k for k in (0, 1, 0, 2, 4)])
     states, entries = cache.lookup_or_insert_batch(wide)
     assert [CODE_TO_STATE[s].value for s in states] == ["MAU", "MAU", "HIT", "MAU", "MNU"]
     # Mixed int64 batches keep working after the promotion.
     states2, _ = cache.lookup_or_insert_batch(np.array([5, 5]))
     assert [CODE_TO_STATE[s].value for s in states2] == ["MAU", "HIT"]
-    assert cache.lookup_or_insert((1 << 70) + 1)[0] is HitState.HIT
+    states3, _ = cache.lookup_or_insert_batch(ints_to_words([(1 << 70) + 1]))
+    assert [CODE_TO_STATE[s].value for s in states3] == ["HIT"]
 
 
-def test_negative_signatures_match_python_semantics():
-    # Python's floor division/modulo keep set indices non-negative.
+@pytest.mark.parametrize("signatures", [
+    pytest.param(np.array([-3], dtype=np.int64), id="negative"),
+    pytest.param(np.array([3, (1 << 70)], dtype=object), id="python-ints"),
+    pytest.param(np.array([3.0, 3.0]), id="float"),
+    pytest.param(np.array([3], dtype=np.uint64), id="1d-uint64"),
+    pytest.param(np.array([[3]], dtype=np.int64), id="2d-int64"),
+])
+def test_unpacked_signatures_are_rejected(signatures):
+    """Only non-negative 1-D int64 or 2-D uint64 words are signatures."""
     cache = VectorizedMCache(entries=4, ways=2)
-    state, entry = cache.lookup_or_insert(-3)
-    assert state is HitState.MAU
-    assert cache.lookup_or_insert(-3)[0] is HitState.HIT
-    assert 0 <= cache.set_index(-3) < cache.num_sets
+    with pytest.raises(ValueError):
+        cache.lookup_or_insert_batch(signatures)
+    with pytest.raises(ValueError):
+        cache.probe_batch(signatures)
+    with pytest.raises(ValueError):
+        cache.simulate(signatures)
+    assert cache.occupancy() == 0
+
+
+def test_replace_line_keeps_the_entry_id():
+    cache = VectorizedMCache(entries=2, ways=2)   # one set, two ways
+    _, entries = cache.lookup_or_insert_batch([4, 6])
+    assert cache.replace_line(0, 1, 8) == entries[1]
+    assert cache.probe_batch([6, 8])[1].tolist() == [-1, entries[1]]
+    assert cache.stats.evictions == 1

@@ -2,9 +2,9 @@
 
 Signatures longer than 62 bits pack into ``(n_vectors, n_words)``
 ``uint64`` rows (:mod:`repro.core.rpq`).  These tests drive that
-representation through every Hitmap backend — the stateless group-by
-simulation, the persistent batch MCACHE and the line-level scalar
-oracle — and assert bit-identity throughout, then smoke a real training
+representation through every Hitmap path — the stateless group-by
+simulation and the persistent batch MCACHE — against the line-level
+oracle, and assert bit-identity throughout, then smoke a real training
 run whose signature length crosses the multi-word boundary.
 """
 
@@ -16,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
-from repro.core.differential import run_differential, \
-    scalar_reference_simulation
-from repro.core.hitmap import CODE_TO_STATE
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
-from repro.core.rpq import (RPQHasher, ints_to_words, signature_words,
-                            signatures_to_ints, words_mod)
+from repro.core.rpq import RPQHasher, signature_words, words_mod
+from tests.oracles.differential import (run_differential,
+                                        run_serve_differential,
+                                        scalar_reference_simulation)
+from tests.oracles.engine import scalar_engine
+from tests.oracles.mcache import MCache
+from tests.oracles.signatures import ints_to_words, signatures_to_ints
 
 GEOMETRIES = [(8, 1), (8, 2), (16, 4), (64, 16), (4, 4)]
 
@@ -42,7 +44,7 @@ def wide_trace(draw_values, picks):
        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=80),
        geometry=st.sampled_from(GEOMETRIES))
 def test_multiword_simulations_match_oracle(values, picks, geometry):
-    """Fresh-cache Hitmaps agree across all three backends."""
+    """Fresh-cache Hitmaps agree with the line-level oracle."""
     entries, ways = geometry
     trace_ints = wide_trace(values, picks)
     trace_words = ints_to_words(trace_ints)
@@ -72,9 +74,10 @@ def test_multiword_persistent_replay_property(values, picks, chunks,
     """Chunked replay against persistent state, data phase included."""
     entries, ways = geometry
     trace_words = ints_to_words(wide_trace(values, picks))
-    report = run_differential(trace_words, entries=entries, ways=ways,
-                              chunk_sizes=chunks, data_phase=True)
-    assert report.identical, report.describe()
+    for replay in (run_differential, run_serve_differential):
+        report = replay(trace_words, entries=entries, ways=ways,
+                        chunk_sizes=chunks)
+        assert report.identical, report.describe()
 
 
 @settings(deadline=None)
@@ -97,7 +100,6 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
     results.append(cache.lookup_or_insert_batch(
         np.array(narrow, dtype=np.int64)))
 
-    from repro.core.mcache import MCache
     oracle = MCache(entries=entries, ways=ways)
     position = 0
     for states, entry_ids in results:
@@ -110,14 +112,14 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
 
 
 def test_uint64_signatures_beyond_int63_stay_exact():
-    """A uint64 batch with values >= 2^63 must not wrap through int64:
-    the engine promotes to words and keeps oracle bit-identity."""
+    """Values >= 2^63 must not wrap through int64: a 1-D uint64 batch is
+    refused, and the multi-word form keeps oracle bit-identity."""
     values = [(1 << 63) + 7, 5, (1 << 64) - 1, 5, (1 << 63) + 7]
     cache = VectorizedMCache(entries=8, ways=2)
-    states, entry_ids = cache.lookup_or_insert_batch(
-        np.array(values, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        cache.lookup_or_insert_batch(np.array(values, dtype=np.uint64))
+    states, entry_ids = cache.lookup_or_insert_batch(ints_to_words(values))
 
-    from repro.core.mcache import MCache
     oracle = MCache(entries=8, ways=2)
     for offset, value in enumerate(values):
         state, entry_id = oracle.lookup_or_insert(value)
@@ -131,19 +133,17 @@ def test_non_integral_float_signatures_are_rejected():
     with pytest.raises(ValueError, match="not an exact integer"):
         ints_to_words([0.5, 0.0])
     cache = VectorizedMCache(entries=8, ways=2)
-    with pytest.raises(ValueError, match="not an exact integer"):
-        cache.lookup_or_insert_batch(np.array([0.5, 0.0]))
-    # Exactly-integral floats are accepted (they round-trip).
-    states, _ = cache.lookup_or_insert_batch(np.array([3.0, 3.0]))
-    assert [CODE_TO_STATE[s].value for s in states] == ["MAU", "HIT"]
+    for floats in ([0.5, 0.0], [3.0, 3.0]):
+        with pytest.raises(ValueError, match="1-D int64 or 2-D uint64"):
+            cache.lookup_or_insert_batch(np.array(floats))
+    assert cache.occupancy() == 0
 
 
 def test_probe_batch_is_non_mutating_across_representations():
-    """Read-only probes never promote the tag store, never set the dirty
-    flag, and treat negative residents as misses for word probes."""
+    """Read-only probes never promote the tag store and never set the
+    dirty flag."""
     cache = VectorizedMCache(entries=8, ways=2)
     cache.lookup_or_insert(5)
-    cache.lookup_or_insert(-5)
     cache.simulate([])                     # leaves the cache clean
     assert cache._tag_words is None and not cache._dirty
 
@@ -154,9 +154,8 @@ def test_probe_batch_is_non_mutating_across_representations():
     assert cache._tag_words is None and not cache._dirty
 
     cache.lookup_or_insert(5)
-    cache.lookup_or_insert(-5)
     present, entry_ids = cache.probe_batch(wide)
-    assert list(present) == [False, True, False]   # -5 != 2^64 - 5
+    assert list(present) == [False, True, False]
     assert entry_ids[1] >= 0
     assert cache._tag_words is None                # still int64 mode
     # int64 probes against a words-mode store bridge the other way too.
@@ -166,62 +165,27 @@ def test_probe_batch_is_non_mutating_across_representations():
     assert list(present) == [True, False]
 
 
-def test_object_arrays_of_small_ints_take_the_int64_path():
-    """Object-dtype traces whose values fit int64 (negatives included)
-    behave exactly like int64 traces — no promotion, no rejection."""
-    from repro.core.rpq import coerce_packed
-    arr, wide = coerce_packed(np.array([5, -5, 1 << 40], dtype=object))
-    assert not wide and arr.dtype == np.int64
-
-    cache = VectorizedMCache(entries=8, ways=2)
-    states, _ = cache.lookup_or_insert_batch(np.array([5, -5], dtype=object))
-    assert [CODE_TO_STATE[s].value for s in states] == ["MAU", "MAU"]
-    assert cache._tag_words is None              # still int64 mode
-    present, _ = cache.probe_batch(np.array([-5, 6], dtype=object))
-    assert list(present) == [True, False]
-
-    sim = simulate_hitmap(np.array([7, 7, -2], dtype=object),
-                          num_sets=4, ways=2)
-    assert (sim.hits, sim.mau, sim.mnu) == (1, 2, 0)
-
-
 def test_probe_batch_uint64_beyond_int63_is_exact():
-    """1-D uint64 probes >= 2^63 must not wrap through int64: no false
-    hit against a negative resident, no false miss of the exact
-    resident value."""
+    """Probes >= 2^63 must not wrap through int64: the exact resident
+    value matches, its neighbour does not, and a 1-D uint64 probe is
+    refused."""
     cache = VectorizedMCache(entries=8, ways=2)
-    cache.lookup_or_insert(-5)
-    present, _ = cache.probe_batch(
-        np.array([(1 << 64) - 5], dtype=np.uint64))
-    assert list(present) == [False]          # 2^64-5 != -5
-
-    cache.clear()
-    cache.lookup_or_insert_batch(np.array([(1 << 63) + 7],
-                                          dtype=np.uint64))
+    cache.lookup_or_insert_batch(ints_to_words([(1 << 63) + 7]))
     present, entry_ids = cache.probe_batch(
-        np.array([(1 << 63) + 7, (1 << 63) + 8], dtype=np.uint64))
+        ints_to_words([(1 << 63) + 7, (1 << 63) + 8]))
     assert list(present) == [True, False]
     assert entry_ids[0] >= 0
-
-
-def test_negative_resident_refuses_multiword_promotion():
-    """A resident negative signature (floor-mod int64 edge) cannot be
-    represented as unsigned words; promotion must refuse loudly rather
-    than wrap it into a colliding value."""
-    cache = VectorizedMCache(entries=8, ways=2)
-    cache.lookup_or_insert(-5)
-    with pytest.raises(ValueError, match="negative signatures"):
-        cache.lookup_or_insert_batch(ints_to_words([(1 << 64) - 5]))
-    # After a clear, wide batches are accepted again.
-    cache.clear()
-    states, _ = cache.lookup_or_insert_batch(ints_to_words([(1 << 64) - 5]))
-    assert len(states) == 1
+    with pytest.raises(ValueError):
+        cache.probe_batch(np.array([(1 << 63) + 7], dtype=np.uint64))
 
 
 def test_signature_words_round_trip_representations():
     values = [0, 1, (1 << 62) - 1, 1 << 63, (1 << 100) + 12345]
-    words = signature_words(np.array(values, dtype=object))
+    words = signature_words(ints_to_words(values))
     assert words.dtype == np.uint64
+    np.testing.assert_array_equal(
+        signature_words(np.array(values[:3], dtype=np.int64)),
+        ints_to_words(values[:3]))
     assert [int(v) for v in signatures_to_ints(words)] == values
     # Padding preserves value.
     padded = signature_words(words, num_words=4)
@@ -258,23 +222,21 @@ def test_reuse_engine_backends_identical_at_96_bits(rng):
     picks = rng.integers(0, 10, size=50)
     vectors = centers[picks] + rng.normal(0, 1e-9, size=(50, 9))
     weights = rng.normal(size=(9, 4))
-    outputs = {}
-    for backend in ("vectorized", "groupby", "scalar"):
-        engine = ReuseEngine(config.replace(mcache_backend=backend))
-        outputs[backend] = engine.matmul(vectors, weights, layer="conv")
+    outputs = []
+    for build in (ReuseEngine, scalar_engine):
+        engine = build(config)
+        outputs.append(engine.matmul(vectors, weights, layer="conv"))
         record = engine.stats.get("conv", "forward")
         assert record.hits > 0          # wide signatures still find reuse
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["groupby"])
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["scalar"])
+    np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "groupby", "scalar"])
-def test_functional_training_smoke_beyond_62_bits(backend):
+def test_functional_training_smoke_beyond_62_bits():
     """A real (tiny) training run at a 70-bit signature length."""
     from repro.analysis.functional_sweep import (FunctionalPoint,
                                                  evaluate_functional_point)
     point = FunctionalPoint(model="squeezenet", signature_bits=70,
-                            mcache_backend=backend, epochs=1, seed=0)
+                            epochs=1, seed=0)
     row = evaluate_functional_point(point)
     assert row["final_signature_bits"] >= 70
     assert np.isfinite(row["reuse_final_loss"])
@@ -283,15 +245,15 @@ def test_functional_training_smoke_beyond_62_bits(backend):
 
 
 def test_functional_backends_bit_identical_beyond_62_bits():
-    """The three backends train bit-identically at 70 bits end to end."""
+    """Production and line-level Hitmaps train bit-identically at 70 bits
+    end to end."""
     from repro.analysis.functional_sweep import (FunctionalPoint,
-                                                 evaluate_functional_point)
-    rows = {}
-    for backend in ("vectorized", "scalar"):
-        point = FunctionalPoint(model="squeezenet", signature_bits=70,
-                                mcache_backend=backend, epochs=1, seed=1)
-        rows[backend] = evaluate_functional_point(point)
-    assert rows["vectorized"]["reuse_losses"] == rows["scalar"]["reuse_losses"]
-    assert rows["vectorized"]["reuse_accuracy"] == \
-        rows["scalar"]["reuse_accuracy"]
-    assert rows["vectorized"]["hit_fraction"] == rows["scalar"]["hit_fraction"]
+                                                 mercury_config_for,
+                                                 train_point)
+    point = FunctionalPoint(model="squeezenet", signature_bits=70,
+                            epochs=1, seed=1)
+    runs = [train_point(point, build(mercury_config_for(point)))[0]
+            for build in (ReuseEngine, scalar_engine)]
+    assert runs[0].iteration_losses == runs[1].iteration_losses
+    assert runs[0].final_validation_accuracy == \
+        runs[1].final_validation_accuracy

@@ -231,3 +231,19 @@ def test_missing_eviction_metadata_fails_loudly():
     restored = SignatureResultCache(donor.policy)
     with pytest.raises((ValueError, KeyError)):
         restored.load_state_dict(meta, stripped)
+
+
+def test_identical_nan_payloads_hit_without_collisions():
+    """Exact checks compare payload bytes: NaN never equals itself under
+    ``==``, yet identical NaN payloads have identical results."""
+    cache = SignatureResultCache(ServingPolicy(request_cache=True,
+                                               entries=8, ways=2))
+    payload = np.array([1.0, np.nan, -0.5, np.nan])
+    for batch_index in range(4):
+        batch = np.stack([payload, payload])
+        rows, _ = cache.serve(batch, lambda picks, b=batch: b[picks] * 2.0,
+                              batch_index)
+        np.testing.assert_array_equal(rows, batch * 2.0)
+    counters = cache.counters
+    assert (counters.hits, counters.computed, counters.collisions) == (7, 1, 0)
+    assert counters.requests == counters.hits + counters.computed == 8
