@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, Hitmap, MAU_CODE,
-                               MNU_CODE)
+from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, Hitmap, MNU_CODE
 from repro.core.rpq import coerce_packed, unique_signatures, words_mod
 
 
@@ -60,6 +59,30 @@ class HitmapSimulation:
                           for code, src in zip(self.states.tolist(),
                                                self.representative.tolist())]
         return hitmap
+
+
+class GroupedSimulation(list):
+    """The per-group Hitmaps of one grouped signature phase.
+
+    A list of :class:`HitmapSimulation` — one per group, in order, each
+    a row view of the concatenation — that also carries what whole-stack
+    callers need, so they never walk the groups: the concatenated
+    ``states`` codes, the ``representative`` row map over the
+    concatenation (a HIT row points at its source's row in the
+    concatenated frame, every other row at itself), and the HIT / MAU /
+    MNU / unique-signature totals over all groups.
+    """
+
+    def __init__(self, groups, *, states: np.ndarray,
+                 representative: np.ndarray, hits: int, mau: int, mnu: int,
+                 unique_signatures: int):
+        super().__init__(groups)
+        self.states = states
+        self.representative = representative
+        self.hits = hits
+        self.mau = mau
+        self.mnu = mnu
+        self.unique_signatures = unique_signatures
 
 
 def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
@@ -113,27 +136,30 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
 
 def _classify_uniques(unique_sets: np.ndarray, first_index: np.ndarray,
                       inverse: np.ndarray, num_vectors: int,
-                      ways: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                          np.ndarray]:
+                      ways: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared classification core given a group-by of the batch.
 
     ``unique_sets`` names the cache set competed for by each unique
     signature (callers may offset it to model independent caches — the
-    multi-group path); returns ``(hit_mask, mau_mask, mnu_mask,
-    representative)`` over the ``num_vectors`` probes.
+    multi-group path); returns ``(codes, representative)`` over the
+    ``num_vectors`` probes.
     """
     # Decide which unique signatures win a cache line: order them by
     # first occurrence and admit the first `ways` per set.  The
-    # (set, arrival) order usually fuses into one integer key — one
-    # unstable argsort (keys are distinct) instead of two stable ones.
+    # (set, arrival) order usually packs into one int64 key
+    # ``set << row_bits | first_index``: the keys are distinct, so one
+    # unstable sort of the keys themselves gives the stable order, and
+    # the first index in the low bits names each unique via ``inverse``.
     num_uniques = len(unique_sets)
     inserted_unique = np.empty(num_uniques, dtype=bool)
     max_set = int(unique_sets.max()) if num_uniques else 0
-    if max_set < (2 ** 62) // max(num_vectors, 1):
-        order = np.argsort(unique_sets.astype(np.int64) * num_vectors
-                           + first_index)
-        rank_within_set = rank_within_groups(unique_sets[order])
-        inserted_unique[order] = rank_within_set < ways
+    row_bits = max(num_vectors - 1, 0).bit_length()
+    if max_set.bit_length() + row_bits <= 63:
+        keys = np.sort((unique_sets.astype(np.int64, copy=False)
+                        << row_bits) | first_index)
+        rank_within_set = rank_within_groups(keys >> row_bits)
+        in_set_order = inverse[keys & ((1 << row_bits) - 1)]
+        inserted_unique[in_set_order] = rank_within_set < ways
     else:  # pragma: no cover — needs ~2^62 composite sets
         arrival_order = np.argsort(first_index, kind="stable")
         sets_in_arrival = unique_sets[arrival_order]
@@ -143,25 +169,19 @@ def _classify_uniques(unique_sets: np.ndarray, first_index: np.ndarray,
         inserted_in_arrival[by_set] = rank_within_set < ways
         inserted_unique[arrival_order] = inserted_in_arrival
 
+    # An inserted signature's first occurrence is MAU and its later
+    # ones HIT — with HIT_CODE = 0 and MAU_CODE = 1 that is the
+    # first-occurrence flag itself; rows of a rejected signature are
+    # MNU.  HIT rows point at their signature's first occurrence (for a
+    # MAU row that is the row itself); MNU rows point at themselves.
+    rejected = np.flatnonzero(~inserted_unique[inverse])
     is_first = np.zeros(num_vectors, dtype=bool)
     is_first[first_index] = True
-    vector_inserted = inserted_unique[inverse]
-
-    hit_mask = vector_inserted & ~is_first
-    mau_mask = vector_inserted & is_first
-    mnu_mask = ~vector_inserted
-
-    representative = np.arange(num_vectors, dtype=np.int64)
-    representative[hit_mask] = first_index[inverse[hit_mask]]
-    return hit_mask, mau_mask, mnu_mask, representative
-
-
-def _masks_to_codes(hit_mask: np.ndarray,
-                    mau_mask: np.ndarray) -> np.ndarray:
-    codes = np.full(len(hit_mask), MNU_CODE, dtype=np.int8)
-    codes[hit_mask] = HIT_CODE
-    codes[mau_mask] = MAU_CODE
-    return codes
+    codes = is_first.view(np.int8)
+    codes[rejected] = MNU_CODE
+    representative = first_index[inverse]
+    representative[rejected] = rejected
+    return codes, representative
 
 
 def _simulate_vectorised(signatures: np.ndarray, num_sets: int,
@@ -170,20 +190,18 @@ def _simulate_vectorised(signatures: np.ndarray, num_sets: int,
     num_vectors = len(signatures)
     unique_values, first_index, inverse = unique_signatures(signatures)
     unique_sets = signature_sets(unique_values, num_sets)
-    hit_mask, mau_mask, mnu_mask, representative = _classify_uniques(
+    codes, representative = _classify_uniques(
         unique_sets, first_index, inverse, num_vectors, ways)
-
-    return HitmapSimulation(states=_masks_to_codes(hit_mask, mau_mask),
-                            representative=representative,
-                            hits=int(hit_mask.sum()), mau=int(mau_mask.sum()),
-                            mnu=int(mnu_mask.sum()),
+    hits, mau, mnu = np.bincount(codes, minlength=3).tolist()
+    return HitmapSimulation(states=codes, representative=representative,
+                            hits=hits, mau=mau, mnu=mnu,
                             unique_signatures=len(unique_values))
 
 
 def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
                             ways: int,
                             signature_bits: int | None = None
-                            ) -> list[HitmapSimulation]:
+                            ) -> GroupedSimulation:
     """Per-group Hitmaps for a concatenation of signature batches.
 
     Bit-identical to calling :func:`simulate_hitmap` once per group —
@@ -197,27 +215,34 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
 
     ``signatures`` holds the groups back to back in arrival order (1-D
     int64 or the multi-word 2-D form); ``group_sizes`` their lengths.
-    Representative indices in each returned simulation are local to the
-    group, exactly as the per-call path produces them.
+    The result is a :class:`GroupedSimulation`: one
+    :class:`HitmapSimulation` per group — row views whose representative
+    indices are local to the group, exactly as the per-call path
+    produces them — plus the concatenated arrays and the totals.
 
     ``signature_bits``, when the caller knows every signature fits that
     many bits, lets the composite (group, signature) key fuse into one
-    int64 — a single ``np.unique`` sort instead of a two-column
-    lexicographic sort, the difference between this path beating and
-    trailing the per-call loop at high group counts.
+    int64, which :func:`~repro.core.rpq.unique_signatures` groups with a
+    single packed ``(group, signature, row)`` sort; without it, or past
+    62 bits, the groups go through a lexicographic row sort.  Either
+    way the work is a constant number of numpy passes over the whole
+    concatenation; only the per-group views are built group by group.
     """
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
-    group_sizes = [int(size) for size in group_sizes]
-    if any(size < 0 for size in group_sizes):
+    group_sizes = np.asarray(group_sizes, dtype=np.int64).reshape(-1)
+    if (group_sizes < 0).any():
         raise ValueError("group sizes must be non-negative")
     signatures = coerce_packed(signatures)
     num_vectors = len(signatures)
-    if sum(group_sizes) != num_vectors:
+    if int(group_sizes.sum()) != num_vectors:
         raise ValueError("group sizes must sum to the number of signatures")
 
-    starts = np.concatenate([[0], np.cumsum(group_sizes)]).astype(np.int64)
     num_groups = len(group_sizes)
+    starts = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(group_sizes, out=starts[1:])
+    group_ids = np.repeat(np.arange(num_groups, dtype=np.int64),
+                          group_sizes)
     fused_bits = None
     if (signatures.ndim == 1 and signature_bits is not None
             and signature_bits + max(num_groups - 1, 0).bit_length() <= 62
@@ -228,21 +253,18 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
     if fused_bits is not None:
         # Fused single-key path: (group << bits) | signature is unique
         # per (group, signature) pair and sorts group-major, so one
-        # int64 np.unique replaces the two-column lexsort.
-        group_ids = np.repeat(np.arange(num_groups, dtype=np.int64),
-                              group_sizes)
+        # int64 group-by replaces the two-column lexsort.
         fused = (group_ids << fused_bits) | signatures
         unique_values, first_index, inverse = unique_signatures(fused)
         unique_groups = unique_values >> fused_bits
         unique_sets = signature_sets(
             unique_values & ((np.int64(1) << fused_bits) - 1), num_sets)
     else:
-        group_ids = np.repeat(np.arange(num_groups, dtype=np.uint64),
-                              group_sizes)
+        word_groups = group_ids.astype(np.uint64)
         if signatures.ndim == 2:
-            composite = np.hstack([group_ids[:, None], signatures])
+            composite = np.hstack([word_groups[:, None], signatures])
         else:
-            composite = np.stack([group_ids,
+            composite = np.stack([word_groups,
                                   signatures.astype(np.uint64)], axis=1)
         unique_values, first_index, inverse = unique_signatures(composite)
         unique_groups = unique_values[:, 0].astype(np.int64)
@@ -254,29 +276,26 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
     # set: per-group fresh-MCACHE semantics inside one group-by.
     composite_sets = unique_groups * num_sets + unique_sets
 
-    hit_mask, mau_mask, mnu_mask, representative = _classify_uniques(
+    states, representative = _classify_uniques(
         composite_sets, first_index, inverse, num_vectors, ways)
-    states = _masks_to_codes(hit_mask, mau_mask)
-    unique_per_group = np.bincount(unique_groups,
-                                   minlength=len(group_sizes))
-    # Per-group state counts in three bincounts over the row group ids
-    # instead of three slice reductions per group.
-    row_groups = group_ids.astype(np.int64, copy=False)
-    hits_per_group = np.bincount(row_groups[hit_mask],
-                                 minlength=num_groups)
-    mau_per_group = np.bincount(row_groups[mau_mask],
-                                minlength=num_groups)
-    mnu_per_group = np.bincount(row_groups[mnu_mask],
-                                minlength=num_groups)
+    # Per-group (HIT, MAU, MNU) counts in one bincount over
+    # ``group * 3 + code``, and group-local representatives in one pass.
+    counts = np.bincount(group_ids * 3 + states,
+                         minlength=3 * num_groups).reshape(num_groups, 3)
+    unique_per_group = np.bincount(unique_groups, minlength=num_groups)
+    local = representative - starts[group_ids]
 
-    simulations = []
-    for group in range(len(group_sizes)):
-        lo, hi = starts[group], starts[group + 1]
-        simulations.append(HitmapSimulation(
-            states=states[lo:hi],
-            representative=representative[lo:hi] - lo,
-            hits=int(hits_per_group[group]),
-            mau=int(mau_per_group[group]),
-            mnu=int(mnu_per_group[group]),
-            unique_signatures=int(unique_per_group[group])))
-    return simulations
+    bounds = starts.tolist()
+    views = [HitmapSimulation(states=states[lo:hi],
+                              representative=local[lo:hi],
+                              hits=hits, mau=mau, mnu=mnu,
+                              unique_signatures=unique)
+             for lo, hi, (hits, mau, mnu), unique in zip(
+                 bounds[:-1], bounds[1:], counts.tolist(),
+                 unique_per_group.tolist())]
+    totals = counts.sum(axis=0).tolist()
+    return GroupedSimulation(views, states=states,
+                             representative=representative,
+                             hits=totals[0], mau=totals[1], mnu=totals[2],
+                             unique_signatures=len(unique_groups))
+

@@ -179,103 +179,85 @@ class ReuseEngine:
 
     # ------------------------------------------------------------------
     def matmul_groups(self, vectors_groups, weights_groups, *, layer: str,
-                      phase: str = "forward") -> list[np.ndarray]:
+                      phase: str = "forward"):
         """Service several same-layer matmul calls in one signature phase.
 
         ``vectors_groups[i] @ weights_groups[i]`` with signature reuse,
         exactly as ``len(vectors_groups)`` successive :meth:`matmul`
         calls would compute it — same results, statistics, MCACHE
-        counters and signature-table state, which the regression suite
-        asserts against that per-call loop — but the Hitmap
-        classification for all groups runs as one multi-group group-by
-        (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`) and the
-        cache ride as one fused gather → block GEMM → scatter
-        (:meth:`ReuseSession.ride_groups`), so the per-call overhead
-        that dominated ``conv_channel_group=1`` runs is paid once per
-        layer call instead of once per channel group.  Each group still
+        counters, clears and signature-table state, which the regression
+        suite asserts against that per-call loop.  Each group still
         probes a fresh MCACHE: signatures never match, and never steal
         ways, across groups.
+
+        A forward call with a ``(groups, vectors, length)`` array and a
+        ``(groups, length, filters)`` array does a constant amount of
+        work however many groups there are: one hash of the whole
+        stack, one multi-group classification
+        (:meth:`ReuseSession.classify_groups`), one stacked cache ride
+        (:meth:`ReuseSession.ride_groups`) and one statistics merge.
+        It returns the ``(groups, vectors, filters)`` results.  Any
+        other call — the backward phase, whose signatures may reload
+        from the table, or a sequence of differently shaped groups such
+        as a ragged channel split — is serviced by one :meth:`matmul`
+        call per group and returns a list.
         """
-        groups = [np.asarray(vectors, dtype=np.float64)
-                  for vectors in vectors_groups]
-        weights_list = [np.asarray(weights, dtype=np.float64)
-                        for weights in weights_groups]
-        if len(groups) != len(weights_list):
+        if len(vectors_groups) != len(weights_groups):
             raise ValueError("vectors_groups and weights_groups must pair up")
-        if phase != "forward" or len(groups) <= 1:
-            # Backward calls may reload signatures from the table, a
-            # stateful per-call interaction the batched phase does not
-            # model; delegate to the exact per-call path.
+        stacked = (phase == "forward"
+                   and isinstance(vectors_groups, np.ndarray)
+                   and isinstance(weights_groups, np.ndarray))
+        if not stacked:
             return [self.matmul(vectors, weights, layer=layer, phase=phase)
-                    for vectors, weights in zip(groups, weights_list)]
-        for vectors, weights in zip(groups, weights_list):
-            if vectors.ndim != 2 or weights.ndim != 2:
-                raise ValueError("matmul_groups expects 2D groups")
-            if vectors.shape[1] != weights.shape[0]:
-                raise ValueError(
-                    f"shape mismatch: vectors {vectors.shape} x "
-                    f"weights {weights.shape}")
+                    for vectors, weights in zip(vectors_groups,
+                                                weights_groups)]
+        stack = np.asarray(vectors_groups, dtype=np.float64)
+        weights = np.asarray(weights_groups, dtype=np.float64)
+        if stack.ndim != 3 or weights.ndim != 3:
+            raise ValueError("matmul_groups expects (groups, vectors, "
+                             "length) and (groups, length, filters) stacks")
+        if stack.shape[2] != weights.shape[1]:
+            raise ValueError(f"shape mismatch: vectors {stack.shape} x "
+                             f"weights {weights.shape}")
+        num_groups, num_vectors, vector_length = stack.shape
+        num_filters = weights.shape[2]
+        rows = num_groups * num_vectors
 
         if not self._detection_enabled(layer, phase):
-            results = []
-            for vectors, weights in zip(groups, weights_list):
-                results.append(vectors @ weights)
-                self._record(layer, phase, vectors=vectors.shape[0], hits=0,
-                             mau=0, mnu=vectors.shape[0],
-                             vector_length=vectors.shape[1],
-                             num_filters=weights.shape[1],
-                             unique=vectors.shape[0], detection_on=False)
-            return results
+            self._record(layer, phase, vectors=rows, hits=0, mau=0,
+                         mnu=rows, vector_length=vector_length,
+                         num_filters=num_filters, unique=rows,
+                         detection_on=False, calls=num_groups)
+            return np.matmul(stack, weights)
 
-        # The pure hasher path per group (identical to matmul's forward
-        # signature computation — projections are per-row, but hashing
-        # group by group keeps each gemm call bitwise identical to the
-        # per-call oracle).
-        signature_groups = [self.hasher.signatures(vectors,
+        # The projection is per row, so one hash of the stacked rows
+        # gives every group the signatures a per-group hash would.
+        signatures = self.hasher.signatures(
+            stack.reshape(rows, vector_length), self.signature_bits)
+        signatures = signatures.reshape(num_groups, num_vectors,
+                                        *signatures.shape[1:])
+        simulations = self.session.classify_groups(signatures,
                                                    self.signature_bits)
-                            for vectors in groups]
-        simulations = self.session.classify_groups(signature_groups,
-                                                   self.signature_bits)
+        results = ReuseSession.ride_groups(stack, weights, simulations)
 
-        # The fused ride needs one shared (length, filters) shape; a
-        # ragged tail group (in_channels not divisible by the group
-        # size) rides group by group instead.
-        uniform = all(
-            weights.shape == weights_list[0].shape
-            for weights in weights_list[1:])
-        if uniform:
-            results = ReuseSession.ride_groups(groups, weights_list,
-                                               simulations)
-        else:
-            results = [ReuseSession.ride(vectors, weights, simulation)
-                       for vectors, weights, simulation in
-                       zip(groups, weights_list, simulations)]
-
-        for vectors, weights, signatures, simulation in zip(
-                groups, weights_list, signature_groups, simulations):
-            num_vectors, vector_length = vectors.shape
-            num_filters = weights.shape[1]
-
-            # Per-group bookkeeping mirrors the per-call loop exactly:
-            # the table record is overwritten per group (last group
-            # wins), and statistics merge one call per group.
-            self.signature_table.store(layer, vector_length,
-                                       self.signature_bits, signatures,
-                                       simulation)
-            self.last_simulations[(layer, phase)] = simulation
-            self._record(layer, phase, vectors=num_vectors,
-                         hits=simulation.hits, mau=simulation.mau,
-                         mnu=simulation.mnu, vector_length=vector_length,
-                         num_filters=num_filters,
-                         unique=simulation.unique_signatures,
-                         detection_on=True, signatures_reloaded=False)
+        # The per-call loop overwrites the table record and the last
+        # simulation group by group; only the last group's survives.
+        self.signature_table.store(layer, vector_length,
+                                   self.signature_bits, signatures[-1],
+                                   simulations[-1])
+        self.last_simulations[(layer, phase)] = simulations[-1]
+        self._record(layer, phase, vectors=rows, hits=simulations.hits,
+                     mau=simulations.mau, mnu=simulations.mnu,
+                     vector_length=vector_length, num_filters=num_filters,
+                     unique=simulations.unique_signatures,
+                     detection_on=True, calls=num_groups)
         return results
 
     # ------------------------------------------------------------------
     def _record(self, layer: str, phase: str, *, vectors: int, hits: int,
                 mau: int, mnu: int, vector_length: int, num_filters: int,
                 unique: int, detection_on: bool,
-                signatures_reloaded: bool = False) -> None:
+                signatures_reloaded: bool = False, calls: int = 1) -> None:
         for stats in (self.stats, self.batch_stats):
             record = stats.record_for(layer, phase)
             record.merge_call(vectors=vectors, hits=hits, mau=mau, mnu=mnu,
@@ -284,7 +266,8 @@ class ReuseEngine:
                               signature_bits=self.signature_bits,
                               unique_signatures=unique,
                               detection_on=detection_on,
-                              signatures_reloaded=signatures_reloaded)
+                              signatures_reloaded=signatures_reloaded,
+                              calls=calls)
 
     # ------------------------------------------------------------------
     def end_iteration(self, loss: float | None = None) -> None:

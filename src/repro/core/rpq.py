@@ -227,17 +227,59 @@ def _unique_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return uniques, first_index, inverse
 
 
+def packed_unique(values: np.ndarray, value_bits: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``np.unique(values, return_index=True, return_inverse=True)`` by
+    one sort of packed ``(value, row)`` keys.
+
+    ``values`` is 1-D, non-negative ``int64`` and below
+    ``2**value_bits``.  Each key is ``value << row_bits | row``; the keys
+    are distinct, so an unstable (SIMD) ``np.sort`` of the keys
+    themselves yields exactly the stable order — equal values adjacent,
+    in arrival order — and the row falls out of the low bits.  That
+    replaces ``np.unique``'s stable argsort plus its gathers.  Returns
+    ``None`` when the key would not fit 63 bits; the caller then groups
+    another way.
+    """
+    num_rows = len(values)
+    row_bits = max(num_rows - 1, 0).bit_length()
+    if value_bits + row_bits > 63:
+        return None
+    keys = np.sort((values << row_bits) | np.arange(num_rows))
+    sorted_values = keys >> row_bits
+    rows = keys & ((1 << row_bits) - 1)
+    new_group = np.empty(num_rows, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new_group[1:])
+    group_ids = np.cumsum(new_group)
+    group_ids -= 1
+    inverse = np.empty(num_rows, dtype=np.int64)
+    inverse[rows] = group_ids
+    firsts = np.flatnonzero(new_group)
+    return sorted_values[firsts], rows[firsts], inverse
+
+
 def unique_signatures(signatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group-by for any packed representation.
 
     Returns ``(unique_values, first_index, inverse)`` exactly like
-    ``np.unique(..., return_index=True, return_inverse=True)``; the
+    ``np.unique(..., return_index=True, return_inverse=True)``.  1-D
+    ``int64`` batches group by :func:`packed_unique` while value and
+    row index fit one 63-bit key, and by ``np.unique`` beyond; the
     multi-word form groups by lexicographic row sort, so nothing drops
     to Python loops past 62 bits.
     """
     arr = np.atleast_1d(np.asarray(signatures))
     if arr.ndim == 2:
         return _unique_words(arr)
+    if arr.dtype == np.int64 and len(arr):
+        # The OR of all values is negative iff one of them is, and as
+        # wide as the widest.
+        widest = int(np.bitwise_or.reduce(arr))
+        if widest >= 0:
+            grouped = packed_unique(arr, widest.bit_length())
+            if grouped is not None:
+                return grouped
     uniques, first_index, inverse = np.unique(
         arr, return_index=True, return_inverse=True)
     return uniques, first_index, inverse.reshape(-1)

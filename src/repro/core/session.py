@@ -51,8 +51,8 @@ import numpy as np
 
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
-from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
-                                   simulate_hitmap_grouped)
+from repro.core.hitmap_sim import (GroupedSimulation, HitmapSimulation,
+                                   signature_sets, simulate_hitmap_grouped)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
@@ -271,36 +271,35 @@ class ReuseSession:
     # ------------------------------------------------------------------
     def classify(self, signatures) -> HitmapSimulation:
         """Simulate the MCACHE signature phase for one batch (Figure 9)."""
+        self.clears += 1
         return self.mcache.simulate(signatures)
 
     def classify_groups(self, signature_groups,
-                        signature_bits: int) -> list[HitmapSimulation]:
+                        signature_bits: int) -> GroupedSimulation:
         """One Hitmap per group, bit-identical to :meth:`classify` per group.
 
-        All groups share one multi-group group-by.  Each group sees a
-        fresh MCACHE: signatures never match, and never steal ways,
-        across groups.
+        ``signature_groups`` is a ``(groups, vectors)`` int64 stack or
+        a ``(groups, vectors, words)`` multi-word stack.  All groups
+        share one multi-group group-by
+        (:func:`~repro.core.hitmap_sim.simulate_hitmap_grouped`).  Each
+        group sees a fresh MCACHE: signatures never match, and never
+        steal ways, across groups, and each counts as one clear.
         """
-        # One signature length is in force for the whole call, so the
-        # groups share a packed representation: all 1-D int64 or all
-        # multi-word 2-D with the same word count.
-        if signature_groups[0].ndim == 2:
-            stacked = np.vstack(signature_groups)
-        else:
-            stacked = np.concatenate(signature_groups)
+        num_groups, num_vectors = signature_groups.shape[:2]
         simulations = simulate_hitmap_grouped(
-            stacked, [len(sigs) for sigs in signature_groups],
+            signature_groups.reshape(num_groups * num_vectors,
+                                     *signature_groups.shape[2:]),
+            np.full(num_groups, num_vectors),
             num_sets=self.num_sets, ways=self.policy.ways,
             signature_bits=signature_bits)
         # The batch MCACHE's simulate() path is "clear, replay,
-        # accumulate counters"; mirror it so its stats characterise the
-        # run identically.
-        self.clears += 1
+        # accumulate counters" per group; mirror it so its stats
+        # characterise the run identically.
+        self.clears += num_groups
         self.mcache.clear()
-        for simulation in simulations:
-            self.mcache.stats.hits += simulation.hits
-            self.mcache.stats.mau += simulation.mau
-            self.mcache.stats.mnu += simulation.mnu
+        self.mcache.stats.hits += simulations.hits
+        self.mcache.stats.mau += simulations.mau
+        self.mcache.stats.mnu += simulations.mnu
         return simulations
 
     @staticmethod
@@ -322,81 +321,48 @@ class ReuseSession:
         return result
 
     @staticmethod
-    def ride_groups(vectors_groups, weights_groups,
-                    simulations) -> list[np.ndarray]:
-        """Fused cache ride over many channel groups at once.
+    def ride_groups(stack: np.ndarray, weights: np.ndarray,
+                    simulations: GroupedSimulation) -> np.ndarray:
+        """The cache ride of a whole ``(groups, vectors, length)`` stack.
 
-        Bit-identical to calling :meth:`ride` once per group, but the
-        assembly runs as one gather → block GEMM → scatter over the
-        whole ``matmul_groups`` call: one miss-row gather across all
-        groups into a contiguous buffer, one GEMM per group on a
-        contiguous slice of it (the per-group ``(misses, length) @
-        (length, filters)`` shapes — and therefore the BLAS reduction
-        order and every output bit — match the per-call path exactly),
-        and one row-map gather to assemble the output.  The scatter and
-        the HIT-row copy collapse into that last gather: an int64 map
-        sends every row to its row in the computed block — misses to
-        their own GEMM row, HITs to their representative's (a MAU row,
-        so always computed) — and ``computed[map]`` materialises the
-        whole result in one pass.  Fixing up the map moves 8 bytes per
-        HIT row where the per-call path copies a full result row, which
-        is where the fused speedup comes from at conv-like group
-        counts.
+        Matches calling :meth:`ride` once per group.
+        ``np.matmul(stack, weights)`` runs one ``(vectors, length) @
+        (length, filters)`` GEMM per group — the shape of the no-hit
+        :meth:`ride` — and one row gather through the representative
+        map then copies every HIT row's result from its source (a MAU
+        row, so always computed).  Computing the HIT rows too costs
+        their share of the GEMM, and saves the per-group
+        gather → GEMM → scatter that a miss-only product needs.
 
-        Caller contract (the engine's ``matmul_groups`` enforces it):
-        every group shares one vector length and one filter count, and
-        vectors are float64.  Returns per-group result views into one
-        contiguous ``(total_rows, filters)`` buffer.
+        The miss rows equal the per-call miss-only product's bit for
+        bit where the BLAS computes a row of a product independently of
+        how many rows the product has.  The regression suite pins this
+        for the conv shapes it drives.  OpenBLAS 0.3.31 on an AVX-512
+        Xeon held it for every vector length below 16 — which covers
+        the per-channel ``k * k`` rows of a 3x3 convolution — but not
+        always from 16 up, where a row's last bits can depend on where
+        it sits in the product.  One numpy dispatch is handled here: a
+        one-row product goes to gemv, whose sums run in another order
+        than gemm's, so a group whose only miss is its first row gets
+        that row from the same one-row product the per-call ride
+        computes.
+
+        ``weights`` is the ``(groups, length, filters)`` stack of the
+        groups' weight matrices, and ``simulations`` the groups'
+        :class:`~repro.core.hitmap_sim.GroupedSimulation`.  Returns the
+        ``(groups, vectors, filters)`` results.
         """
-        num_groups = len(vectors_groups)
-        counts = np.array([len(vectors) for vectors in vectors_groups],
-                          dtype=np.int64)
-        starts = np.zeros(num_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        total = int(starts[-1])
-        length = weights_groups[0].shape[0]
-        num_filters = weights_groups[0].shape[1]
-
-        if not any(simulation.hits for simulation in simulations):
-            # Per-call fast path taken for every group: plain products.
-            return [vectors @ weights for vectors, weights
-                    in zip(vectors_groups, weights_groups)]
-
-        codes = np.concatenate([simulation.states
-                                for simulation in simulations])
-        miss_mask = codes != HIT_CODE
-        # Row map: each miss row points at its own slot in the computed
-        # block (its rank among the misses).
-        row_map = np.cumsum(miss_mask, dtype=np.int64)
-        row_map -= 1
-        miss_idx = np.flatnonzero(miss_mask)
-        # miss_idx ascends, so each group's misses form one contiguous
-        # segment [seg[g], seg[g+1]) of the gathered buffer.
-        seg = np.searchsorted(miss_idx, starts)
-        gathered = np.empty((len(miss_idx), length), dtype=np.float64)
-        computed = np.empty((len(miss_idx), num_filters), dtype=np.float64)
-        for group in range(num_groups):
-            lo, hi = int(seg[group]), int(seg[group + 1])
-            if lo == hi:
-                continue
-            np.take(vectors_groups[group], miss_idx[lo:hi] - starts[group],
-                    axis=0, out=gathered[lo:hi])
-            np.matmul(gathered[lo:hi], weights_groups[group],
-                      out=computed[lo:hi])
-
-        # Representatives are group-local; offset them to the
-        # concatenated frame.  A HIT's representative is always a MAU
-        # row — a miss — so its map entry is already final, and HIT
-        # rows simply inherit it.
-        hit_mask = ~miss_mask
-        offsets = np.repeat(starts[:-1], counts)
-        representative = np.concatenate(
-            [simulation.representative for simulation in simulations])
-        sources = representative + offsets
-        row_map[hit_mask] = row_map[sources[hit_mask]]
-        results = computed[row_map]
-        return [results[starts[group]:starts[group + 1]]
-                for group in range(num_groups)]
+        computed = np.matmul(stack, weights)
+        if not simulations.hits:
+            return computed
+        num_groups, num_vectors, num_filters = computed.shape
+        misses = np.count_nonzero(
+            simulations.states.reshape(num_groups, num_vectors) != HIT_CODE,
+            axis=1)
+        for group in np.flatnonzero(misses == 1).tolist():
+            computed[group, :1] = stack[group, :1] @ weights[group]
+        flat = computed.reshape(num_groups * num_vectors, num_filters)
+        return flat[simulations.representative].reshape(computed.shape)
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

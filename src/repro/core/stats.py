@@ -67,9 +67,14 @@ class LayerReuseStats:
     def merge_call(self, *, vectors: int, hits: int, mau: int, mnu: int,
                    vector_length: int, num_filters: int, signature_bits: int,
                    unique_signatures: int, detection_on: bool,
-                   signatures_reloaded: bool = False) -> None:
-        """Accumulate the outcome of one matmul call."""
-        self.calls += 1
+                   signatures_reloaded: bool = False,
+                   calls: int = 1) -> None:
+        """Accumulate the outcome of ``calls`` same-shape matmul calls.
+
+        The counts are totals over those calls; the shape fields and
+        the detection flag describe each of them alike.
+        """
+        self.calls += calls
         self.total_vectors += vectors
         self.hits += hits
         self.mau += mau

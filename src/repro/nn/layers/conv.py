@@ -101,7 +101,16 @@ class Conv2D(Module):
         return cache[1]
 
     def _engine_forward(self, cols: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
-        """Route the forward dot products through the engine, per channel group."""
+        """Route the forward dot products through the engine, per channel group.
+
+        When the group size divides the channel count, the groups go to
+        the engine's ``matmul_groups`` as one ``(groups, vectors,
+        group_size * k * k)`` stack — a single copy out of ``cols`` —
+        with the ``(groups, group_size * k * k, out_channels)`` weight
+        view, and come back as one ``(groups, vectors, out_channels)``
+        array.  A ragged split goes as per-group lists.  The group
+        results are summed in channel order either way.
+        """
         group = self._channel_group_size()
         if group is None or group >= self.in_channels:
             return self.engine.matmul(cols, weight_matrix,
@@ -112,27 +121,33 @@ class Conv2D(Module):
         cols3d = cols.reshape(num_vectors, self.in_channels, patch)
         weights3d = weight_matrix.reshape(self.in_channels, patch,
                                           self.out_channels)
-        group_cols = []
-        group_weights = []
-        for start in range(0, self.in_channels, group):
-            stop = min(start + group, self.in_channels)
-            group_cols.append(cols3d[:, start:stop].reshape(num_vectors, -1))
-            group_weights.append(
-                weights3d[start:stop].reshape(-1, self.out_channels))
+        num_groups, tail = divmod(self.in_channels, group)
+        if tail == 0:
+            group_cols = np.ascontiguousarray(
+                cols3d.reshape(num_vectors, num_groups, group * patch)
+                .transpose(1, 0, 2))
+            group_weights = weights3d.reshape(num_groups, group * patch,
+                                              self.out_channels)
+        else:
+            starts = range(0, self.in_channels, group)
+            group_cols = [cols3d[:, start:start + group].reshape(
+                num_vectors, -1) for start in starts]
+            group_weights = [weights3d[start:start + group].reshape(
+                -1, self.out_channels) for start in starts]
 
         if hasattr(self.engine, "matmul_groups"):
             results = self.engine.matmul_groups(group_cols, group_weights,
                                                 layer=self.layer_name,
                                                 phase="forward")
         else:
-            results = (self.engine.matmul(vectors, weights,
+            results = [self.engine.matmul(vectors, weights,
                                           layer=self.layer_name,
                                           phase="forward")
-                       for vectors, weights in zip(group_cols, group_weights))
-        out = np.zeros((num_vectors, self.out_channels), dtype=np.float64)
-        for result in results:
-            out += result
-        return out
+                       for vectors, weights in zip(group_cols, group_weights)]
+        # Reducing over the leading (group) axis adds the groups one
+        # after another, element by element: the same sums, in the same
+        # order, as an ``out += result`` loop.
+        return np.add.reduce(results, axis=0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, _, height, width = x.shape

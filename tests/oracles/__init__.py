@@ -16,7 +16,7 @@ Oracle                                      Production function it checks
                                             over chunked persistent traces
 ``differential.run_serve_differential``     ``ReuseSession.serve`` (the dense result store)
                                             against the line-level data phase
-``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its fused
+``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its stacked
 (``engine.per_call_engine``)                ``ReuseSession.ride_groups``
 ``engine.scalar_engine``                    ``ReuseEngine`` Hitmaps end to end
 ``im2col.im2col_reference``                 ``repro.nn.im2col.im2col``

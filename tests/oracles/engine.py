@@ -7,7 +7,10 @@ drive it exactly like the production engine.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import MercuryConfig
+from repro.core.hitmap_sim import GroupedSimulation
 from repro.core.reuse import ReuseEngine
 from tests.oracles.differential import scalar_reference_simulation
 
@@ -44,7 +47,22 @@ def scalar_engine(config: MercuryConfig) -> ReuseEngine:
         return scalar_reference_simulation(signatures, num_sets, ways)
 
     def classify_groups(signature_groups, signature_bits):
-        return [classify(signatures) for signatures in signature_groups]
+        simulations = [classify(signatures)
+                       for signatures in signature_groups]
+        offsets = np.cumsum([0] + [len(simulation.states)
+                                   for simulation in simulations])
+        return GroupedSimulation(
+            simulations,
+            states=np.concatenate([simulation.states
+                                   for simulation in simulations]),
+            representative=np.concatenate(
+                [simulation.representative + offset
+                 for simulation, offset in zip(simulations, offsets)]),
+            hits=sum(simulation.hits for simulation in simulations),
+            mau=sum(simulation.mau for simulation in simulations),
+            mnu=sum(simulation.mnu for simulation in simulations),
+            unique_signatures=sum(simulation.unique_signatures
+                                  for simulation in simulations))
 
     engine.session.classify = classify
     engine.session.classify_groups = classify_groups

@@ -12,7 +12,7 @@ representation to that oracle:
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a line-level mirror replay;
-* the fused gather->GEMM->scatter ``ride_groups`` is bit-identical to
+* the stacked GEMM -> row-gather ``ride_groups`` is bit-identical to
   the per-group masked ``ride``, directly and engine-to-engine against
   the per-call ``matmul_groups`` oracle;
 * ``words_to_ints`` (the exact-Python-int expansion the oracles use)
@@ -188,7 +188,7 @@ class TestProbePathCodes:
 
 
 # ---------------------------------------------------------------------------
-# Fused gather->GEMM->scatter cache ride
+# Stacked GEMM -> row-gather cache ride
 # ---------------------------------------------------------------------------
 class TestFusedRide:
     @given(st.integers(0, 2 ** 31), st.integers(1, 5),
@@ -204,20 +204,23 @@ class TestFusedRide:
         sims = simulate_hitmap_grouped(np.concatenate(traces),
                                        [rows] * num_groups,
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(groups, weights, sims)
+        fused = ReuseSession.ride_groups(np.stack(groups),
+                                         np.stack(weights), sims)
         for result, vectors, w, sim in zip(fused, groups, weights, sims):
             np.testing.assert_array_equal(
                 result, ReuseSession.ride(vectors, w, sim))
 
     def test_ride_groups_all_hit_and_no_hit_groups(self, rng):
         # One group with zero hits, one fully redundant after its first
-        # row — the degenerate fills of the gather/scatter bookkeeping.
+        # row — a single miss, which the per-call ride multiplies as a
+        # one-row product.
         groups = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
         weights = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
         traces = [np.arange(4) * 7, np.full(4, 9)]
         sims = simulate_hitmap_grouped(np.concatenate(traces), [4, 4],
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(groups, weights, sims)
+        fused = ReuseSession.ride_groups(np.stack(groups),
+                                         np.stack(weights), sims)
         for result, vectors, w, sim in zip(fused, groups, weights, sims):
             np.testing.assert_array_equal(
                 result, ReuseSession.ride(vectors, w, sim))

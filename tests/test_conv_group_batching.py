@@ -1,10 +1,10 @@
 """Bit-identity of the batched multi-group channel path.
 
-The reuse engine services `conv_channel_group` calls as one multi-group
-signature/group-by phase (`ReuseEngine.matmul_groups`).  These tests
-assert it is bit-identical to one engine call per group (the oracle in
-``tests/oracles/engine.py``): outputs, per-layer statistics,
-signature-table state and MCACHE counters.
+The reuse engine services `conv_channel_group` calls as one stacked
+hash, classification and cache ride (`ReuseEngine.matmul_groups`).
+These tests assert it is bit-identical to one engine call per group
+(the oracle in ``tests/oracles/engine.py``): outputs, per-layer
+statistics, signature-table state, MCACHE counters and clears.
 """
 
 from __future__ import annotations
@@ -12,12 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.functional_sweep import (MODEL_STREAM, FunctionalPoint,
+                                             derive_seed, load_point_data,
+                                             mercury_config_for,
+                                             training_config_for)
 from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.reuse import ReuseEngine
 from repro.models.registry import build_model
+from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
+from repro.training.trainer import Trainer
 from tests.oracles.engine import per_call_engine
 from tests.oracles.signatures import ints_to_words
 
@@ -129,6 +135,78 @@ def test_conv_forward_bit_identity(rng, channel_group, in_channels):
     right = batched.signature_table.get(conv.layer_name)
     np.testing.assert_array_equal(left.signatures, right.signatures)
     assert left.vector_length == right.vector_length
+
+
+def test_conv_channel_sum_matches_an_accumulation_loop(rng):
+    """The channel reduction adds the groups in order, like ``+=``."""
+    config = MercuryConfig(adaptive_signature_length=False,
+                           adaptive_stoppage=False, conv_channel_group=1)
+    conv = Conv2D(12, 7, 3, padding=1, bias=False, seed=3)
+    conv.engine = per_call_engine(config)
+    x = rng.normal(size=(2, 12, 6, 6))
+    out = conv.forward(x)
+
+    reference = per_call_engine(config)
+    cols = im2col(x, 3, 3, 1, 1).reshape(-1, 12, 9)
+    weights = conv.weight.value.reshape(7, 12, 9)
+    expected = np.zeros((len(cols), 7))
+    for channel in range(12):
+        expected += reference.matmul(np.ascontiguousarray(cols[:, channel]),
+                                     weights[:, channel].T,
+                                     layer=conv.layer_name)
+    expected = expected.reshape(2, 6, 6, 7).transpose(0, 3, 1, 2)
+    np.testing.assert_array_equal(out, expected)
+
+
+VGG13_POINT = FunctionalPoint(model="vgg13", dataset_scale="small",
+                              adaptation="off", batch_size=8, seed=11)
+
+
+def _grouped_run_state(engine, steps: int = 3):
+    """Train vgg13 (``small`` scale) for a few steps through ``engine``."""
+    train_x, train_y, _, _, outputs = load_point_data(VGG13_POINT)
+    model = build_model("vgg13", num_classes=outputs,
+                        seed=derive_seed(VGG13_POINT.seed, MODEL_STREAM))
+    trainer = Trainer(model, training_config_for(VGG13_POINT),
+                      engine=engine)
+    losses = [float(trainer.train_step(train_x[8 * step:8 * step + 8],
+                                       train_y[8 * step:8 * step + 8]))
+              for step in range(steps)]
+    table = {layer: engine.signature_table.get(layer)
+             for layer in engine.signature_table.layers()}
+    return {
+        "losses": losses,
+        "grads": [p.grad.copy() for p in model.parameters()],
+        "values": [p.value.copy() for p in model.parameters()],
+        "stats": _stats_snapshot(engine),
+        "mcache": vars(engine.mcache.stats).copy(),
+        "clears": engine.session.clears,
+        "table": table,
+    }
+
+
+def test_vgg13_training_steps_match_the_per_call_engine():
+    """Three vgg13 steps: the stacked path changes nothing observable."""
+    config = mercury_config_for(VGG13_POINT)
+    assert config.conv_channel_group == 1
+    oracle = _grouped_run_state(per_call_engine(config))
+    batched = _grouped_run_state(ReuseEngine(config))
+
+    assert oracle["losses"] == batched["losses"]
+    for key in ("grads", "values"):
+        for left, right in zip(oracle[key], batched[key]):
+            np.testing.assert_array_equal(left, right)
+    assert oracle["stats"] == batched["stats"]
+    assert oracle["mcache"] == batched["mcache"]
+    # One flash clear per Hitmap, however the Hitmaps were batched.
+    assert oracle["clears"] == batched["clears"] > 0
+    assert oracle["table"].keys() == batched["table"].keys()
+    for layer, left in oracle["table"].items():
+        right = batched["table"][layer]
+        assert (left.vector_length, left.signature_bits) == \
+            (right.vector_length, right.signature_bits)
+        np.testing.assert_array_equal(left.signatures, right.signatures)
+        _assert_simulations_equal(left.hitmap, right.hitmap)
 
 
 def test_multiword_signature_bits_bit_identity(rng):

@@ -1,10 +1,11 @@
 """Tests for Random Projection with Quantization."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.rpq import (RPQHasher, pack_bits, signature_via_convolution,
+from repro.core.rpq import (RPQHasher, pack_bits, packed_unique,
+                            signature_via_convolution, unique_signatures,
                             words_for_bits)
 from tests.oracles.signatures import ints_to_words, signatures_to_ints
 
@@ -277,3 +278,39 @@ def test_signatures_are_deterministic_property(dim, bits):
     hasher_b = RPQHasher(seed=11)
     assert list(hasher_a.signatures(vectors, bits)) == \
         list(hasher_b.signatures(vectors, bits))
+
+
+@st.composite
+def int64_batches(draw):
+    """``(values, bits)``: a few distinct values below ``2**bits``, often
+    at the top of that range (near 2^62 for 62 bits), repeated in
+    random order; empty and all-equal batches included."""
+    bits = draw(st.integers(0, 62))
+    top = (1 << bits) - 1
+    pool = draw(st.lists(st.integers(max(top - 3, 0), top)
+                         | st.integers(0, top), min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return np.array(values, dtype=np.int64), bits
+
+
+@given(int64_batches())
+@settings(max_examples=60, deadline=None)
+@example((np.empty(0, dtype=np.int64), 0))
+@example((np.full(5, 7, dtype=np.int64), 3))
+# 62 value bits + 1 row bit is exactly 63: still packed ...
+@example((np.full(2, (1 << 62) - 1, dtype=np.int64), 62))
+# ... and one more row needs 64: the np.unique fallback.
+@example((np.array([(1 << 62) - 1, 0, (1 << 62) - 1], dtype=np.int64), 62))
+def test_packed_group_by_matches_np_unique(batch):
+    values, bits = batch
+    expected = [array.reshape(-1) for array in np.unique(
+        values, return_index=True, return_inverse=True)]
+    grouped = packed_unique(values, bits)
+    if bits + max(len(values) - 1, 0).bit_length() > 63:
+        assert grouped is None
+    else:
+        for got, want in zip(grouped, expected):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
+    for got, want in zip(unique_signatures(values), expected):
+        np.testing.assert_array_equal(got, want)
