@@ -145,12 +145,12 @@ def scenario_sweep(models=None, dataflows=("row_stationary",),
 def functional_sweep(models=("squeezenet", "transformer"),
                      dataset_scales=("tiny",), adaptations=("full",),
                      signature_bits=(20,), processes: int | None = None,
-                     share_baselines: bool = True, **training):
+                     **training):
     """Training-accuracy sweep companion to :func:`scenario_sweep`.
 
     Every point trains a baseline/reuse pair end-to-end with shared
     seeds; the exact-baseline half is memoized per (model, scale,
-    training config, seed) group unless ``share_baselines=False``.
+    training config, seed) group.
     Returns a
     :class:`repro.analysis.functional_sweep.FunctionalSweepResults`.
     """
@@ -159,8 +159,7 @@ def functional_sweep(models=("squeezenet", "transformer"),
     points = build_functional_grid(models, dataset_scales=dataset_scales,
                                    adaptations=adaptations,
                                    signature_bits=signature_bits, **training)
-    return run_functional_sweep(points, processes=processes,
-                                share_baselines=share_baselines)
+    return run_functional_sweep(points, processes=processes)
 
 
 def serving_sweep(models=("squeezenet",), traffics=("uniform", "bursty",

@@ -392,26 +392,18 @@ def _evaluate_with_shared_baseline(task) -> dict:
     return evaluate_functional_point(point, baseline=baseline)
 
 
-def run_functional_sweep(points, processes: int | None = None,
-                         share_baselines: bool = True
+def run_functional_sweep(points, processes: int | None = None
                          ) -> FunctionalSweepResults:
     """Evaluate a functional grid, fanning out like the cycle sweep.
 
-    With ``share_baselines`` (the default) the exact baseline is trained
-    once per :func:`baseline_key` group — one run shared by all
-    MercuryConfig/adaptation variants of the same (model, dataset scale,
-    training config, seed) — instead of once per point; every result
-    field is bit-identical either way except ``elapsed_s``, which is a
-    wall-clock measurement and therefore excludes the memoized baseline
-    training in shared mode.  ``share_baselines=False`` restores the
-    paired-run-per-point behaviour.
+    The exact baseline is trained once per :func:`baseline_key` group —
+    one run shared by all MercuryConfig/adaptation variants of the same
+    (model, dataset scale, training config, seed) — instead of once per
+    point.  Every result field is bit-identical to a paired run of
+    :func:`evaluate_functional_point` except ``elapsed_s``, a wall-clock
+    measurement that excludes the memoized baseline training.
     """
     points = list(points)
-    if not share_baselines:
-        rows, elapsed = run_grid(points, evaluate_functional_point,
-                                 processes=processes)
-        return FunctionalSweepResults(rows=rows, elapsed_s=elapsed)
-
     start = time.perf_counter()
     representatives: dict[tuple, FunctionalPoint] = {}
     for point in points:

@@ -78,7 +78,7 @@ SERVING_RESULT_KEYS = frozenset({
     "bit_identical_fraction", "max_abs_deviation",
     "compute_time_s", "elapsed_s",
     "telemetry", "controller", "telemetry_events", "telemetry_dropped",
-    "controller_decisions", "latency_hist_p50_ms", "latency_hist_p99_ms",
+    "controller_decisions",
 })
 
 # Derived-seed streams (mirrors functional_sweep's convention).
@@ -120,8 +120,8 @@ class ServingPoint:
     # makespan (the ``measured_makespan_s`` column).
     parallel_workers: int = 0
     # Observability axes: ``telemetry`` attaches an event bus + metrics
-    # registry to the replay (adds the telemetry_* and latency_hist_*
-    # columns); ``controller`` additionally runs the online adaptive
+    # registry to the replay (fills the telemetry_* columns);
+    # ``controller`` additionally runs the online adaptive
     # policy controller over the telemetry windows.
     telemetry: bool = False
     controller: bool = False
@@ -355,11 +355,8 @@ def evaluate_serving_point(point: ServingPoint) -> dict:
         "evicted": int(report.request_cache.get("evicted", 0)),
         "replicated": int(report.request_cache.get("replicated", 0)),
         "l2_hit_rate": float(report.l2.get("hit_rate", 0.0)),
-        # Observability columns: streaming-histogram percentile reads
-        # (0.0 with no latencies) and the event-bus digest (all zero
-        # when the telemetry axis is off).
-        "latency_hist_p50_ms": float(report.latency_hist_p50_ms),
-        "latency_hist_p99_ms": float(report.latency_hist_p99_ms),
+        # Observability columns: the event-bus digest (all zero when
+        # the telemetry axis is off).
         "telemetry_events": int(report.telemetry.get("events", 0)),
         "telemetry_dropped": int(report.telemetry.get("dropped", 0)),
         "controller_decisions": int(report.telemetry.get("decisions", 0)),
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     parser.add_argument("--telemetry", action="store_true",
                         help="attach the event bus + metrics registry "
                              "to every point (fills the telemetry_* "
-                             "and latency_hist_* columns)")
+                             "columns)")
     parser.add_argument("--controller", action="store_true",
                         help="also run the online adaptive policy "
                              "controller per point (implies "

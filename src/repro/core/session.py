@@ -174,12 +174,12 @@ class CacheCounters:
         return self.hits / self.requests if self.requests else 0.0
 
     def to_dict(self) -> dict:
-        return {"requests": self.requests, "cross_hits": self.cross_hits,
-                "intra_hits": self.intra_hits, "computed": self.computed,
-                "inserted": self.inserted, "rejected": self.rejected,
-                "expired": self.expired, "collisions": self.collisions,
-                "evicted": self.evicted, "replicated": self.replicated,
-                "hit_rate": self.hit_rate}
+        return dict(vars(self), hit_rate=self.hit_rate)
+
+    def __sub__(self, other: "CacheCounters") -> "CacheCounters":
+        """The counts recorded since ``other`` (an earlier reading)."""
+        return CacheCounters(**{name: value - getattr(other, name)
+                                for name, value in vars(self).items()})
 
     def merge(self, other: "CacheCounters") -> "CacheCounters":
         for name, value in vars(other).items():

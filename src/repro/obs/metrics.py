@@ -373,13 +373,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-#: Cache-counter delta fields a ``serve.batch``/``serve.vector_batch``
-#: event carries, in the CacheCounters vocabulary.
-REUSE_DELTA_KEYS = ("requests", "cross_hits", "intra_hits", "computed",
-                    "inserted", "rejected", "expired", "collisions",
-                    "evicted", "replicated")
-
-
 class MetricsCollector:
     """Fold bus events into a :class:`MetricsRegistry`.
 
@@ -409,9 +402,11 @@ class MetricsCollector:
         return len(events)
 
     def _fold_reuse_delta(self, payload: dict, granularity: str) -> None:
+        """Fold one ``counters`` payload: a CacheCounters delta whose
+        field names are the ``repro_reuse_<field>_total`` suffixes."""
         registry = self.registry
-        for key in REUSE_DELTA_KEYS:
-            delta = int(payload.get(key, 0))
+        for key, delta in payload.items():
+            delta = int(delta)
             if delta:
                 registry.inc(f"repro_reuse_{key}_total", delta,
                              phase="serving", granularity=granularity)

@@ -13,10 +13,12 @@ queued-scale-out behaviour under bursty load: absorb, then drain).
 
 Telemetry is bounded too: a serve-forever process must not grow one
 list entry per request, so :class:`BatcherTelemetry` keeps exact
-running counters (counts, row totals, latency sum) plus a fixed-size
-deterministic :class:`Reservoir` sample of the latency and batch-size
-distributions — percentiles computed from the sample stay within a few
-percent of the exact values at any stream length (regression-tested).
+running counters (request, batch and row counts) plus a streaming
+:class:`~repro.obs.metrics.LogHistogram` of request latency, whose
+percentile reads stay within one bucket width of the exact values at
+any stream length (regression-tested).  Per-run latency percentiles
+come from the run's own latency array instead (see
+:class:`~repro.serving.server.ServingReport`).
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.obs.metrics import LogHistogram
-
-#: Default sample capacity of one telemetry reservoir.  4096 points keep
-#: p50/p99 within a few percent of the exact stream percentiles while
-#: bounding memory at ~32 KiB per metric regardless of uptime.
-RESERVOIR_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -52,70 +47,13 @@ class BatcherConfig:
             raise ValueError("max_queue must be positive")
 
 
-class Reservoir:
-    """Fixed-size uniform sample of an unbounded value stream.
-
-    Classic reservoir sampling (Algorithm R) with a seeded generator,
-    so a given stream always yields the same sample — sweep rows and
-    regression tests stay reproducible.  Until ``capacity`` values have
-    been recorded the sample *is* the stream (exact); past that, each
-    value replaces a uniformly random slot with probability
-    ``capacity / count``.
-    """
-
-    __slots__ = ("capacity", "count", "_values", "_rng")
-
-    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.count = 0
-        self._values: list[float] = []
-        self._rng = np.random.default_rng(seed)
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        if len(self._values) < self.capacity:
-            self._values.append(float(value))
-            return
-        slot = int(self._rng.integers(0, self.count))
-        if slot < self.capacity:
-            self._values[slot] = float(value)
-
-    @property
-    def saturated(self) -> bool:
-        """Whether eviction has begun (the sample is no longer exact)."""
-        return self.count > self.capacity
-
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=np.float64)
-
-    def values_since(self, mark: int) -> np.ndarray:
-        """Values recorded after ``mark`` (a prior :attr:`count`).
-
-        Exact while the reservoir has not evicted — the common case for
-        one bounded run (a replay, a test) on a fresh batcher.  On a
-        saturated reservoir the suffix is no longer identifiable, so
-        the full sample is returned as the best available
-        approximation of the recent distribution.
-        """
-        if not self.saturated and 0 <= mark <= len(self._values):
-            return np.asarray(self._values[mark:], dtype=np.float64)
-        return self.values()
-
-    def absorb(self, other: "Reservoir") -> None:
-        """Fold another reservoir's sample in (for aggregate reports)."""
-        self.count += other.count
-        self._values.extend(other._values)
-
-
 @dataclass
 class BatcherTelemetry:
     """Latency/batch-shape measurements of one batcher lifetime.
 
     Counters (``submitted``/``completed``/``failed``/``batches``/
-    ``rows``/``latency_sum_s``) are exact forever; the latency and
-    batch-size *distributions* are bounded reservoir samples, so a
+    ``rows``) are exact forever; the latency *distribution* is a
+    log-bucket histogram (with an exact count and sum), so a
     serve-forever process holds a fixed amount of telemetry no matter
     how many requests it sees.
     """
@@ -126,16 +64,7 @@ class BatcherTelemetry:
     #: Micro-batches executed / total rows across them (exact).
     batches: int = 0
     rows: int = 0
-    latency_sum_s: float = 0.0
-    latencies: Reservoir = field(default_factory=Reservoir)
-    batch_sizes: Reservoir = field(
-        default_factory=lambda: Reservoir(seed=1))
-    #: Streaming log-bucket distribution summaries: exact-rank
-    #: percentiles within bucket-width error at any stream length.
-    #: The reservoirs above stay as the differential oracle (exact
-    #: until saturation; regression-tested against these).
     latency_hist: LogHistogram = field(default_factory=LogHistogram)
-    batch_size_hist: LogHistogram = field(default_factory=LogHistogram)
     #: Optional telemetry bus hookup (set by the owning server when
     #: observability is enabled; ``None`` keeps recording bus-free).
     bus: object = None
@@ -144,46 +73,26 @@ class BatcherTelemetry:
     def record_batch(self, size: int) -> None:
         self.batches += 1
         self.rows += int(size)
-        self.batch_sizes.record(size)
-        self.batch_size_hist.record(size)
         if self.bus is not None:
             self.bus.emit("batcher.batch", source=self.source,
                           size=int(size))
 
     def record_latency(self, latency_s: float) -> None:
-        self.latency_sum_s += float(latency_s)
-        self.latencies.record(latency_s)
         self.latency_hist.record(latency_s)
         if self.bus is not None:
             self.bus.emit("batcher.latency", source=self.source,
                           latency_s=float(latency_s))
 
-    def latency_mark(self) -> int:
-        """A token for :meth:`latencies_since` (the current count)."""
-        return self.latencies.count
-
-    def latencies_since(self, mark: int) -> np.ndarray:
-        return self.latencies.values_since(mark)
-
-    def latency_values(self) -> np.ndarray:
-        return self.latencies.values()
-
     @property
     def mean_batch_size(self) -> float:
-        """Exact at any stream length (running totals, not the sample)."""
         if not self.batches:
             return 0.0
         return self.rows / self.batches
 
     @classmethod
     def aggregate(cls, telemetries) -> "BatcherTelemetry":
-        """Merge several batchers' telemetry (the sharded server's view).
-
-        Counters sum exactly; the merged latency/batch-size samples
-        concatenate (a report-grade view — the aggregate object is
-        transient, so its sample is allowed to exceed one reservoir's
-        capacity).
-        """
+        """Merge several batchers' telemetry (the sharded server's view):
+        counters sum and the latency histograms merge, both exactly."""
         total = cls()
         for telemetry in telemetries:
             total.submitted += telemetry.submitted
@@ -191,11 +100,7 @@ class BatcherTelemetry:
             total.failed += telemetry.failed
             total.batches += telemetry.batches
             total.rows += telemetry.rows
-            total.latency_sum_s += telemetry.latency_sum_s
-            total.latencies.absorb(telemetry.latencies)
-            total.batch_sizes.absorb(telemetry.batch_sizes)
             total.latency_hist.merge(telemetry.latency_hist)
-            total.batch_size_hist.merge(telemetry.batch_size_hist)
         return total
 
 

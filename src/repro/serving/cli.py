@@ -28,9 +28,10 @@ as real worker processes with supervised crash recovery;
 ``--kill-worker``/``--kill-after-batches`` inject a fault into the
 replay (the CI parallel-serving smoke), and ``--parity-check``
 asserts the parallel run converges to the single-process replay's
-outputs and hit counters.  ``--eviction``/``--replicate-top``/``--l2``
-turn on the cache-tiering stack (replacement policies, hot-key
-replication, shared L2); without ``--parallel``, ``--parity-check``
+outputs, hit rate and cache counters.
+``--eviction``/``--replicate-top``/``--l2`` turn on the cache-tiering
+stack (replacement policies, hot-key replication, shared L2); without
+``--parallel``, ``--parity-check``
 asserts every served output is byte-identical to the per-request
 oracle (the CI tiered-serving smoke).  ``--telemetry`` attaches the
 :mod:`repro.obs` event bus and metrics registry (and, with ``--http``,
@@ -83,9 +84,7 @@ def _print_telemetry(args, report) -> None:
         return
     digest = report.telemetry
     print(f"telemetry: {digest['events']} events "
-          f"({digest['dropped']} dropped), histogram latency p50 "
-          f"{report.latency_hist_p50_ms:.2f} ms / p99 "
-          f"{report.latency_hist_p99_ms:.2f} ms"
+          f"({digest['dropped']} dropped)"
           + (f", {digest['decisions']} controller decisions"
              if args.controller else ""))
     if args.audit:
@@ -140,10 +139,15 @@ def _parallel_main(args, point, pool, trace, server) -> int:
             failures.append(
                 f"hit rate {report.hit_rate:.4%} != single-process "
                 f"{reference.hit_rate:.4%}")
+        for name in ("request_cache", "vector_cache"):
+            ours, theirs = getattr(report, name), getattr(reference, name)
+            if ours != theirs:
+                failures.append(f"{name} counters {ours} != "
+                                f"single-process {theirs}")
         if not failures:
             print(f"parity: outputs and hit rate "
                   f"({report.hit_rate:.2%}) match the single-process "
-                  f"replay")
+                  f"replay, cache counters included")
     if args.min_hit_rate is not None \
             and report.hit_rate < args.min_hit_rate:
         failures.append(f"hit rate {report.hit_rate:.2%} below the "
@@ -335,10 +339,8 @@ def serve_main(argv=None) -> int:
             print(f"shared L2: {report.l2['entries']} entries, hit rate "
                   f"{report.l2['hit_rate']:.2%}")
         # Counters survive a warm start, so isolate this run's rate.
-        after = server.cache_counters()
-        run_requests = after.requests - before.requests
-        run_hit_rate = (after.hits - before.hits) / run_requests \
-            if run_requests else report.hit_rate
+        run = server.cache_counters() - before
+        run_hit_rate = run.hit_rate if run.requests else report.hit_rate
         if args.warm_start:
             print(f"this run: hit rate {run_hit_rate:.2%} "
                   f"(lifetime {report.hit_rate:.2%})")

@@ -39,7 +39,7 @@ request-granularity exact configuration with per-request compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class ServingReuseEngine:
         # ``end_batch`` emits the batch's vector-counter deltas.
         self.bus = None
         self.source = ""
-        self._last_counters: dict | None = None
+        self._last_counters = CacheCounters()
         self._caches: dict[tuple[str, int], SignatureResultCache] = {}
         # The weights operand each stream was populated against.  A
         # cached row is only valid while the layer multiplies by the
@@ -256,10 +256,8 @@ class ServingReuseEngine:
         """Advance the TTL clock; call once per processed micro-batch."""
         self.batch_index += 1
         if self.bus is not None:
-            current = self.counters().to_dict()
-            previous = self._last_counters or {}
-            delta = {key: current.get(key, 0) - previous.get(key, 0)
-                     for key in current if key != "hit_rate"}
+            current = self.counters()
+            delta = asdict(current - self._last_counters)
             self._last_counters = current
             if any(delta.values()):
                 self.bus.emit("serve.vector_batch", source=self.source,

@@ -46,14 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.session import CacheCounters
 from repro.obs import Telemetry
 from repro.obs.bus import Event
-from repro.obs.metrics import LogHistogram
 from repro.serving.batcher import BatcherConfig
 from repro.serving.engine import ServingPolicy
 from repro.serving.loadgen import Request
 from repro.serving.server import (SNAPSHOT_MANIFEST, InferenceServer,
-                                  ServingReport)
+                                  ServingReport, build_report, shard_row,
+                                  simulate_clock)
 
 #: Exit code a fault-injected worker dies with (distinguishable from
 #: crashes in test assertions).
@@ -130,12 +131,13 @@ def _worker_main(index: int, model, policy: ServingPolicy,
         if kind == "exit":
             return
         if kind == "stats":
+            # Fresh readings only: the queue pickles on its feeder
+            # thread, after the next batch may have run.
             results.put(("stats", {
-                "shard": index,
-                "requests": shard.batcher.telemetry.rows,
-                "batches": shard.batch_count,
-                "counters": server.cache_counters().to_dict(),
-                "occupancy": shard.stats_row()["occupancy"],
+                "row": shard.stats_row(),
+                "request": shard.request_counters(),
+                "vector": shard.vector_counters(),
+                "layers": shard.layer_summary(),
             }))
             continue
         if kind == "snapshot":
@@ -240,9 +242,10 @@ class _Worker:
 class ParallelInferenceServer:
     """N hash-ring shards as supervised worker processes.
 
-    Routing, batch composition and the exactness oracle come from an
-    in-process :class:`InferenceServer` front configured with the same
-    shard count, so a parallel replay partitions and batches requests
+    Routing, batch composition, the exactness oracle, the audited run
+    lifecycle and the report builder come from an in-process
+    :class:`InferenceServer` front configured with the same shard count
+    and telemetry, so a parallel replay partitions, batches and reports
     exactly as the single-process replay would — the workers only move
     *where* each shard's stream executes.  Use as a context manager (or
     call :meth:`start`/:meth:`stop`); workers persist across replays,
@@ -288,7 +291,8 @@ class ParallelInferenceServer:
         self.recoveries = 0
 
         self._front = InferenceServer(model, self.policy,
-                                      self.batcher_config, shards=workers)
+                                      self.batcher_config, shards=workers,
+                                      telemetry=telemetry)
         # Worker-side model time across replays (sum of acked per-batch
         # compute), mirroring InferenceServer._compute_time_s.
         self._compute_time_s = 0.0
@@ -379,8 +383,8 @@ class ParallelInferenceServer:
                  base: int) -> None:
         """Respawn one worker and re-dispatch its outstanding stream.
 
-        ``plan`` is the worker's full batch schedule for this replay
-        (``(seq, members, stacked)`` in dispatch order).  The restored
+        ``plan`` is the worker's full batch stream for this replay (the
+        stacked payloads, indexed by sequence).  The restored
         snapshot's watermark counts *lifetime* batches; ``base`` is the
         worker's lifetime count when this replay began (and, thanks to
         the pre-dispatch snapshot, a floor for any restored watermark),
@@ -412,9 +416,8 @@ class ParallelInferenceServer:
                     "worker.recovered", worker=worker.index,
                     generation=worker.generation,
                     resumed_from=resume_from)
-        for seq, _members, stacked in plan:
-            if seq >= resume_from:
-                worker.tasks.put(("batch", seq, stacked))
+        for seq in range(resume_from, len(plan)):
+            worker.tasks.put(("batch", seq, plan[seq]))
 
     def replay(self, trace: list[Request], pool: np.ndarray
                ) -> tuple[list, ServingReport]:
@@ -422,33 +425,21 @@ class ParallelInferenceServer:
 
         Batch composition per shard is exactly the front's
         deterministic replay schedule; each worker drains its own
-        stream concurrently.  ``measured_makespan_s`` is the wall-clock
-        time from first dispatch to last ack — the measured counterpart
-        of the in-process replay's ``simulated_makespan_s``.
+        stream concurrently.  Latency and ``simulated_makespan_s`` run
+        on the in-process replay's simulated clock with the workers'
+        acked compute times; ``measured_makespan_s`` is the wall-clock
+        time from first dispatch to last ack.
         """
         if self._workers is None:
             raise RuntimeError("workers are not running "
                                "(use `with server:` or call start())")
-        self._begin_run("parallel_replay", requests=len(trace))
-        front = self._front
-        arrivals = np.array([request.arrival_s for request in trace])
-        order = np.argsort(arrivals, kind="stable")
-        shard_of = front._shards_for_trace(trace, pool)
+        self._front._begin_run("parallel_replay", requests=len(trace))
+        arrivals, schedule = self._front._schedule(trace, pool)
+        plans = [[np.stack([np.asarray(pool[trace[k].pool_index])
+                            for k in members])
+                  for _close, members in batches] for batches in schedule]
 
-        # Per-worker schedules: the same collector-equivalent batches
-        # the in-process replay would form, in the same per-shard order.
-        plans: list[list] = [[] for _ in range(self.num_workers)]
-        for index in range(self.num_workers):
-            member_order = order[shard_of[order] == index] \
-                if self.num_workers > 1 else order
-            for seq, (_close, members) in enumerate(
-                    front._form_batches(arrivals, member_order)):
-                stacked = np.stack([np.asarray(pool[trace[k].pool_index])
-                                    for k in members])
-                plans[index].append((seq, members, stacked))
-
-        baseline = {row["shard"]: row for row in self._collect_stats()}
-        bases = {index: row["batches"] for index, row in baseline.items()}
+        baseline = self._collect_stats()
         if self.snapshot_every_batches:
             # Pin every worker's recovery floor at this replay's start:
             # a respawn can then never restore to a state missing an
@@ -459,7 +450,7 @@ class ParallelInferenceServer:
         acked: dict[tuple[int, int], tuple] = {}
         started = time.perf_counter()
         for worker in self._workers:
-            for seq, _members, stacked in plans[worker.index]:
+            for seq, stacked in enumerate(plans[worker.index]):
                 worker.tasks.put(("batch", seq, stacked))
 
         expected = {worker.index: len(plans[worker.index])
@@ -500,7 +491,7 @@ class ParallelInferenceServer:
                 if not worker.process.is_alive() \
                         or silent_s > self.worker_timeout_s:
                     self._recover(worker, plans[worker.index], acked,
-                                  bases[worker.index])
+                                  baseline[worker.index]["row"]["batches"])
                     # _recover may have salvaged late acks directly
                     # into ``acked``; resync the progress count.
                     received[worker.index] = sum(
@@ -510,16 +501,13 @@ class ParallelInferenceServer:
         makespan = time.perf_counter() - started
 
         outputs: list = [None] * len(trace)
-        latencies = []
-        total_batches = 0
-        for index, plan in enumerate(plans):
-            for seq, members, _stacked in plan:
-                batch_outputs, compute_s, events = acked[(index, seq)]
-                total_batches += 1
-                self._compute_time_s += compute_s
+        compute_s = [[acked[(index, seq)][1] for seq in range(len(batches))]
+                     for index, batches in enumerate(schedule)]
+        for index, batches in enumerate(schedule):
+            for seq, (_close, members) in enumerate(batches):
+                batch_outputs, _compute, events = acked[(index, seq)]
                 for position, k in enumerate(members):
                     outputs[k] = np.asarray(batch_outputs[position])
-                    latencies.append(compute_s)
                 # Forwarded worker telemetry replays here, once per
                 # batch in plan order — a re-executed batch's duplicate
                 # ack overwrote its slot, so the event stream the
@@ -527,11 +515,13 @@ class ParallelInferenceServer:
                 if self.telemetry is not None:
                     for kind, source, payload in events:
                         self._forward_event(index, kind, source, payload)
+        self._compute_time_s += sum(map(sum, compute_s))
+        latencies, simulated = simulate_clock(arrivals, schedule, compute_s)
 
-        final = {row["shard"]: row for row in self._collect_stats()}
-        report = self._build_report(len(trace), total_batches, makespan,
-                                    latencies, baseline, final)
-        self._finalize_run(report)
+        report = self._build_report(
+            schedule, makespan, latencies, baseline, self._collect_stats(),
+            simulated_makespan_s=simulated, measured_makespan_s=makespan)
+        self._front._finalize_run(report)
         return outputs, report
 
     def _forward_event(self, worker_index: int, kind: str, source: str,
@@ -557,101 +547,53 @@ class ParallelInferenceServer:
         if kind == "serve.window" and self.telemetry.recorder is not None:
             self.telemetry.recorder.record_window(payload)
 
-    def _begin_run(self, kind: str, **extra) -> None:
-        if self.telemetry is None or self.telemetry.recorder is None:
-            return
-        front = self._front
-        self.telemetry.recorder.begin_run(
-            kind=kind,
-            config={
-                "policy": front._policy_fingerprint(),
-                "model": front._model_fingerprint(),
-                "workers": self.num_workers,
-                "batcher": {
-                    "max_batch_size": self.batcher_config.max_batch_size,
-                    "max_wait_s": self.batcher_config.max_wait_s,
-                },
-                "window_batches": self.telemetry.window_batches,
-            },
-            seeds=self.telemetry.seeds, **extra)
-
-    def _finalize_run(self, report: ServingReport) -> None:
-        if self.telemetry is None:
-            return
-        self.telemetry.pump()
-        if self.telemetry.recorder is not None:
-            self.telemetry.recorder.finalize({
-                "requests": report.requests,
-                "batches": report.batches,
-                "hit_rate": report.hit_rate,
-                **self.telemetry.summary(),
-            })
-
-    def _build_report(self, requests: int, batches: int, makespan: float,
-                      latencies, baseline: dict, final: dict
+    def _build_report(self, schedule: list, duration_s: float, latencies,
+                      baseline: list, final: list, **extra
                       ) -> ServingReport:
-        """Aggregate worker counter *deltas* into a ServingReport.
+        """This replay's report from worker counter *deltas*.
 
         Workers are long-lived (and may be warm-restored), so their
         lifetime counters include earlier traffic; diffing against the
-        pre-dispatch baseline isolates this replay — the same
-        convention the CLI's warm-start gate uses.
+        pre-dispatch baseline isolates this replay.  A respawned worker
+        restores its counters and layer statistics from its snapshot,
+        so the deltas hold across recoveries too.  Requests and batches
+        per shard come from the schedule itself.
         """
-        deltas = {}
-        counter_keys = ("requests", "cross_hits", "intra_hits", "computed",
-                        "inserted", "rejected", "expired", "collisions",
-                        "evicted", "replicated")
-        total = dict.fromkeys(counter_keys, 0)
-        for index, row in final.items():
-            before = baseline.get(index, {}).get("counters", {})
-            delta = {key: row["counters"].get(key, 0) - before.get(key, 0)
-                     for key in counter_keys}
-            deltas[index] = delta
-            for key in counter_keys:
-                total[key] += delta[key]
-        hits = total["cross_hits"] + total["intra_hits"]
-        hit_rate = hits / total["requests"] if total["requests"] else 0.0
-        cache_stats = dict(total, hit_rate=hit_rate)
-        has_request_cache = self.policy.request_cache
-        has_vector_cache = self.policy.vector_cache
-        quantiles_source = np.asarray(latencies, dtype=np.float64) * 1e3
-        percentile = (lambda q: float(np.percentile(quantiles_source, q))) \
-            if len(quantiles_source) else (lambda q: 0.0)
-        latency_hist = LogHistogram()
-        if len(latencies):
-            latency_hist.record_many(latencies)
-        shard_stats = []
-        for index in sorted(final):
-            row, before = final[index], baseline.get(index, {})
-            shard_requests = row["requests"] - before.get("requests", 0)
-            delta = deltas[index]
-            shard_hits = delta["cross_hits"] + delta["intra_hits"]
-            shard_stats.append({
-                "shard": index, "requests": int(shard_requests),
-                "hits": int(shard_hits),
-                "hit_rate": shard_hits / delta["requests"]
-                if delta["requests"] else 0.0,
-                "batches": row["batches"] - before.get("batches", 0),
-                "occupancy": row["occupancy"],
-            })
-        return ServingReport(
-            requests=requests, batches=batches,
+        request_deltas, vector_deltas = [], []
+        shard_stats, layer_stats = [], []
+        for index, (before, after) in enumerate(zip(baseline, final)):
+            request = after["request"] - before["request"]
+            vector = after["vector"] - before["vector"]
+            request_deltas.append(request)
+            vector_deltas.append(vector)
+            shard_stats.append(shard_row(
+                index, sum(len(members) for _close, members
+                           in schedule[index]),
+                len(schedule[index]),
+                CacheCounters.aggregate([request, vector]),
+                after["row"]["occupancy"]))
+            earlier = {(row["layer"], row["phase"]): row
+                       for row in before["layers"]}
+            for row in after["layers"]:
+                prior = earlier.get((row["layer"], row["phase"]))
+                if prior is not None:
+                    vectors = row["vectors"] - prior["vectors"]
+                    hits = row["hits"] - prior["hits"]
+                    row = dict(row, vectors=vectors, hits=hits,
+                               hit_fraction=hits / vectors
+                               if vectors else 0.0)
+                layer_stats.append(dict(row, shard=index))
+        requests = len(latencies)
+        batches = sum(map(len, schedule))
+        return build_report(
+            requests=requests, batches=batches, duration_s=duration_s,
+            latencies_s=latencies,
+            request_cache=CacheCounters.aggregate(request_deltas).to_dict()
+            if self.policy.request_cache else {},
+            vector_cache=CacheCounters.aggregate(vector_deltas).to_dict()
+            if self.policy.vector_cache else {},
+            shard_stats=shard_stats, layer_stats=layer_stats,
             mean_batch_size=requests / batches if batches else 0.0,
-            duration_s=makespan,
-            throughput_rps=requests / makespan if makespan else 0.0,
-            latency_p50_ms=percentile(50), latency_p95_ms=percentile(95),
-            latency_p99_ms=percentile(99),
-            latency_mean_ms=float(quantiles_source.mean())
-            if len(quantiles_source) else 0.0,
-            request_cache=cache_stats if has_request_cache else {},
-            vector_cache=cache_stats if has_vector_cache
-            and not has_request_cache else {},
-            hit_rate=hit_rate, shards=self.num_workers,
-            shard_stats=shard_stats, measured_makespan_s=makespan,
             recoveries=self.recoveries,
-            latency_hist_p50_ms=latency_hist.percentile(50) * 1e3
-            if latency_hist.count else 0.0,
-            latency_hist_p99_ms=latency_hist.percentile(99) * 1e3
-            if latency_hist.count else 0.0,
             telemetry=self.telemetry.summary()
-            if self.telemetry is not None else {})
+            if self.telemetry is not None else {}, **extra)

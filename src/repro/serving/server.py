@@ -52,14 +52,14 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.rpq import RPQHasher
 from repro.core.session import CacheCounters
-from repro.obs.metrics import LogHistogram
+from repro.core.stats import LayerReuseStats, ReuseStats
 from repro.serving.batcher import (BatcherConfig, BatcherTelemetry,
                                    MicroBatcher)
 from repro.serving.engine import (ServingPolicy, ServingReuseEngine,
@@ -70,8 +70,10 @@ from repro.serving.router import (ConsistentHashRing, HotKeyTracker,
 
 SNAPSHOT_FORMAT = "repro-serving-snapshot"
 # Version 2: the session state layout gained the eviction metadata
-# (repro.core.session.STATE_VERSION 2).
-SNAPSHOT_VERSION = 2
+# (repro.core.session.STATE_VERSION 2).  Version 3: each shard's
+# per-layer reuse statistics ride along, so a restored server reports
+# the same ``layer_stats`` as its donor.
+SNAPSHOT_VERSION = 3
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_ARRAYS = "state.npz"
 
@@ -106,61 +108,73 @@ class ServingReport:
     recoveries: int = 0
     # Shared-L2 telemetry (empty when no L2 tier is attached).
     l2: dict = field(default_factory=dict)
-    # Streaming log-bucket percentile reads: exact in rank, within one
-    # bucket (<10% relative) in value at any stream length — the
-    # reservoir-based latency_p* fields above remain the differential
-    # oracle the regression suite compares against.
-    latency_hist_p50_ms: float = 0.0
-    latency_hist_p99_ms: float = 0.0
     # Event-bus digest (empty when telemetry is off): emitted/dropped
     # event counts and applied controller decisions.
     telemetry: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests, "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "duration_s": self.duration_s,
-            "throughput_rps": self.throughput_rps,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "latency_mean_ms": self.latency_mean_ms,
-            "request_cache": self.request_cache,
-            "vector_cache": self.vector_cache,
-            "layer_stats": self.layer_stats,
-            "hit_rate": self.hit_rate,
-            "shards": self.shards,
-            "shard_stats": self.shard_stats,
-            "simulated_makespan_s": self.simulated_makespan_s,
-            "measured_makespan_s": self.measured_makespan_s,
-            "recoveries": self.recoveries,
-            "l2": self.l2,
-            "latency_hist_p50_ms": self.latency_hist_p50_ms,
-            "latency_hist_p99_ms": self.latency_hist_p99_ms,
-            "telemetry": self.telemetry,
-        }
+        return asdict(self)
 
 
-#: Cache-counter fields shipped as per-batch deltas on ``serve.batch``
-#: events (everything on CacheCounters except the derived rates).
-_DELTA_KEYS = ("requests", "cross_hits", "intra_hits", "computed",
-               "inserted", "rejected", "expired", "collisions",
-               "evicted", "replicated")
+def build_report(*, requests: int, batches: int, duration_s: float,
+                 latencies_s, request_cache: dict, vector_cache: dict,
+                 shard_stats: list, layer_stats: list,
+                 **extra) -> ServingReport:
+    """Assemble one run's :class:`ServingReport`.
+
+    The one report path of both servers.  The ``latency_*`` fields are
+    exact reads of the run's own per-request latency array; the hit
+    rate is the request cache's when one is on, else the vector
+    cache's.  ``extra`` fills the remaining report fields.
+    """
+    latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1e3
+    p50 = p95 = p99 = mean = 0.0
+    if len(latencies_ms):
+        p50, p95, p99 = (float(value) for value in
+                         np.percentile(latencies_ms, (50, 95, 99)))
+        mean = float(latencies_ms.mean())
+    return ServingReport(
+        requests=requests, batches=batches, duration_s=duration_s,
+        throughput_rps=requests / duration_s if duration_s else 0.0,
+        latency_p50_ms=p50, latency_p95_ms=p95, latency_p99_ms=p99,
+        latency_mean_ms=mean,
+        request_cache=request_cache, vector_cache=vector_cache,
+        layer_stats=layer_stats,
+        hit_rate=(request_cache or vector_cache).get("hit_rate", 0.0),
+        shards=len(shard_stats), shard_stats=shard_stats, **extra)
 
 
-def _counter_values(counters: CacheCounters) -> tuple:
-    return tuple(getattr(counters, key) for key in _DELTA_KEYS)
+def simulate_clock(arrivals: np.ndarray, schedule: list, compute_s: list
+                   ) -> tuple[np.ndarray, float]:
+    """Per-request latency and makespan on the replay's simulated clock.
+
+    ``schedule`` holds each shard's ``(close_time, members)`` batches
+    in order and ``compute_s`` their measured compute times.  Each
+    shard is its own backend worker: a batch starts once it has closed
+    and its shard is free, so a request's latency is its queue wait
+    plus the compute of its batch.
+    """
+    latencies = np.zeros(len(arrivals))
+    makespan = 0.0
+    for batches, times in zip(schedule, compute_s):
+        free_at = 0.0
+        for (close_time, members), compute in zip(batches, times):
+            free_at = max(close_time, free_at) + compute
+            latencies[members] = free_at - arrivals[members]
+        makespan = max(makespan, free_at)
+    return latencies, makespan
 
 
-def _percentiles_ms(latencies_s) -> dict:
-    if not len(latencies_s):
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-    arr = np.asarray(latencies_s, dtype=np.float64) * 1e3
-    return {"p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "mean": float(arr.mean())}
+def shard_row(index: int, requests: int, batches: int,
+              counters: CacheCounters, occupancy: int) -> dict:
+    """One ``ServingReport.shard_stats`` row.
+
+    ``counters`` merges the shard's request and vector cache counters,
+    so ``hits``/``hit_rate`` count rows at both granularities.
+    """
+    return {"shard": index, "requests": requests, "hits": counters.hits,
+            "hit_rate": counters.hit_rate, "batches": batches,
+            "occupancy": occupancy}
 
 
 class _Shard:
@@ -180,14 +194,26 @@ class _Shard:
         self.batch_index = 0
         self.batch_count = 0
 
+    def request_counters(self) -> CacheCounters:
+        """A fresh copy of the request cache's counters (zeros without)."""
+        return CacheCounters.aggregate(
+            [self.request_cache.counters]
+            if self.request_cache is not None else [])
+
+    def vector_counters(self) -> CacheCounters:
+        """The vector caches' aggregated counters (zeros without)."""
+        return self.vector_engine.counters() \
+            if self.vector_engine is not None else CacheCounters()
+
+    def layer_summary(self) -> list[dict]:
+        return self.vector_engine.layer_summary() \
+            if self.vector_engine is not None else []
+
     def stats_row(self) -> dict:
-        counters = CacheCounters()
         occupancy = 0
         if self.request_cache is not None:
-            counters.merge(self.request_cache.counters)
             occupancy += self.request_cache.occupancy()
         if self.vector_engine is not None:
-            counters.merge(self.vector_engine.counters())
             occupancy += sum(self.vector_engine.occupancy().values())
         # ``requests`` counts what the router actually sent here (the
         # exact row total across this shard's batches), so balance is
@@ -195,10 +221,10 @@ class _Shard:
         # ones, where the row-level cache counters stay at zero.
         # ``hits``/``hit_rate`` are the cache-lifetime row counters
         # (vector granularity counts per-layer rows, not requests).
-        return {"shard": self.index,
-                "requests": self.batcher.telemetry.rows,
-                "hits": counters.hits, "hit_rate": counters.hit_rate,
-                "batches": self.batch_count, "occupancy": occupancy}
+        return shard_row(
+            self.index, self.batcher.telemetry.rows, self.batch_count,
+            self.request_counters().merge(self.vector_counters()),
+            occupancy)
 
 
 class InferenceServer:
@@ -253,7 +279,7 @@ class InferenceServer:
         # Controller/audit window accumulation (telemetry-only state).
         self._window_index = 0
         self._window_batches = 0
-        self._window_delta: dict[str, int] = {}
+        self._window_delta = CacheCounters()
         self._clears_applied = 0
 
         self._output_tail: tuple | None = None
@@ -303,8 +329,8 @@ class InferenceServer:
             flat, self.policy.signature_bits)
         return signature_key(signatures[0])
 
-    def _shards_for_trace(self, trace: list[Request],
-                          pool: np.ndarray) -> np.ndarray:
+    def _shards_for_trace(self, trace: list[Request], pool: np.ndarray,
+                          order: np.ndarray) -> np.ndarray:
         if self.num_shards == 1:
             return np.zeros(len(trace), dtype=np.int64)
         unique = sorted({request.pool_index for request in trace})
@@ -319,8 +345,7 @@ class InferenceServer:
         # counts, promotions and round-robin turns see the requests
         # exactly as the async front door would.
         shard_of = np.empty(len(trace), dtype=np.int64)
-        arrivals = np.array([request.arrival_s for request in trace])
-        for k in np.argsort(arrivals, kind="stable"):
+        for k in order:
             index = trace[k].pool_index
             key = keys[index]
             if self._hot.observe(key):
@@ -358,7 +383,7 @@ class InferenceServer:
         stacked = np.stack([np.asarray(p) for p in payloads])
         observing = self.bus is not None
         if observing:
-            counters_before = _counter_values(shard.request_cache.counters) \
+            counters_before = shard.request_counters() \
                 if shard.request_cache is not None else None
             l2_before = (self.l2.hits, self.l2.misses, self.l2.inserts) \
                 if self.l2 is not None else None
@@ -401,22 +426,15 @@ class InferenceServer:
         payload: dict = {"shard": shard.index,
                          "batch": shard.batch_index - 1, "rows": rows}
         if counters_before is not None:
-            after = _counter_values(shard.request_cache.counters)
-            payload["counters"] = {
-                key: int(now - before) for key, now, before
-                in zip(_DELTA_KEYS, after, counters_before)}
+            delta = shard.request_cache.counters - counters_before
+            payload["counters"] = asdict(delta)
+            self._window_delta.merge(delta)
         if l2_before is not None:
             payload["l2_hits"] = self.l2.hits - l2_before[0]
             payload["l2_misses"] = self.l2.misses - l2_before[1]
             payload["l2_inserts"] = self.l2.inserts - l2_before[2]
         self.bus.emit("serve.batch", source=f"shard{shard.index}",
                       **payload)
-
-        delta = payload.get("counters")
-        if delta is not None:
-            window = self._window_delta
-            for key, value in delta.items():
-                window[key] = window.get(key, 0) + value
         self._window_batches += 1
         if self._window_batches >= self.telemetry.window_batches:
             self._close_window()
@@ -430,20 +448,18 @@ class InferenceServer:
 
     def _close_window(self) -> None:
         delta = self._window_delta
-        rows = delta.get("requests", 0)
-        hits = delta.get("cross_hits", 0) + delta.get("intra_hits", 0)
         policy = self._active_policy()
         window = {
             "window": self._window_index,
             "batches": self._window_batches,
-            "rows": rows,
-            "hits": hits,
-            "hit_rate": hits / rows if rows else 0.0,
-            "computed": delta.get("computed", 0),
-            "inserted": delta.get("inserted", 0),
-            "rejected": delta.get("rejected", 0),
-            "expired": delta.get("expired", 0),
-            "evicted": delta.get("evicted", 0),
+            "rows": delta.requests,
+            "hits": delta.hits,
+            "hit_rate": delta.hit_rate,
+            "computed": delta.computed,
+            "inserted": delta.inserted,
+            "rejected": delta.rejected,
+            "expired": delta.expired,
+            "evicted": delta.evicted,
             "ttl_batches": policy.ttl_batches,
             "admission": policy.admission,
             "eviction": policy.eviction,
@@ -451,7 +467,7 @@ class InferenceServer:
         }
         self._window_index += 1
         self._window_batches = 0
-        self._window_delta = {}
+        self._window_delta = CacheCounters()
         self.bus.emit("serve.window", source="server", **window)
         telemetry = self.telemetry
         if telemetry.recorder is not None:
@@ -517,7 +533,7 @@ class InferenceServer:
             return
         self._window_index = 0
         self._window_batches = 0
-        self._window_delta = {}
+        self._window_delta = CacheCounters()
         controller = self.telemetry.controller
         if controller is not None:
             controller.reset()
@@ -639,33 +655,32 @@ class InferenceServer:
         """
         self._begin_run("serve_trace", requests=len(trace))
         start = time.perf_counter()
-        marks = [shard.batcher.telemetry.latency_mark()
-                 for shard in self.shards]
+        latencies = np.zeros(len(trace))
 
         async def _drive():
             await self.start()
             try:
                 origin = asyncio.get_running_loop().time()
 
-                async def one(request: Request):
+                async def one(k: int, request: Request):
                     if realtime:
                         offset = request.arrival_s * time_scale
                         delay = offset - (asyncio.get_running_loop().time()
                                           - origin)
                         if delay > 0:
                             await asyncio.sleep(delay)
-                    return await self.infer(pool[request.pool_index])
+                    submitted = time.perf_counter()
+                    output = await self.infer(pool[request.pool_index])
+                    latencies[k] = time.perf_counter() - submitted
+                    return output
 
-                return await asyncio.gather(*(one(r) for r in trace))
+                return await asyncio.gather(
+                    *(one(k, request) for k, request in enumerate(trace)))
             finally:
                 await self.stop()
 
         outputs = asyncio.run(_drive())
         duration = time.perf_counter() - start
-        latencies = np.concatenate(
-            [shard.batcher.telemetry.latencies_since(mark)
-             for shard, mark in zip(self.shards, marks)]) \
-            if self.shards else np.empty(0)
         report = self._report(len(trace), duration, latencies)
         self._finalize_run(report)
         return outputs, report
@@ -698,6 +713,18 @@ class InferenceServer:
             i = j
         return batches
 
+    def _schedule(self, trace: list[Request], pool: np.ndarray
+                  ) -> tuple[np.ndarray, list]:
+        """The replay's batch plan: the trace's arrival times, plus each
+        shard's collector-equivalent ``(close_time, members)`` batches
+        in order (``members`` index into ``trace``)."""
+        arrivals = np.array([request.arrival_s for request in trace])
+        order = np.argsort(arrivals, kind="stable")
+        shard_of = self._shards_for_trace(trace, pool, order)
+        return arrivals, [
+            self._form_batches(arrivals, order[shard_of[order] == index])
+            for index in range(self.num_shards)]
+
     def replay(self, trace: list[Request], pool: np.ndarray
                ) -> tuple[list, ServingReport]:
         """Replay a trace with deterministic shard and batch composition.
@@ -714,42 +741,28 @@ class InferenceServer:
         shards drain their queues in parallel on the simulated clock.
         """
         self._begin_run("replay", requests=len(trace))
-        arrivals = np.array([request.arrival_s for request in trace])
-        order = np.argsort(arrivals, kind="stable")
-        shard_of = self._shards_for_trace(trace, pool)
+        arrivals, schedule = self._schedule(trace, pool)
         outputs: list = [None] * len(trace)
-        latencies = np.zeros(len(trace))
+        compute_s = [[0.0] * len(batches) for batches in schedule]
         wall_start = time.perf_counter()
-
-        scheduled = []
-        for shard in self.shards:
-            member_order = order[shard_of[order] == shard.index] \
-                if self.num_shards > 1 else order
-            for sequence, (close_time, members) in enumerate(
-                    self._form_batches(arrivals, member_order)):
-                scheduled.append((close_time, shard.index, sequence,
-                                  members))
-        scheduled.sort(key=lambda entry: entry[:3])
-
-        free_at = [0.0] * self.num_shards
-        for close_time, shard_index, _sequence, members in scheduled:
-            shard = self.shards[shard_index]
+        for _close, index, sequence in sorted(
+                (close_time, index, sequence)
+                for index, batches in enumerate(schedule)
+                for sequence, (close_time, _) in enumerate(batches)):
+            shard = self.shards[index]
+            members = schedule[index][sequence][1]
             compute_start = time.perf_counter()
             batch_outputs = self._process_shard_batch(
                 shard, [pool[trace[k].pool_index] for k in members])
-            compute_s = time.perf_counter() - compute_start
-            service_start = max(close_time, free_at[shard_index])
-            service_end = service_start + compute_s
-            free_at[shard_index] = service_end
-            for position, k in enumerate(members):
-                outputs[k] = batch_outputs[position]
-                latencies[k] = service_end - arrivals[k]
+            compute_s[index][sequence] = time.perf_counter() - compute_start
+            for k, output in zip(members, batch_outputs):
+                outputs[k] = output
             shard.batcher.telemetry.record_batch(len(members))
 
         duration = time.perf_counter() - wall_start
-        report = self._report(
-            len(trace), duration, latencies,
-            simulated_makespan_s=max(free_at) if len(trace) else 0.0)
+        latencies, makespan = simulate_clock(arrivals, schedule, compute_s)
+        report = self._report(len(trace), duration, latencies,
+                              simulated_makespan_s=makespan)
         self._finalize_run(report)
         return outputs, report
 
@@ -863,6 +876,10 @@ class InferenceServer:
                                     for shard in self.shards],
             "shard_batch_counts": [shard.batch_count
                                    for shard in self.shards],
+            "layer_stats": [[asdict(record) for record
+                             in shard.vector_engine.stats.all_records()]
+                            if shard.vector_engine is not None else []
+                            for shard in self.shards],
             "arrays": arrays_name,
             "caches": caches,
         }
@@ -896,8 +913,8 @@ class InferenceServer:
         Validates the manifest (format, version, shard count and the
         full serving-policy fingerprint must match) and rebuilds every
         cache into the donor's exact state — placements, stored data,
-        TTL ages and counters — so subsequent traffic sees the donor's
-        hit behaviour.  Returns the manifest.
+        TTL ages, counters and per-layer statistics — so subsequent
+        traffic sees the donor's hit behaviour.  Returns the manifest.
         """
         path = Path(path)
         manifest_path = path / SNAPSHOT_MANIFEST
@@ -944,13 +961,17 @@ class InferenceServer:
                                 if name.startswith(prefix)}
                 cache.load_state_dict(record["meta"], cache_arrays)
 
-        for shard, batch_index, batch_count in zip(
+        for shard, batch_index, batch_count, layer_stats in zip(
                 self.shards, manifest["shard_batch_indices"],
-                manifest["shard_batch_counts"]):
+                manifest["shard_batch_counts"], manifest["layer_stats"]):
             shard.batch_index = int(batch_index)
             shard.batch_count = int(batch_count)
             if shard.vector_engine is not None:
                 shard.vector_engine.batch_index = int(batch_index)
+                shard.vector_engine.stats = ReuseStats({
+                    (record["layer"], record["phase"]):
+                        LayerReuseStats(**record)
+                    for record in layer_stats})
         if self.telemetry is not None:
             self.bus.emit("snapshot.restore", source="server",
                           caches=len(manifest["caches"]))
@@ -979,79 +1000,49 @@ class InferenceServer:
         return CacheCounters()
 
     def _report(self, requests: int, duration_s: float, latencies_s,
-                simulated_makespan_s: float = 0.0) -> ServingReport:
-        quantiles = _percentiles_ms(latencies_s)
+                **extra) -> ServingReport:
         telemetry = BatcherTelemetry.aggregate(
             shard.batcher.telemetry for shard in self.shards)
-        request_counters = CacheCounters.aggregate(
-            shard.request_cache.counters for shard in self.shards
-            if shard.request_cache is not None).to_dict() \
-            if self.policy.request_cache else {}
-        vector_counters = CacheCounters.aggregate(
-            shard.vector_engine.counters() for shard in self.shards
-            if shard.vector_engine is not None).to_dict() \
-            if self.policy.vector_cache else {}
-        layer_stats = [dict(row, shard=shard.index)
-                       for shard in self.shards
-                       if shard.vector_engine is not None
-                       for row in shard.vector_engine.layer_summary()]
-        if request_counters:
-            hit_rate = request_counters["hit_rate"]
-        elif vector_counters:
-            hit_rate = vector_counters["hit_rate"]
-        else:
-            hit_rate = 0.0
-        # Streaming percentile reads: the batchers' merged log-bucket
-        # histogram where latencies flowed through record_latency (the
-        # asyncio path); the simulated-clock replay path never does, so
-        # fold its latency array into a transient histogram instead.
-        latency_hist = telemetry.latency_hist
-        if latency_hist.count == 0 and len(latencies_s):
-            latency_hist = LogHistogram()
-            latency_hist.record_many(latencies_s)
-        hist_p50_ms = latency_hist.percentile(50) * 1e3 \
-            if latency_hist.count else 0.0
-        hist_p99_ms = latency_hist.percentile(99) * 1e3 \
-            if latency_hist.count else 0.0
-        return ServingReport(
+        return build_report(
             requests=requests,
             batches=sum(shard.batch_count for shard in self.shards),
-            mean_batch_size=telemetry.mean_batch_size,
-            duration_s=duration_s,
-            throughput_rps=requests / duration_s if duration_s else 0.0,
-            latency_p50_ms=quantiles["p50"],
-            latency_p95_ms=quantiles["p95"],
-            latency_p99_ms=quantiles["p99"],
-            latency_mean_ms=quantiles["mean"],
-            request_cache=request_counters,
-            vector_cache=vector_counters,
-            layer_stats=layer_stats,
-            hit_rate=hit_rate,
-            shards=self.num_shards,
+            duration_s=duration_s, latencies_s=latencies_s,
+            request_cache=CacheCounters.aggregate(
+                shard.request_counters() for shard in self.shards).to_dict()
+            if self.policy.request_cache else {},
+            vector_cache=CacheCounters.aggregate(
+                shard.vector_counters() for shard in self.shards).to_dict()
+            if self.policy.vector_cache else {},
             shard_stats=[shard.stats_row() for shard in self.shards],
-            simulated_makespan_s=simulated_makespan_s,
+            layer_stats=[dict(row, shard=shard.index)
+                         for shard in self.shards
+                         for row in shard.layer_summary()],
+            mean_batch_size=telemetry.mean_batch_size,
             l2=self.l2.stats_dict() if self.l2 is not None else {},
-            latency_hist_p50_ms=hist_p50_ms,
-            latency_hist_p99_ms=hist_p99_ms,
             telemetry=self.telemetry.summary()
-            if self.telemetry is not None else {})
+            if self.telemetry is not None else {}, **extra)
 
     def stats(self) -> dict:
         """Live snapshot (the HTTP ``/stats`` payload).
 
         ``duration_s``/``throughput_rps`` are wall clock since the
         server was built; ``compute_time_s`` is the model time inside
-        that.
+        that.  Latency percentiles are lifetime reads of the batchers'
+        merged latency histogram.
         """
         telemetry = BatcherTelemetry.aggregate(
             shard.batcher.telemetry for shard in self.shards)
-        report = self._report(telemetry.completed,
-                              time.perf_counter() - self._started_at,
-                              telemetry.latency_values())
-        payload = report.to_dict()
-        payload["queue_depth"] = sum(shard.batcher.depth
-                                     for shard in self.shards)
-        payload["compute_time_s"] = self._compute_time_s
+        payload = self._report(telemetry.completed,
+                               time.perf_counter() - self._started_at,
+                               ()).to_dict()
+        histogram = telemetry.latency_hist
+        payload.update(latency_p50_ms=histogram.percentile(50) * 1e3,
+                       latency_p95_ms=histogram.percentile(95) * 1e3,
+                       latency_p99_ms=histogram.percentile(99) * 1e3,
+                       latency_mean_ms=histogram.mean * 1e3,
+                       queue_depth=sum(shard.batcher.depth
+                                       for shard in self.shards),
+                       compute_time_s=self._compute_time_s)
         return payload
 
     def metrics_text(self) -> str:

@@ -2,8 +2,10 @@
 
 Every oracle here answers a question that exactly one production
 function answers in ``src/repro``; the tests replay the same inputs
-through both and require bit-identical results.  Production code never
-imports this package (``tests/test_oracle_boundary.py`` checks).
+through both and require bit-identical results (the sampled
+reservoir: agreement with the exact stream within tolerance).
+Production code never imports this package
+(``tests/test_oracle_boundary.py`` checks).
 
 ==========================================  =================================================
 Oracle                                      Production function it checks
@@ -23,5 +25,7 @@ Oracle                                      Production function it checks
 ``eviction.ReferenceLRU/LFU/SLRU``          ``repro.core.eviction`` ``LRU/LFU/SLRUEviction``
 ``signatures.words_to_ints`` /              ``repro.core.rpq.pack_bits`` multi-word values
 ``ints_to_words`` / ``signatures_to_ints``  (and the int <-> words bridge the oracles need)
+``reservoir.Reservoir``                     ``repro.obs.metrics.LogHistogram`` percentile reads
+                                            (``BatcherTelemetry.latency_hist``)
 ==========================================  =================================================
 """

@@ -36,6 +36,7 @@ from repro.analysis.functional_sweep import (
     run_functional_sweep,
     train_point,
 )
+from repro.analysis.grid import run_grid
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "examples"))
 import functional_sweep as functional_sweep_example  # noqa: E402
@@ -144,9 +145,8 @@ def test_shared_baseline_rows_match_paired_runs():
     points = build_functional_grid(["squeezenet"], signature_bits=(12, 20),
                                    epochs=1)
     shared = run_functional_sweep(points, processes=0)
-    paired = run_functional_sweep(points, processes=0,
-                                  share_baselines=False)
-    for shared_row, paired_row in zip(shared.rows, paired.rows):
+    paired, _ = run_grid(points, evaluate_functional_point, processes=0)
+    for shared_row, paired_row in zip(shared.rows, paired):
         for key in FUNCTIONAL_RESULT_KEYS - {"elapsed_s"}:
             assert shared_row[key] == paired_row[key], key
 

@@ -258,7 +258,7 @@ class TestServingEndToEnd:
         assert report.telemetry["events"] > 0
         assert report.telemetry["dropped"] == 0
         assert bare_report.telemetry == {}
-        assert report.latency_hist_p50_ms > 0.0
+        assert report.latency_p50_ms > 0.0
 
     def test_controller_beats_static_policy_on_churn(self, tmp_path):
         _, pool, trace, static_server = _churn_pieces()

@@ -5,9 +5,10 @@ Two oracles pin :class:`LogHistogram`:
 * the *exact* stream percentile (``np.percentile`` over every value)
   bounds the histogram read to within one bucket width — a relative
   error of ``growth`` — at a 50 k-sample stream;
-* the batcher's bounded :class:`Reservoir` sample is the differential
-  oracle: its estimate must agree with the exact percentile too, so
-  the two independent summaries cross-check each other.
+* a bounded :class:`~tests.oracles.reservoir.Reservoir` sample is the
+  differential oracle: its estimate must agree with the exact
+  percentile too, so the two independent summaries cross-check each
+  other.
 
 The property suite pins the merge algebra: associative, commutative,
 and merging per-shard histograms equals one single-stream histogram
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.obs import Event, LogHistogram, MetricsCollector, MetricsRegistry
 from repro.obs.metrics import DEFAULT_GROWTH
 from repro.serving.batcher import BatcherTelemetry
+from tests.oracles.reservoir import Reservoir
 
 positive_values = st.floats(min_value=1e-6, max_value=1e6,
                             allow_nan=False, allow_infinity=False)
@@ -84,10 +86,11 @@ class TestLogHistogram:
         rng = np.random.default_rng(7)
         stream = rng.lognormal(mean=-6.0, sigma=1.2, size=50_000)
         telemetry = BatcherTelemetry()
+        reservoir = Reservoir()
         for value in stream:
             telemetry.record_latency(value)
+            reservoir.record(value)
         histogram = telemetry.latency_hist
-        reservoir = telemetry.latencies.values()
         assert histogram.count == 50_000
         bound = histogram.growth - 1.0  # one-bucket relative error
         for quantile in (50, 90, 99):
@@ -96,7 +99,7 @@ class TestLogHistogram:
                                    exact) < bound
             # The bounded sample agrees with the exact stream too —
             # two independent summaries cross-checking each other.
-            sampled = float(np.percentile(reservoir, quantile))
+            sampled = float(np.percentile(reservoir.values(), quantile))
             assert _relative_error(sampled, exact) < 0.12
 
     def test_shard_merge_equals_single_stream_at_50k(self):

@@ -19,7 +19,7 @@ ORACLE_NAMES = {
     "run_differential", "run_serve_differential",
     "scalar_reference_simulation", "im2col_reference", "ReferenceLRU",
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
-    "signatures_to_ints", "per_call_matmul_groups",
+    "signatures_to_ints", "per_call_matmul_groups", "Reservoir",
 }
 
 _IMPORT_EVERYTHING = """

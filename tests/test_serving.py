@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import urllib.request
 
 import numpy as np
@@ -482,52 +483,40 @@ class TestMicroBatcher:
 # ----------------------------------------------------------------------
 # Bounded telemetry
 # ----------------------------------------------------------------------
-class TestTelemetryReservoir:
-    def test_memory_stays_bounded_and_counters_stay_exact(self):
-        from repro.serving.batcher import (RESERVOIR_CAPACITY,
-                                           BatcherTelemetry)
+class TestBatcherTelemetry:
+    #: Three reservoirs' worth of values: long enough that a fixed-size
+    #: sample would have started evicting.
+    STREAM = np.arange(1, 3 * 4096 + 1) * 1e-4
+
+    def _telemetry(self):
+        from repro.serving.batcher import BatcherTelemetry
         telemetry = BatcherTelemetry()
-        stream = 3 * RESERVOIR_CAPACITY
-        for value in range(stream):
-            telemetry.record_latency(value * 1e-4)
-            telemetry.record_batch(1 + value % 8)
-        # The sample is bounded no matter the stream length...
-        assert len(telemetry.latency_values()) == RESERVOIR_CAPACITY
-        assert len(telemetry.batch_sizes.values()) == RESERVOIR_CAPACITY
-        assert telemetry.latencies.count == stream
+        for index, value in enumerate(self.STREAM):
+            telemetry.record_latency(value)
+            telemetry.record_batch(1 + index % 8)
+        return telemetry
+
+    def test_memory_stays_bounded_and_counters_stay_exact(self):
+        telemetry = self._telemetry()
+        histogram = telemetry.latency_hist
+        # The histogram's size follows the stream's dynamic range, not
+        # its length...
+        assert histogram.count == len(self.STREAM)
+        assert len(histogram.buckets) <= math.ceil(math.log(
+            self.STREAM.max() / self.STREAM.min(), histogram.growth)) + 1
         # ...while the counters (and mean batch size) remain exact.
-        assert telemetry.rows == sum(1 + v % 8 for v in range(stream))
+        assert telemetry.batches == len(self.STREAM)
+        assert telemetry.rows == sum(1 + index % 8
+                                     for index in range(len(self.STREAM)))
         assert telemetry.mean_batch_size == \
             telemetry.rows / telemetry.batches
 
-    def test_sampled_percentiles_track_exact_values(self):
-        # Regression for the unbounded-telemetry fix: the reservoir
-        # sample must keep p50/p99 within tolerance of the exact
-        # stream percentiles long after saturation.
-        from repro.serving.batcher import (RESERVOIR_CAPACITY,
-                                           BatcherTelemetry)
-        rng = np.random.default_rng(7)
-        stream = rng.gamma(2.0, 10.0, size=50_000)
-        telemetry = BatcherTelemetry()
-        for value in stream:
-            telemetry.record_latency(value)
-        sample = telemetry.latency_values()
-        assert len(sample) == RESERVOIR_CAPACITY
+    def test_histogram_percentiles_track_exact_values(self):
+        histogram = self._telemetry().latency_hist
         for q in (50, 99):
-            exact = float(np.percentile(stream, q))
-            approx = float(np.percentile(sample, q))
-            assert abs(approx - exact) / exact < 0.05
-
-    def test_values_since_is_exact_before_saturation(self):
-        from repro.serving.batcher import Reservoir
-        reservoir = Reservoir(capacity=16)
-        for value in range(10):
-            reservoir.record(float(value))
-        mark = reservoir.count
-        for value in range(10, 14):
-            reservoir.record(float(value))
-        np.testing.assert_array_equal(reservoir.values_since(mark),
-                                      [10.0, 11.0, 12.0, 13.0])
+            exact = float(np.percentile(self.STREAM, q))
+            assert abs(histogram.percentile(q) - exact) / exact \
+                < histogram.growth - 1.0
 
 
 # ----------------------------------------------------------------------

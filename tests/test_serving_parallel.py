@@ -21,6 +21,9 @@ from repro.serving.parallel import FAULT_EXIT_CODE
 #: byte-identical to the engine-less oracle at any worker count.
 EXACT = ServingPolicy(request_cache=True, vector_cache=False,
                       exact_check=True, compute="per_request")
+#: Both cache granularities at once (the sweep's ``layered`` policy).
+LAYERED = ServingPolicy(request_cache=True, vector_cache=True,
+                        exact_check=True, compute="batched")
 CONFIG = BatcherConfig(max_batch_size=8, max_wait_s=0.001)
 
 
@@ -65,27 +68,27 @@ class TestParallelParity:
         assert sum(row["requests"] for row in report.shard_stats) \
             == len(trace)
 
+    @pytest.mark.parametrize("policy", [EXACT, LAYERED],
+                             ids=["exact", "layered"])
     def test_single_worker_matches_in_process_server_exactly(
-            self, model, pool, trace):
+            self, model, pool, trace, policy):
         """workers=1 is the in-process server behind a process hop.
 
-        Identical outputs AND identical ServingReport counters — the
-        worker runtime must add no cache decisions of its own.
+        Identical outputs AND an identical ServingReport apart from
+        timing — the worker runtime must add no cache decisions of its
+        own, and both servers report through one builder.
         """
-        single = InferenceServer(model, EXACT, CONFIG, shards=1)
+        single = InferenceServer(model, policy, CONFIG, shards=1)
         reference_outputs, reference = single.replay(trace, pool)
-        with ParallelInferenceServer(model, EXACT, CONFIG, workers=1,
+        with ParallelInferenceServer(model, policy, CONFIG, workers=1,
                                      snapshot_every_batches=0) as parallel:
             outputs, report = parallel.replay(trace, pool)
         for ours, theirs in zip(outputs, reference_outputs):
             assert ours.tobytes() == theirs.tobytes()
-        assert report.requests == reference.requests
-        assert report.batches == reference.batches
-        assert report.hit_rate == reference.hit_rate
-        assert report.request_cache == reference.request_cache
-        assert report.vector_cache == reference.vector_cache
-        assert [row["hit_rate"] for row in report.shard_stats] == \
-            [row["hit_rate"] for row in reference.shard_stats]
+        for name in ("requests", "batches", "mean_batch_size",
+                     "request_cache", "vector_cache", "layer_stats",
+                     "hit_rate", "shards", "shard_stats", "telemetry"):
+            assert getattr(report, name) == getattr(reference, name), name
 
     def test_single_worker_telemetry_matches_in_process(self, model,
                                                         pool, trace):
@@ -155,6 +158,24 @@ class TestCrashRecovery:
             np.testing.assert_array_equal(ours, theirs)
         assert report.hit_rate == pytest.approx(reference.hit_rate,
                                                 abs=1e-12)
+
+    def test_recovered_layered_run_reports_like_the_uninterrupted_one(
+            self, model, pool, trace, tmp_path):
+        # The respawned worker restores its counters and per-layer
+        # statistics from its snapshot, so this replay's report deltas
+        # match the single-process replay at both cache granularities.
+        single = InferenceServer(model, LAYERED, CONFIG, shards=2)
+        _, reference = single.replay(trace, pool)
+        fault = FaultInjection(worker=0, kill_after_batches=3)
+        with ParallelInferenceServer(model, LAYERED, CONFIG, workers=2,
+                                     snapshot_dir=tmp_path / "snaps",
+                                     snapshot_every_batches=2,
+                                     fault=fault) as parallel:
+            _, report = parallel.replay(trace, pool)
+        assert report.recoveries == 1
+        for name in ("request_cache", "vector_cache", "layer_stats",
+                     "shard_stats", "hit_rate"):
+            assert getattr(report, name) == getattr(reference, name), name
 
     def test_hung_worker_is_respawned_after_timeout(self, model, pool,
                                                     trace, tmp_path):
