@@ -6,14 +6,22 @@ signatures are computed per extracted vector, so these helpers are the
 bridge between the functional convolution and the reuse engine.
 
 The extraction itself is the hottest data-movement path of functional
-training, so it is built on :func:`numpy.lib.stride_tricks.as_strided`
-views: :func:`sliding_windows` exposes every patch of the (padded)
-input without copying a byte, and :func:`im2col` materialises the
-``(vectors, patch)`` matrix with a *single* copy — only because the
-downstream GEMM needs contiguous rows.  Other consumers (pooling, the
-convolution-formulated signature path) start from the same view and pay
-only whatever gather *they* need — ``MaxPool2D`` copies its
-``k^2``-expanded window matrix, but no longer loop-fills it.
+training and, at serving batch sizes, costs more than the GEMM that
+consumes it, so it avoids every copy it can:
+
+- :func:`sliding_windows` exposes every patch of the (padded) input as
+  an :func:`numpy.lib.stride_tricks.as_strided` view, without copying a
+  byte.  It is the one window-view builder; ``MaxPool2D`` starts from it
+  too and pays only the gather of its ``k^2``-expanded window matrix.
+- Zero padding writes the input into one zeroed buffer with a single
+  slice assignment (``np.pad`` costs several times that for the same
+  bytes).
+- :func:`im2col` materialises the ``(vectors, patch)`` matrix with at
+  most one copy, forced by the contiguity the downstream GEMM needs.  A
+  1x1, stride-1, unpadded convolution needs no window view at all: its
+  rows are the input's channel vectors, so :func:`im2col` is a transpose
+  and reshape, which is free when the input is an NCHW view of NHWC
+  memory (what ``Conv2D.forward`` returns).
 """
 
 from __future__ import annotations
@@ -60,8 +68,14 @@ def sliding_windows(x: np.ndarray, kernel_h: int, kernel_w: int,
 
 def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     if pad > 0:
-        return np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)],
-                      mode="constant")
+        batch, channels, height, width = x.shape
+        # The memory order np.pad picks, so GEMM operands keep their
+        # strides.
+        padded = np.zeros((batch, channels, height + 2 * pad,
+                           width + 2 * pad), dtype=x.dtype,
+                          order="F" if x.flags.fnc else "C")
+        padded[:, :, pad:pad + height, pad:pad + width] = x
+        return padded
     return x
 
 
@@ -98,10 +112,18 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int,
         kernel_w)``; each row is one input vector in the paper's sense.
         The values (and their order) are identical to the historical
         loop implementation (``tests/oracles/im2col.py``); only the
-        number of copies differs — one, forced by the contiguity the
-        GEMM consuming the rows requires.
+        number of copies differs — at most one, forced by the
+        contiguity the GEMM consuming the rows requires.  Where no copy
+        is needed the result is a read-only view.
     """
     batch, channels, height, width = x.shape
+    if kernel_h == kernel_w == stride == 1 and pad == 0:
+        # Each row is one pixel's channel vector.  As on the windowed
+        # path, the result is a read-only view where the layout allows,
+        # else a fresh copy.
+        pixels = x.transpose(0, 2, 3, 1)
+        pixels.flags.writeable = False
+        return pixels.reshape(batch * height * width, channels)
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
     patches = im2col_view(x, kernel_h, kernel_w, stride, pad)

@@ -51,9 +51,9 @@ class BatcherConfig:
 class BatcherTelemetry:
     """Latency/batch-shape measurements of one batcher lifetime.
 
-    Counters (``submitted``/``completed``/``failed``/``batches``/
-    ``rows``) are exact forever; the latency *distribution* is a
-    log-bucket histogram (with an exact count and sum), so a
+    Counters (``submitted``/``completed``/``failed``/``cancelled``/
+    ``batches``/``rows``) are exact forever; the latency *distribution*
+    is a log-bucket histogram (with an exact count and sum), so a
     serve-forever process holds a fixed amount of telemetry no matter
     how many requests it sees.
     """
@@ -61,6 +61,9 @@ class BatcherTelemetry:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
+    #: Requests whose caller gave up before their batch ran; they are
+    #: dropped unprocessed.
+    cancelled: int = 0
     #: Micro-batches executed / total rows across them (exact).
     batches: int = 0
     rows: int = 0
@@ -98,6 +101,7 @@ class BatcherTelemetry:
             total.submitted += telemetry.submitted
             total.completed += telemetry.completed
             total.failed += telemetry.failed
+            total.cancelled += telemetry.cancelled
             total.batches += telemetry.batches
             total.rows += telemetry.rows
             total.latency_hist.merge(telemetry.latency_hist)
@@ -225,7 +229,12 @@ class MicroBatcher:
                                                         timeout=remaining))
                 except asyncio.TimeoutError:
                     break
-            self._run_batch(batch)
+            # A caller that gave up (its future is cancelled) must not
+            # cost compute or touch any cache.
+            live = [item for item in batch if not item.future.cancelled()]
+            self.telemetry.cancelled += len(batch) - len(live)
+            if live:
+                self._run_batch(live)
             for _ in batch:
                 queue.task_done()
 

@@ -48,6 +48,7 @@ deviation.)
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import os
 import threading
@@ -1158,7 +1159,14 @@ class HttpFrontEnd:
                     self._send(404, {"error": f"unknown path {self.path}"})
                     return
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
+                    # Validate before reading: rfile.read(-1) would block
+                    # until the client hangs up.
+                    raw = self.headers.get("Content-Length")
+                    if raw is None:
+                        raise ValueError("missing Content-Length")
+                    length = int(raw)
+                    if length < 0:
+                        raise ValueError(f"negative Content-Length {length}")
                     payload = json.loads(self.rfile.read(length))
                     inputs = np.asarray(payload["inputs"])
                     started = time.perf_counter()
@@ -1178,12 +1186,20 @@ class HttpFrontEnd:
         self._http_thread.start()
 
     def submit(self, inputs: np.ndarray, timeout_s: float = 30.0):
-        """Thread-safe inference: submit into the serving loop."""
+        """Thread-safe inference: submit into the serving loop.
+
+        On timeout the request is cancelled, so a still-queued request
+        is dropped instead of computed for nobody.
+        """
         if self._loop is None:
             raise RuntimeError("front end is not running")
         future = asyncio.run_coroutine_threadsafe(
             self.server.infer(inputs), self._loop)
-        return future.result(timeout=timeout_s)
+        try:
+            return future.result(timeout=timeout_s)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise
 
     def stop(self) -> None:
         if self._http is not None:

@@ -99,19 +99,56 @@ def test_im2col_view_defers_the_copy():
                                   im2col(x, 3, 3))
 
 
+#: Memory layouts a conv input arrives in: a fresh array, the NCHW view
+#: of NHWC memory that ``Conv2D.forward`` returns, and Fortran order.
+LAYOUTS = ("c", "nhwc", "fortran")
+
+
+def _in_layout(x, layout):
+    if layout == "nhwc":
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+            0, 3, 1, 2)
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    return x
+
+
 @settings(deadline=None, max_examples=30)
 @given(batch=st.integers(1, 3), channels=st.integers(1, 3),
        size=st.integers(4, 9), kernel=st.integers(1, 3),
-       stride=st.integers(1, 3), pad=st.integers(0, 2))
+       stride=st.integers(1, 3), pad=st.integers(0, 2),
+       layout=st.sampled_from(LAYOUTS))
 def test_im2col_matches_reference_bitwise(batch, channels, size, kernel,
-                                          stride, pad):
+                                          stride, pad, layout):
     """The strided rewrite gathers exactly the loop oracle's values."""
-    x = np.random.default_rng(size * 7 + kernel).normal(
-        size=(batch, channels, size, size))
+    x = _in_layout(np.random.default_rng(size * 7 + kernel).normal(
+        size=(batch, channels, size, size)), layout)
     fast = im2col(x, kernel, kernel, stride=stride, pad=pad)
     reference = im2col_reference(x, kernel, kernel, stride=stride, pad=pad)
     assert fast.dtype == reference.dtype
     np.testing.assert_array_equal(fast, reference)
+    # Views never let a consumer write through to the caller's input.
+    view = im2col_view(x, kernel, kernel, stride=stride, pad=pad)
+    windows = sliding_windows(x, kernel, kernel, stride=stride)
+    assert not view.flags.writeable and not windows.flags.writeable
+    assert np.shares_memory(windows, x)
+    assert np.shares_memory(view, x) == (pad == 0)
+    if np.shares_memory(fast, x):
+        assert not fast.flags.writeable
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pointwise_im2col_matches_reference(layout, stride):
+    x = _in_layout(np.random.default_rng(5).normal(size=(2, 3, 5, 4)),
+                   layout)
+    cols = im2col(x, 1, 1, stride=stride)
+    np.testing.assert_array_equal(
+        cols, im2col_reference(x, 1, 1, stride=stride))
+    # Rows are the pixels' channel vectors: over NHWC memory at stride 1
+    # they already are GEMM rows, so nothing is copied.
+    assert np.shares_memory(cols, x) == (layout == "nhwc" and stride == 1)
+    assert cols.flags.writeable != np.shares_memory(cols, x)
 
 
 @settings(deadline=None, max_examples=20)

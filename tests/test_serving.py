@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
+import socket
 import urllib.request
 
 import numpy as np
@@ -478,6 +480,36 @@ class TestMicroBatcher:
         results = asyncio.run(asyncio.wait_for(drive(), timeout=10))
         assert results == list(range(8))
         assert zero_sleeps == 0
+
+    def test_cancelled_request_is_dropped_before_processing(self):
+        # A caller that gives up while its request waits in an open
+        # batch costs no compute: the collector drops it.
+        seen = []
+
+        def process(batch):
+            seen.extend(batch)
+            return list(batch)
+
+        async def drive():
+            batcher = MicroBatcher(process,
+                                   BatcherConfig(max_batch_size=8,
+                                                 max_wait_s=0.5))
+            await batcher.start()
+            doomed = asyncio.ensure_future(batcher.submit("doomed"))
+            await asyncio.sleep(0.05)  # queued and collected, batch open
+            assert batcher.telemetry.submitted == 1
+            doomed.cancel()
+            kept = await batcher.submit("kept")
+            await batcher.stop()
+            return doomed, kept, batcher.telemetry
+
+        doomed, kept, telemetry = asyncio.run(
+            asyncio.wait_for(drive(), timeout=10))
+        assert doomed.cancelled()
+        assert kept == "kept"
+        assert seen == ["kept"]
+        assert telemetry.cancelled == 1
+        assert (telemetry.rows, telemetry.completed) == (1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -1065,3 +1097,58 @@ class TestHttpFrontEnd:
             assert stats["requests"] >= 1
         finally:
             front.stop()
+
+    @pytest.mark.parametrize("header", ["Content-Length: -1\r\n",
+                                        "Content-Length: abc\r\n", ""],
+                             ids=["negative", "non-integer", "missing"])
+    def test_bad_content_length_gets_400_without_reading(self, header):
+        # A negative length used to reach rfile.read(-1), which holds the
+        # handler thread until the client hangs up; this client never
+        # does, so only an answer sent before reading lets it finish.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy(
+            compute="per_request"))
+        front = server.serve_http(port=0)
+        try:
+            with socket.create_connection((front.host, front.port),
+                                          timeout=2) as conn:
+                conn.sendall(("POST /infer HTTP/1.1\r\nHost: test\r\n"
+                              + header + "\r\n").encode())
+                reply = conn.makefile("rb").read()
+        finally:
+            front.stop()
+        status_line, _, body = reply.partition(b"\r\n\r\n")
+        assert status_line.split()[1] == b"400"
+        assert json.loads(body)["error"]
+
+    def test_timed_out_request_is_never_computed(self, small_pool):
+        # The doomed request waits in an open batch (max_wait 0.5 s)
+        # past its 0.05 s timeout; cancelling it must keep it out of
+        # process_batch and out of every cache counter.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(
+            model, ServingPolicy(compute="per_request"),
+            BatcherConfig(max_batch_size=8, max_wait_s=0.5), shards=2)
+        processed = []
+        for shard in server.shards:
+            def recording(payloads, _process=shard.batcher.process_batch):
+                processed.extend(payloads)
+                return _process(payloads)
+            shard.batcher.process_batch = recording
+        doomed, kept = small_pool[0], small_pool[1]
+        front = server.serve_http(port=0)
+        try:
+            with pytest.raises(concurrent.futures.TimeoutError):
+                front.submit(doomed, timeout_s=0.05)
+            np.testing.assert_array_equal(
+                np.asarray(front.submit(kept, timeout_s=30)),
+                server.oracle_outputs(small_pool[1:2])[0])
+        finally:
+            front.stop()
+        assert len(processed) == 1 and processed[0] is kept
+        assert sum(shard.batcher.telemetry.rows
+                   for shard in server.shards) == 1
+        for shard in server.shards:
+            counters = shard.request_counters()
+            assert shard.stats_row()["requests"] == \
+                counters.hits + counters.computed
