@@ -22,6 +22,7 @@ rejected (:func:`~repro.core.rpq.coerce_packed`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,28 +62,75 @@ class HitmapSimulation:
         return hitmap
 
 
-class GroupedSimulation(list):
+class GroupedSimulation(Sequence):
     """The per-group Hitmaps of one grouped signature phase.
 
-    A list of :class:`HitmapSimulation` — one per group, in order, each
-    a row view of the concatenation — that also carries what whole-stack
-    callers need, so they never walk the groups: the concatenated
-    ``states`` codes, the ``representative`` row map over the
-    concatenation (a HIT row points at its source's row in the
+    A sequence of :class:`HitmapSimulation` — one per group, in order,
+    each a row view of the concatenation — that also carries what
+    whole-stack callers need, so they never walk the groups: the
+    concatenated ``states`` codes, the ``representative`` row map over
+    the concatenation (a HIT row points at its source's row in the
     concatenated frame, every other row at itself), and the HIT / MAU /
     MNU / unique-signature totals over all groups.
+
+    Built from a list of simulations, or by
+    :func:`simulate_hitmap_grouped`, which leaves the per-group views
+    to be built when first indexed: the reuse engine reads only the
+    last one.  Indexing (negative indices and slices too), ``len``,
+    iteration and ``==`` against a list behave as on a list.
     """
 
     def __init__(self, groups, *, states: np.ndarray,
                  representative: np.ndarray, hits: int, mau: int, mnu: int,
                  unique_signatures: int):
-        super().__init__(groups)
+        self._views = list(groups)
         self.states = states
         self.representative = representative
         self.hits = hits
         self.mau = mau
         self.mnu = mnu
         self.unique_signatures = unique_signatures
+        # Lazy form only: group row bounds and each unique's group.
+        self._bounds: list[int] | None = None
+        self._unique_groups: np.ndarray | None = None
+
+    @classmethod
+    def _lazy(cls, bounds: list[int], unique_groups: np.ndarray,
+              **fields) -> "GroupedSimulation":
+        grouped = cls([None] * (len(bounds) - 1), **fields)
+        grouped._bounds = bounds
+        grouped._unique_groups = unique_groups
+        return grouped
+
+    def _view(self, group: int) -> HitmapSimulation:
+        lo, hi = self._bounds[group], self._bounds[group + 1]
+        states = self.states[lo:hi]
+        hits, mau, mnu = np.bincount(states, minlength=3).tolist()
+        return HitmapSimulation(
+            states=states, representative=self.representative[lo:hi] - lo,
+            hits=hits, mau=mau, mnu=mnu, unique_signatures=int(
+                np.diff(np.searchsorted(self._unique_groups,
+                                        [group, group + 1]))[0]))
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[group]
+                    for group in range(*index.indices(len(self)))]
+        view = self._views[index]
+        if view is None:
+            group = range(len(self))[index]
+            view = self._views[group] = self._view(group)
+        return view
+
+    def __eq__(self, other):
+        if isinstance(other, (list, GroupedSimulation)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
@@ -226,7 +274,7 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
     single packed ``(group, signature, row)`` sort; without it, or past
     62 bits, the groups go through a lexicographic row sort.  Either
     way the work is a constant number of numpy passes over the whole
-    concatenation; only the per-group views are built group by group.
+    concatenation; a per-group view is built only when indexed.
     """
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
@@ -278,24 +326,8 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
 
     states, representative = _classify_uniques(
         composite_sets, first_index, inverse, num_vectors, ways)
-    # Per-group (HIT, MAU, MNU) counts in one bincount over
-    # ``group * 3 + code``, and group-local representatives in one pass.
-    counts = np.bincount(group_ids * 3 + states,
-                         minlength=3 * num_groups).reshape(num_groups, 3)
-    unique_per_group = np.bincount(unique_groups, minlength=num_groups)
-    local = representative - starts[group_ids]
-
-    bounds = starts.tolist()
-    views = [HitmapSimulation(states=states[lo:hi],
-                              representative=local[lo:hi],
-                              hits=hits, mau=mau, mnu=mnu,
-                              unique_signatures=unique)
-             for lo, hi, (hits, mau, mnu), unique in zip(
-                 bounds[:-1], bounds[1:], counts.tolist(),
-                 unique_per_group.tolist())]
-    totals = counts.sum(axis=0).tolist()
-    return GroupedSimulation(views, states=states,
-                             representative=representative,
-                             hits=totals[0], mau=totals[1], mnu=totals[2],
-                             unique_signatures=len(unique_groups))
-
+    hits, mau, mnu = np.bincount(states, minlength=3).tolist()
+    return GroupedSimulation._lazy(
+        starts.tolist(), unique_groups, states=states,
+        representative=representative, hits=hits, mau=mau, mnu=mnu,
+        unique_signatures=len(unique_groups))

@@ -43,6 +43,11 @@ from numpy.lib.stride_tricks import as_strided
 # 63/64) keeps headroom for the MCACHE's set/tag integer arithmetic.
 FAST_PACK_BITS = 62
 
+# Longest signature :func:`pack_projection` packs with one float64
+# product: every sum of distinct powers of two below 2^53 is exact in
+# float64, whatever order the BLAS adds them in.
+FLOAT_PACK_BITS = 52
+
 # One 64-bit word per this many signature bits.
 WORD_BITS = 64
 
@@ -76,6 +81,18 @@ def _fast_pack_weights(n_bits: int) -> np.ndarray:
     if weights is None:
         weights = (1 << np.arange(n_bits - 1, -1, -1, dtype=np.int64))
         _FAST_PACK_WEIGHTS[n_bits] = weights
+    return weights
+
+
+_FLOAT_PACK_WEIGHTS: dict[int, np.ndarray] = {}
+
+
+def _float_pack_weights(n_bits: int) -> np.ndarray:
+    """Cached MSB-first power-of-two weights for the float pack path."""
+    weights = _FLOAT_PACK_WEIGHTS.get(n_bits)
+    if weights is None:
+        weights = np.ldexp(1.0, np.arange(n_bits - 1, -1, -1))
+        _FLOAT_PACK_WEIGHTS[n_bits] = weights
     return weights
 
 
@@ -128,6 +145,26 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
         weights = _fast_pack_weights(n_bits)
         return bits.astype(np.int64, copy=False) @ weights
     return pack_bits_words(bits)
+
+
+def pack_projection(projected: np.ndarray, *,
+                    overwrite: bool = False) -> np.ndarray:
+    """Pack the sign bits of an ``(n_vectors, n_bits)`` projection.
+
+    Equal to ``pack_bits((projected >= 0.0).astype(np.uint8))``.  Up to
+    :data:`FLOAT_PACK_BITS` bits the sign quantisation writes 1.0/0.0
+    into a float64 array — ``projected`` itself when ``overwrite`` is
+    set, so a fresh projection costs no second buffer — and one float64
+    product with power-of-two weights packs it exactly, cheaper than
+    the 0/1 matrix plus integer matvec that longer signatures take.
+    """
+    n_bits = projected.shape[1]
+    if n_bits > FLOAT_PACK_BITS:
+        return pack_bits((projected >= 0.0).astype(np.uint8))
+    signs = np.greater_equal(
+        projected, 0.0,
+        out=projected if overwrite else np.empty_like(projected))
+    return (signs @ _float_pack_weights(n_bits)).astype(np.int64)
 
 
 def pad_words(words: np.ndarray, num_words: int) -> np.ndarray:
@@ -400,8 +437,12 @@ class SignaturePipeline:
 
     def signatures(self, vectors: np.ndarray,
                    signature_bits: int) -> np.ndarray:
-        """One packed signature per row of ``vectors``."""
-        return pack_bits(self.signature_bits_matrix(vectors, signature_bits))
+        """One packed signature per row of ``vectors``.
+
+        The projection stays cached for growth, so it is quantised into
+        a scratch buffer, not in place.
+        """
+        return pack_projection(self.projection(vectors, signature_bits))
 
 
 class RPQHasher:
@@ -504,8 +545,13 @@ class RPQHasher:
         return (projected >= 0.0).astype(np.uint8)
 
     def signatures(self, vectors: np.ndarray, signature_bits: int) -> np.ndarray:
-        """Return one packed integer signature per row of ``vectors``."""
-        return pack_bits(self.signature_bits_matrix(vectors, signature_bits))
+        """Return one packed integer signature per row of ``vectors``.
+
+        Equal to ``pack_bits(self.signature_bits_matrix(vectors,
+        signature_bits))``; the fresh projection is quantised in place.
+        """
+        return pack_projection(self.project(vectors, signature_bits),
+                               overwrite=True)
 
     # ------------------------------------------------------------------
     def similarity_fraction(self, vectors: np.ndarray,
@@ -576,4 +622,4 @@ def signature_via_convolution(image: np.ndarray, kernel_size: int,
         writeable=False)
     patches = windows.reshape(out_h * out_w, kernel_size * kernel_size)
     projected = patches @ np.asarray(random_filters, dtype=np.float64)
-    return pack_bits((projected >= 0.0).astype(np.uint8))
+    return pack_projection(projected, overwrite=True)

@@ -306,19 +306,20 @@ class ReuseSession:
     def ride(vectors: np.ndarray, weights: np.ndarray,
              simulation: HitmapSimulation) -> np.ndarray:
         """The cache-ride assembly: compute misses, copy HIT rows."""
-        num_vectors = vectors.shape[0]
-        num_filters = weights.shape[1]
-        if simulation.hits:
-            hit_mask = simulation.states == HIT_CODE
-            compute_mask = ~hit_mask
-            result = np.empty((num_vectors, num_filters), dtype=np.float64)
-            result[compute_mask] = vectors[compute_mask] @ weights
-            result[hit_mask] = result[simulation.representative[hit_mask]]
-        else:
-            # Nothing to copy: skip the mask build and the masked
-            # gather/scatter round trip.
-            result = vectors @ weights
-        return result
+        if not simulation.hits:
+            # Nothing to copy: skip the index build and the gather /
+            # scatter round trip.
+            return vectors @ weights
+        # Compute the non-HIT rows into place; every row's
+        # representative is then a computed row (a HIT row's source is
+        # its MAU row, any other row itself), so one gather through the
+        # representative map assembles the result.
+        computed_rows = np.flatnonzero(simulation.states != HIT_CODE)
+        computed = np.empty((vectors.shape[0], weights.shape[1]),
+                            dtype=np.float64)
+        misses = vectors.take(computed_rows, axis=0)
+        computed[computed_rows] = misses @ weights
+        return computed.take(simulation.representative, axis=0)
 
     @staticmethod
     def ride_groups(stack: np.ndarray, weights: np.ndarray,
@@ -362,7 +363,8 @@ class ReuseSession:
         for group in np.flatnonzero(misses == 1).tolist():
             computed[group, :1] = stack[group, :1] @ weights[group]
         flat = computed.reshape(num_groups * num_vectors, num_filters)
-        return flat[simulations.representative].reshape(computed.shape)
+        return flat.take(simulations.representative, axis=0).reshape(
+            computed.shape)
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

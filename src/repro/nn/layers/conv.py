@@ -83,8 +83,9 @@ class Conv2D(Module):
 
         Forward multiplies input vectors by its transpose, backward by
         the matrix itself; both orientations are zero-copy views of the
-        parameter array, so no per-call reshape/transpose allocation
-        remains on the hot path.
+        parameter array.  Only the channel-grouped engine forward copies
+        the transpose, once per call, into a C-contiguous weight stack
+        (:meth:`_engine_forward`).
         """
         value = self.weight.value
         cache = self._weight_matrix_cache
@@ -107,7 +108,7 @@ class Conv2D(Module):
         the engine's ``matmul_groups`` as one ``(groups, vectors,
         group_size * k * k)`` stack — a single copy out of ``cols`` —
         with the ``(groups, group_size * k * k, out_channels)`` weight
-        view, and come back as one ``(groups, vectors, out_channels)``
+        stack, and come back as one ``(groups, vectors, out_channels)``
         array.  A ragged split goes as per-group lists.  The group
         results are summed in channel order either way.
         """
@@ -119,8 +120,11 @@ class Conv2D(Module):
         patch = self.kernel_size * self.kernel_size
         num_vectors = cols.shape[0]
         cols3d = cols.reshape(num_vectors, self.in_channels, patch)
-        weights3d = weight_matrix.reshape(self.in_channels, patch,
-                                          self.out_channels)
+        # One C-contiguous copy of the (features, out_channels) filters:
+        # every group's GEMM, stacked or per call, then multiplies the
+        # same operand layout, and the stacked matmul runs faster.
+        weights3d = np.ascontiguousarray(weight_matrix).reshape(
+            self.in_channels, patch, self.out_channels)
         num_groups, tail = divmod(self.in_channels, group)
         if tail == 0:
             group_cols = np.ascontiguousarray(

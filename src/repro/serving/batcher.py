@@ -177,7 +177,8 @@ class MicroBatcher:
 
     @property
     def running(self) -> bool:
-        return self._collector is not None
+        """True while the collector task exists and has not finished."""
+        return self._collector is not None and not self._collector.done()
 
     @property
     def depth(self) -> int:

@@ -639,9 +639,28 @@ class InferenceServer:
             await shard.batcher.stop()
 
     async def infer(self, payload):
-        """Serve one request through its shard's micro-batching queue."""
+        """Serve one request through its shard's micro-batching queue.
+
+        A payload that is not bool, integer or floating point fails
+        here, alone, instead of failing every request of the
+        micro-batch it would join.  Valid payloads go on unconverted.
+        """
+        dtype = np.asarray(payload).dtype
+        if dtype.kind not in "biuf":
+            raise ValueError(f"payload dtype {dtype} is not numeric")
         shard = self.shards[self.shard_for(payload)]
         return await shard.batcher.submit(payload)
+
+    def health(self) -> dict:
+        """Liveness of every shard's batcher (the ``/healthz`` payload).
+
+        ``ok`` only while every shard's collector task is running.  It
+        only reads task state, so any thread may call it.
+        """
+        shards = [{"shard": shard.index, "running": shard.batcher.running}
+                  for shard in self.shards]
+        return {"ok": all(row["running"] for row in shards),
+                "shards": shards}
 
     def serve_trace(self, trace: list[Request], pool: np.ndarray,
                     realtime: bool = False, time_scale: float = 1.0
@@ -1073,11 +1092,12 @@ class HttpFrontEnd:
     """JSON-over-HTTP adapter around an :class:`InferenceServer`.
 
     ``POST /infer`` with ``{"inputs": <nested list>}`` returns
-    ``{"outputs": <nested list>}``; ``GET /stats`` and ``GET /healthz``
-    report telemetry and liveness.  The asyncio loop (and the
-    micro-batchers of every shard) runs on a dedicated thread; HTTP
-    handler threads submit into it and block on the result — so
-    concurrent HTTP clients still share micro-batches.
+    ``{"outputs": <nested list>}``; ``GET /stats`` reports telemetry and
+    ``GET /healthz`` each shard's batcher liveness, with a 503 while any
+    is down.  The asyncio loop (and the micro-batchers of every shard)
+    runs on a dedicated thread; HTTP handler threads submit into it and
+    block on the result — so concurrent HTTP clients still share
+    micro-batches.
     """
 
     def __init__(self, server: InferenceServer, host: str = "127.0.0.1",
@@ -1137,7 +1157,8 @@ class HttpFrontEnd:
 
             def do_GET(self):
                 if self.path == "/healthz":
-                    self._send(200, {"ok": True})
+                    health = front.server.health()
+                    self._send(200 if health["ok"] else 503, health)
                 elif self.path == "/stats":
                     self._send(200, front.server.stats())
                 elif self.path == "/metrics":

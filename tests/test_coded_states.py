@@ -12,6 +12,8 @@ representation to that oracle:
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a line-level mirror replay;
+* the grouped group-by's admission, with and without an
+  over-subscribed set, equals per-group classification;
 * the stacked GEMM -> row-gather ``ride_groups`` is bit-identical to
   the per-group masked ``ride``, directly and engine-to-engine against
   the per-call ``matmul_groups`` oracle;
@@ -185,6 +187,57 @@ class TestProbePathCodes:
             np.testing.assert_array_equal(results, vectors @ weights)
         assert session.counters.cross_hits > 0
         assert session.counters.evicted > 0
+
+
+# ---------------------------------------------------------------------------
+# Grouped admission and lazy per-group views
+# ---------------------------------------------------------------------------
+class TestGroupedAdmission:
+    """``simulate_hitmap_grouped`` against per-group ``simulate_hitmap``,
+    with and without a set that has more than ``ways`` uniques."""
+
+    @staticmethod
+    def _check(traces, num_sets, ways):
+        grouped = simulate_hitmap_grouped(
+            np.concatenate(traces), [len(trace) for trace in traces],
+            num_sets=num_sets, ways=ways, signature_bits=8)
+        expected = [simulate_hitmap(trace, num_sets, ways)
+                    for trace in traces]
+        assert len(grouped) == len(expected)
+        # Index the last group first, as the reuse engine does.
+        for group in [-1] + list(range(len(traces))):
+            got, want = grouped[group], expected[group]
+            np.testing.assert_array_equal(got.states, want.states)
+            np.testing.assert_array_equal(got.representative,
+                                          want.representative)
+            assert (got.hits, got.mau, got.mnu, got.unique_signatures) == \
+                (want.hits, want.mau, want.mnu, want.unique_signatures)
+        for field in ("hits", "mau", "mnu", "unique_signatures"):
+            assert getattr(grouped, field) == \
+                sum(getattr(want, field) for want in expected)
+        assert grouped[1:] == [grouped[1], grouped[2]]
+        assert list(grouped) == grouped
+        return grouped
+
+    def test_overflowing_set_matches_per_group(self):
+        rng = np.random.default_rng(3)
+        # Over a 4-set x 2-way cache, group 0's set 0 gets exactly
+        # ways + 1 signatures (0, 4, 8); the other groups' sets stay
+        # within their ways.
+        pools = [[0, 4, 8, 1, 2, 3], [1, 2, 3, 5], [0, 5, 6, 7]]
+        traces = [rng.permutation(np.repeat(np.array(pool) + 16 * group, 3))
+                  for group, pool in enumerate(pools)]
+        grouped = self._check(traces, num_sets=4, ways=2)
+        assert grouped[0].mnu == 3
+        assert grouped[1].mnu == grouped[2].mnu == 0
+
+    def test_no_overflowing_set_matches_per_group(self):
+        rng = np.random.default_rng(4)
+        # 16 distinct signatures per group, 4 per set of a 4 x 4 cache.
+        traces = [rng.permutation(np.repeat(np.arange(16) + 16 * group, 3))
+                  for group in range(3)]
+        grouped = self._check(traces, num_sets=4, ways=4)
+        assert grouped.mnu == 0 and grouped.hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,53 @@ def test_packed_group_by_matches_np_unique(batch):
             assert got.dtype == np.int64
     for got, want in zip(unique_signatures(values), expected):
         np.testing.assert_array_equal(got, want)
+
+
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def hash_batches(draw):
+    """``(vectors, bits)``: normal rows mixed with rows of zeros,
+    ``-0.0``, ``±inf`` or NaN, and with single special entries."""
+    bits = draw(st.integers(1, 70))
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = rng.normal(size=(draw(st.integers(0, 24)), dim))
+    for row in draw(st.lists(st.integers(0, max(len(vectors) - 1, 0)),
+                             max_size=6)):
+        if len(vectors):
+            vectors[row] = draw(st.sampled_from(SPECIAL_VALUES))
+    for row, col in draw(st.lists(st.tuples(st.integers(0, 23),
+                                            st.integers(0, 11)),
+                                  max_size=4)):
+        if row < len(vectors) and col < dim:
+            vectors[row, col] = draw(st.sampled_from(SPECIAL_VALUES))
+    return vectors, bits
+
+
+@given(hash_batches())
+@settings(max_examples=60, deadline=None)
+@example((np.zeros((3, 4)), 52))
+@example((np.full((3, 4), -0.0), 53))
+@example((np.array([[np.inf, 1.0], [np.nan, 0.0], [-np.inf, 2.0]]), 62))
+@example((np.array([[1.0, -2.0], [0.0, 0.0]]), 63))
+@example((np.ones((2, 5)), 1))
+@example((np.ones((2, 5)), 70))
+def test_signatures_equal_packed_bit_matrix(batch):
+    """The float pack of :func:`pack_projection` (up to 52 bits) and the
+    integer and multi-word packs past it all equal
+    ``pack_bits(signature_bits_matrix(...))`` bit for bit, through the
+    hasher and through a pipeline, whose cached projection a second
+    hash must find unquantised."""
+    vectors, bits = batch
+    hasher = RPQHasher(seed=5)
+    pipeline = hasher.pipeline("property")
+    with np.errstate(invalid="ignore"):
+        expected = pack_bits(hasher.signature_bits_matrix(vectors, bits))
+        results = [hasher.signatures(vectors, bits),
+                   pipeline.signatures(vectors, bits),
+                   pipeline.signatures(vectors, bits)]
+    for packed in results:
+        assert packed.dtype == expected.dtype
+        np.testing.assert_array_equal(packed, expected)

@@ -7,6 +7,7 @@ import concurrent.futures
 import json
 import math
 import socket
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -414,6 +415,21 @@ class TestMicroBatcher:
 
         telemetry = asyncio.run(drive())
         assert telemetry.failed == 1
+
+    def test_running_is_false_once_the_collector_finishes(self):
+        async def drive():
+            batcher = MicroBatcher(list, BatcherConfig(max_wait_s=0.001))
+            await batcher.start()
+            states = [batcher.running]
+            batcher._collector.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await batcher._collector
+            states.append(batcher.running)
+            await batcher.stop()
+            states.append(batcher.running)
+            return states
+
+        assert asyncio.run(drive()) == [True, False, False]
 
     def test_stop_waits_for_inflight_submissions(self):
         # stop() must resolve every admitted submission — including
@@ -936,6 +952,44 @@ class TestInferenceServer:
         assert report.requests == 24
         assert report.mean_batch_size >= 1
 
+    def test_non_numeric_payload_fails_alone(self, small_pool):
+        # A string payload used to fail its whole micro-batch ("could
+        # not convert string to float"); now it fails before joining
+        # one, and the valid payloads reach the batch unconverted.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(
+            model, ServingPolicy(compute="per_request"),
+            BatcherConfig(max_batch_size=8, max_wait_s=0.05))
+        processed = []
+        shard = server.shards[0]
+
+        def recording(payloads, _process=shard.batcher.process_batch):
+            processed.extend(payloads)
+            return _process(payloads)
+
+        shard.batcher.process_batch = recording
+        good, other = small_pool[0], small_pool[1]
+        bad = np.full(good.shape, "x")
+
+        async def drive():
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    server.infer(good), server.infer(bad),
+                    server.infer(other), return_exceptions=True)
+            finally:
+                await server.stop()
+
+        first, failed, last = asyncio.run(drive())
+        assert isinstance(failed, ValueError)
+        assert "not numeric" in str(failed)
+        oracle = server.oracle_outputs(small_pool[:2])
+        np.testing.assert_array_equal(first, oracle[0])
+        np.testing.assert_array_equal(last, oracle[1])
+        assert len(processed) == 2
+        assert processed[0] is good and processed[1] is other
+        assert shard.batcher.telemetry.failed == 0
+
     def test_invalid_shard_count_rejected(self):
         model = build_model("squeezenet", num_classes=4, seed=3)
         with pytest.raises(ValueError, match="shards"):
@@ -1080,7 +1134,8 @@ class TestHttpFrontEnd:
         try:
             with urllib.request.urlopen(front.url("/healthz"),
                                         timeout=10) as response:
-                assert json.load(response) == {"ok": True}
+                assert json.load(response) == {
+                    "ok": True, "shards": [{"shard": 0, "running": True}]}
             payload = json.dumps(
                 {"inputs": small_pool[0].tolist()}).encode()
             request = urllib.request.Request(
@@ -1095,6 +1150,58 @@ class TestHttpFrontEnd:
                                         timeout=10) as response:
                 stats = json.load(response)
             assert stats["requests"] >= 1
+        finally:
+            front.stop()
+
+    def test_healthz_reports_stopped_batchers(self):
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy(
+            compute="per_request"), shards=2)
+        front = server.serve_http(port=0)
+
+        def healthz():
+            try:
+                with urllib.request.urlopen(front.url("/healthz"),
+                                            timeout=10) as response:
+                    return response.status, json.load(response)
+            except urllib.error.HTTPError as error:
+                with error:
+                    return error.code, json.load(error)
+
+        def stop(coroutine):
+            asyncio.run_coroutine_threadsafe(
+                coroutine, front._loop).result(timeout=10)
+
+        try:
+            assert healthz() == (200, {"ok": True, "shards": [
+                {"shard": 0, "running": True},
+                {"shard": 1, "running": True}]})
+            stop(server.shards[1].batcher.stop())
+            assert healthz() == (503, {"ok": False, "shards": [
+                {"shard": 0, "running": True},
+                {"shard": 1, "running": False}]})
+            stop(server.stop())
+            assert healthz() == (503, {"ok": False, "shards": [
+                {"shard": 0, "running": False},
+                {"shard": 1, "running": False}]})
+        finally:
+            front.stop()
+
+    def test_non_numeric_inputs_get_400(self):
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy(
+            compute="per_request"))
+        front = server.serve_http(port=0)
+        request = urllib.request.Request(
+            front.url("/infer"),
+            data=json.dumps({"inputs": [["x", "y"]]}).encode(),
+            headers={"Content-Type": "application/json"})
+        try:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            with caught.value as error:
+                assert error.code == 400
+                assert "not numeric" in json.load(error)["error"]
         finally:
             front.stop()
 
