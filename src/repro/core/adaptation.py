@@ -150,9 +150,6 @@ class SimilarityStoppage:
     def disabled_layers(self) -> list[str]:
         return [name for name, state in self._layers.items() if state.disabled]
 
-    def enabled_layers(self) -> list[str]:
-        return [name for name, state in self._layers.items() if not state.disabled]
-
     def force_disable(self, layer: str, phase: str = "forward") -> None:
         self._state(self.key_for(layer, phase)).disabled = True
 

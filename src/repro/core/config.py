@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -15,6 +15,12 @@ class MercuryConfig:
     plateau length before growing the signature) and ``T`` (consecutive
     costly batches before a layer's similarity detection is switched
     off).
+
+    The reuse scope is the paper's and has no knobs: every layer reuses
+    in the forward and the backward pass, backward reloads the forward
+    signatures when the vector length matches (§III-C2), and a
+    convolution hashes each input channel's ``k x k`` patches on their
+    own (§III-B).  Only the stoppage policy switches detection off.
     """
 
     # --- Signature / RPQ ------------------------------------------------
@@ -38,19 +44,6 @@ class MercuryConfig:
     stoppage_batches: int = 3
     adaptive_signature_length: bool = True
     adaptive_stoppage: bool = True
-
-    # --- Reuse scope ------------------------------------------------------
-    reuse_forward: bool = True
-    reuse_backward: bool = True
-    # Reload forward signatures in backward when the vector length
-    # matches (§III-C2); otherwise recompute.
-    reload_signatures_in_backward: bool = True
-    # Convolution signature granularity: signatures are computed over
-    # k x k patches of this many input channels at a time (1 = one
-    # channel, as in §III-B, where signatures are recalculated whenever
-    # a new channel is processed).  ``None`` hashes the whole
-    # cross-channel patch in one signature.
-    conv_channel_group: int | None = 1
 
     # --- Accelerator ------------------------------------------------------
     dataflow: str = "row_stationary"

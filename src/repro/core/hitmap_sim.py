@@ -258,7 +258,7 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
     signatures compete only for composite sets ``g * num_sets + set``,
     so no signature can hit, or steal a way from, another group.  This
     is the batched signature phase behind the reuse engine's
-    ``conv_channel_group`` path, where per-call overhead used to
+    per-channel convolution path, where per-call overhead used to
     dominate (one engine call per input channel).
 
     ``signatures`` holds the groups back to back in arrival order (1-D

@@ -105,34 +105,21 @@ class ReuseEngine:
         return self.scheduler.bits
 
     def _detection_enabled(self, layer: str, phase: str) -> bool:
-        if phase == "forward" and not self.config.reuse_forward:
-            return False
-        if phase == "backward" and not self.config.reuse_backward:
-            return False
-        if (self.config.adaptive_stoppage
-                and not self.stoppage.is_enabled_for(layer, phase)):
-            return False
-        return True
+        return (not self.config.adaptive_stoppage
+                or self.stoppage.is_enabled_for(layer, phase))
 
     # ------------------------------------------------------------------
     def _signatures_for(self, vectors: np.ndarray, layer: str,
                         phase: str) -> tuple[np.ndarray, bool]:
         """Return signatures, reloading forward ones in backward if legal."""
-        num_vectors, vector_length = vectors.shape
-        if (phase == "backward"
-                and self.config.reload_signatures_in_backward):
-            record = self.signature_table.lookup(layer, vector_length,
-                                                 num_vectors)
+        if phase == "backward":
+            record = self.signature_table.lookup(layer, vectors.shape[1],
+                                                 vectors.shape[0])
             if record is not None:
                 return record.signatures, True
-        # The pure hasher path: every batch reaching the engine is a
-        # freshly extracted array hashed exactly once (cross-phase reuse
-        # is the SignatureTable reload above, the paper's §III-C2
-        # mechanism), so the identity-keyed SignaturePipeline cache
-        # could never hit here — it would only add a fingerprint pass
-        # and a staleness hazard for callers that mutate arrays in
-        # place.  Growth sweeps that re-hash one held batch opt in via
-        # ``self.hasher.pipeline(key)``.
+        # Every batch reaching the engine is a freshly extracted array,
+        # hashed once; the only cross-call reuse of signatures is the
+        # table reload above (§III-C2).
         signatures = self.hasher.signatures(vectors, self.signature_bits)
         return signatures, False
 
@@ -178,44 +165,32 @@ class ReuseEngine:
         return result
 
     # ------------------------------------------------------------------
-    def matmul_groups(self, vectors_groups, weights_groups, *, layer: str,
-                      phase: str = "forward"):
-        """Service several same-layer matmul calls in one signature phase.
+    def matmul_groups(self, vectors: np.ndarray, weights: np.ndarray, *,
+                      layer: str) -> np.ndarray:
+        """Service several same-layer forward matmuls in one signature phase.
 
-        ``vectors_groups[i] @ weights_groups[i]`` with signature reuse,
-        exactly as ``len(vectors_groups)`` successive :meth:`matmul`
-        calls would compute it — same results, statistics, MCACHE
-        counters, clears and signature-table state, which the regression
-        suite asserts against that per-call loop.  Each group still
-        probes a fresh MCACHE: signatures never match, and never steal
-        ways, across groups.
+        ``vectors[i] @ weights[i]`` for a ``(groups, vectors, length)``
+        stack and a ``(groups, length, filters)`` stack, with signature
+        reuse, exactly as ``len(vectors)`` successive forward
+        :meth:`matmul` calls would compute it — same results,
+        statistics, MCACHE counters, clears and signature-table state,
+        which the regression suite asserts against that per-call loop.
+        Each group still probes a fresh MCACHE: signatures never match,
+        and never steal ways, across groups.
 
-        A forward call with a ``(groups, vectors, length)`` array and a
-        ``(groups, length, filters)`` array does a constant amount of
-        work however many groups there are: one hash of the whole
-        stack, one multi-group classification
+        The work is constant however many groups there are: one hash of
+        the whole stack, one multi-group classification
         (:meth:`ReuseSession.classify_groups`), one stacked cache ride
         (:meth:`ReuseSession.ride_groups`) and one statistics merge.
-        It returns the ``(groups, vectors, filters)`` results.  Any
-        other call — the backward phase, whose signatures may reload
-        from the table, or a sequence of differently shaped groups such
-        as a ragged channel split — is serviced by one :meth:`matmul`
-        call per group and returns a list.
+        Returns the ``(groups, vectors, filters)`` results.
         """
-        if len(vectors_groups) != len(weights_groups):
-            raise ValueError("vectors_groups and weights_groups must pair up")
-        stacked = (phase == "forward"
-                   and isinstance(vectors_groups, np.ndarray)
-                   and isinstance(weights_groups, np.ndarray))
-        if not stacked:
-            return [self.matmul(vectors, weights, layer=layer, phase=phase)
-                    for vectors, weights in zip(vectors_groups,
-                                                weights_groups)]
-        stack = np.asarray(vectors_groups, dtype=np.float64)
-        weights = np.asarray(weights_groups, dtype=np.float64)
+        stack = np.asarray(vectors, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
         if stack.ndim != 3 or weights.ndim != 3:
             raise ValueError("matmul_groups expects (groups, vectors, "
                              "length) and (groups, length, filters) stacks")
+        if stack.shape[0] != weights.shape[0]:
+            raise ValueError("vectors and weights must pair up by group")
         if stack.shape[2] != weights.shape[1]:
             raise ValueError(f"shape mismatch: vectors {stack.shape} x "
                              f"weights {weights.shape}")
@@ -223,8 +198,8 @@ class ReuseEngine:
         num_filters = weights.shape[2]
         rows = num_groups * num_vectors
 
-        if not self._detection_enabled(layer, phase):
-            self._record(layer, phase, vectors=rows, hits=0, mau=0,
+        if not self._detection_enabled(layer, "forward"):
+            self._record(layer, "forward", vectors=rows, hits=0, mau=0,
                          mnu=rows, vector_length=vector_length,
                          num_filters=num_filters, unique=rows,
                          detection_on=False, calls=num_groups)
@@ -245,8 +220,8 @@ class ReuseEngine:
         self.signature_table.store(layer, vector_length,
                                    self.signature_bits, signatures[-1],
                                    simulations[-1])
-        self.last_simulations[(layer, phase)] = simulations[-1]
-        self._record(layer, phase, vectors=rows, hits=simulations.hits,
+        self.last_simulations[(layer, "forward")] = simulations[-1]
+        self._record(layer, "forward", vectors=rows, hits=simulations.hits,
                      mau=simulations.mau, mnu=simulations.mnu,
                      vector_length=vector_length, num_filters=num_filters,
                      unique=simulations.unique_signatures,

@@ -13,9 +13,7 @@ Two hot-path properties of this module matter system-wide:
   generated column block by column block from per-block seed streams,
   so the matrix for ``n`` bits is always a prefix of the matrix for
   ``n + k`` bits.  Growing the signature length (§III-D adaptation)
-  therefore refines the existing partition instead of reshuffling it,
-  and :class:`SignaturePipeline` can project only the *new* columns
-  against a cached batch instead of recomputing everything.
+  therefore refines the existing partition instead of reshuffling it.
 
 * **Multi-word packed signatures.**  Signatures up to
   ``FAST_PACK_BITS`` bits pack into an ``int64`` vector; longer ones
@@ -32,8 +30,6 @@ verifies.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -62,11 +58,6 @@ PROJECTION_BLOCK_BITS = 16
 def words_for_bits(n_bits: int) -> int:
     """Number of 64-bit words needed for an ``n_bits`` signature."""
     return max(1, -(-int(n_bits) // WORD_BITS))
-
-
-def is_multiword(signatures: np.ndarray) -> bool:
-    """True when ``signatures`` is the 2-D ``(n_vectors, n_words)`` form."""
-    return getattr(signatures, "ndim", 1) == 2
 
 
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(WORD_BITS - 1, -1, -1,
@@ -147,23 +138,20 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return pack_bits_words(bits)
 
 
-def pack_projection(projected: np.ndarray, *,
-                    overwrite: bool = False) -> np.ndarray:
-    """Pack the sign bits of an ``(n_vectors, n_bits)`` projection.
+def pack_projection(projected: np.ndarray) -> np.ndarray:
+    """Pack the sign bits of a fresh ``(n_vectors, n_bits)`` projection.
 
     Equal to ``pack_bits((projected >= 0.0).astype(np.uint8))``.  Up to
     :data:`FLOAT_PACK_BITS` bits the sign quantisation writes 1.0/0.0
-    into a float64 array — ``projected`` itself when ``overwrite`` is
-    set, so a fresh projection costs no second buffer — and one float64
-    product with power-of-two weights packs it exactly, cheaper than
-    the 0/1 matrix plus integer matvec that longer signatures take.
+    into ``projected`` itself, so the projection costs no second
+    buffer, and one float64 product with power-of-two weights packs it
+    exactly — cheaper than the 0/1 matrix plus integer matvec that
+    longer signatures take.  ``projected`` is overwritten.
     """
     n_bits = projected.shape[1]
     if n_bits > FLOAT_PACK_BITS:
         return pack_bits((projected >= 0.0).astype(np.uint8))
-    signs = np.greater_equal(
-        projected, 0.0,
-        out=projected if overwrite else np.empty_like(projected))
+    signs = np.greater_equal(projected, 0.0, out=projected)
     return (signs @ _float_pack_weights(n_bits)).astype(np.int64)
 
 
@@ -325,126 +313,6 @@ def unique_signatures(signatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # Hashing
 # ----------------------------------------------------------------------
-class SignaturePipeline:
-    """Incremental signature stream for one (layer, shape) consumer.
-
-    The pipeline keeps the raw (pre-quantization) projection of the most
-    recent batch.  When the same batch is projected again with a longer
-    signature — the adaptive-growth pattern, and the bits sweeps of the
-    Figure 1/3 experiments — only the *new* columns of the prefix-stable
-    projection matrix are multiplied; the cached columns are reused.
-    Re-hashing the same batch at the same or shorter length costs no
-    arithmetic at all.
-
-    **Contract:** a pipeline caches by array identity, so callers must
-    not mutate a batch in place between hashes — pass a fresh array (or
-    a copy) instead.  A single-pass fingerprint (sum, endpoints) is a
-    tripwire that invalidates most accidental in-place edits, but
-    sum-preserving rewrites (e.g. an in-place row permutation) are not
-    detectable at this cost; the pure :class:`RPQHasher` methods carry
-    no such caveat.  The reuse engine honours the contract by
-    construction — every batch it hashes is a freshly extracted array —
-    so cross-call hits occur only where the same array object really is
-    re-hashed (signature-length sweeps over one batch, mid-run growth
-    on a held batch).  The pipeline holds only a *weak* reference to
-    the cached batch (it never extends the batch's lifetime) plus the
-    projection buffer; the cache lookup itself is a pointer compare.
-    """
-
-    def __init__(self, hasher: "RPQHasher"):
-        self.hasher = hasher
-        # Weak reference: the pipeline must not keep a batch alive once
-        # its producer releases it — only the (smaller) projection
-        # buffer is retained between batches.
-        self._vectors_ref = None
-        self._fingerprint: tuple | None = None
-        # Projection buffer: capacity grows geometrically so repeated
-        # signature growth appends new columns in place instead of
-        # reconcatenating the cached ones every step.
-        self._projection: np.ndarray | None = None
-        self._valid_bits = 0
-        # Column-count accounting: how much projection work was saved.
-        self.projected_columns = 0
-        self.reused_columns = 0
-
-    @staticmethod
-    def _make_fingerprint(vectors: np.ndarray) -> tuple:
-        flat = vectors.reshape(-1)
-        if flat.shape[0] == 0:
-            return (vectors.shape,)
-        # One full pass (~1/signature_bits of the projection cost the
-        # caller pays anyway): any mutation that changes the total or
-        # the endpoints is caught; only exactly sum-preserving rewrites
-        # could slip through.
-        return (vectors.shape, float(flat.sum()),
-                float(flat[0]), float(flat[-1]))
-
-    def _reserve(self, num_vectors: int, signature_bits: int) -> None:
-        """Grow buffer capacity geometrically, keeping valid columns."""
-        capacity = 0 if self._projection is None else \
-            self._projection.shape[1]
-        if capacity < signature_bits:
-            new_capacity = max(signature_bits, 2 * capacity)
-            buffer = np.empty((num_vectors, new_capacity), dtype=np.float64)
-            if self._valid_bits:
-                buffer[:, :self._valid_bits] = \
-                    self._projection[:, :self._valid_bits]
-            self._projection = buffer
-
-    def _is_cached(self, vectors: np.ndarray) -> bool:
-        """Same live batch object, with the mutation tripwire applied.
-
-        The identity check is a weakref pointer compare, so on a miss
-        (the training hot path — every step's batch is a fresh array)
-        nothing but the fill-time fingerprint is paid, a single summing
-        pass of ~1/signature_bits the cost of the projection the fill
-        performs anyway.
-        """
-        if self._projection is None or self._vectors_ref is None \
-                or self._vectors_ref() is not vectors:
-            return False
-        return self._make_fingerprint(vectors) == self._fingerprint
-
-    def projection(self, vectors: np.ndarray,
-                   signature_bits: int) -> np.ndarray:
-        """``vectors @ R[:, :signature_bits]``, incrementally cached."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if self._is_cached(vectors):
-            if self._valid_bits < signature_bits:
-                start = self._valid_bits
-                self._reserve(len(vectors), signature_bits)
-                self._projection[:, start:signature_bits] = \
-                    self.hasher.project_block(vectors, start, signature_bits)
-                self._valid_bits = signature_bits
-                self.projected_columns += signature_bits - start
-                self.reused_columns += start
-            else:
-                self.reused_columns += signature_bits
-            return self._projection[:, :signature_bits]
-
-        self._vectors_ref = weakref.ref(vectors)
-        self._fingerprint = self._make_fingerprint(vectors)
-        self._projection = self.hasher.project(vectors, signature_bits)
-        self._valid_bits = signature_bits
-        self.projected_columns += signature_bits
-        return self._projection
-
-    def signature_bits_matrix(self, vectors: np.ndarray,
-                              signature_bits: int) -> np.ndarray:
-        """0/1 bit matrix (sign quantization of the projection)."""
-        return (self.projection(vectors, signature_bits) >= 0.0).astype(
-            np.uint8)
-
-    def signatures(self, vectors: np.ndarray,
-                   signature_bits: int) -> np.ndarray:
-        """One packed signature per row of ``vectors``.
-
-        The projection stays cached for growth, so it is quantised into
-        a scratch buffer, not in place.
-        """
-        return pack_projection(self.projection(vectors, signature_bits))
-
-
 class RPQHasher:
     """Generates RPQ signatures for batches of vectors.
 
@@ -463,8 +331,6 @@ class RPQHasher:
         self._column_banks: dict[int, np.ndarray] = {}
         # (vector_length, signature_bits) -> cached prefix view.
         self._matrices: dict[tuple[int, int], np.ndarray] = {}
-        # consumer key -> incremental pipeline.
-        self._pipelines: dict[object, SignaturePipeline] = {}
 
     # ------------------------------------------------------------------
     def _column_bank(self, vector_length: int, signature_bits: int) -> np.ndarray:
@@ -508,13 +374,6 @@ class RPQHasher:
             self._matrices[key] = bank[:, :signature_bits]
         return self._matrices[key]
 
-    def project_block(self, vectors: np.ndarray, start_bit: int,
-                      stop_bit: int) -> np.ndarray:
-        """Projection against columns ``[start_bit, stop_bit)`` only."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        bank = self._column_bank(vectors.shape[1], stop_bit)
-        return vectors @ bank[:, start_bit:stop_bit]
-
     def project(self, vectors: np.ndarray, signature_bits: int) -> np.ndarray:
         """Random projection without quantization: ``X @ R``."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -522,25 +381,9 @@ class RPQHasher:
         return vectors @ matrix
 
     # ------------------------------------------------------------------
-    def pipeline(self, key: object) -> SignaturePipeline:
-        """The incremental signature pipeline for one consumer key.
-
-        The reuse engine keys pipelines by (layer, phase); analyses that
-        sweep signature lengths over one batch share a per-shape key.
-        """
-        pipeline = self._pipelines.get(key)
-        if pipeline is None:
-            pipeline = SignaturePipeline(self)
-            self._pipelines[key] = pipeline
-        return pipeline
-
     def signature_bits_matrix(self, vectors: np.ndarray,
                               signature_bits: int) -> np.ndarray:
-        """Return the 0/1 bit matrix (sign quantization of the projection).
-
-        Pure (no batch caching): callers that re-hash one held batch at
-        growing lengths should use :meth:`pipeline` explicitly.
-        """
+        """Return the 0/1 bit matrix (sign quantization of the projection)."""
         projected = self.project(vectors, signature_bits)
         return (projected >= 0.0).astype(np.uint8)
 
@@ -550,8 +393,7 @@ class RPQHasher:
         Equal to ``pack_bits(self.signature_bits_matrix(vectors,
         signature_bits))``; the fresh projection is quantised in place.
         """
-        return pack_projection(self.project(vectors, signature_bits),
-                               overwrite=True)
+        return pack_projection(self.project(vectors, signature_bits))
 
     # ------------------------------------------------------------------
     def similarity_fraction(self, vectors: np.ndarray,
@@ -622,4 +464,4 @@ def signature_via_convolution(image: np.ndarray, kernel_size: int,
         writeable=False)
     patches = windows.reshape(out_h * out_w, kernel_size * kernel_size)
     projected = patches @ np.asarray(random_filters, dtype=np.float64)
-    return pack_projection(projected, overwrite=True)
+    return pack_projection(projected)

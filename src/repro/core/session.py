@@ -29,7 +29,8 @@ is deterministic first-come.
 Admission policies (the ``admission`` axis of :class:`SessionPolicy`):
 
 * ``always`` — every computed signature that finds a free way claims a
-  line (the original behaviour; bit-identical to the pre-policy code);
+  line, in first-occurrence order, so a full set keeps the first
+  arrivals;
 * ``frequency`` — a signature is only admitted once it has been seen
   at least ``admission_min_frequency`` times (rows, cumulative across
   batches); one-shot traffic never pollutes the cache.  The gate's
@@ -479,19 +480,15 @@ class ReuseSession:
         Returns ``(states, entry_ids, displaced)`` per unique signature:
         states and ids exactly like ``lookup_or_insert_batch`` but with
         the admission policy deciding which absent signatures may claim
-        a line.  The ``always`` policy takes the original single-call
-        path, so the default behaviour stays bit-identical to the
-        pre-admission code.  ``displaced`` marks the uniques that no
-        longer own the line their entry id names (only an eviction
-        policy moves a line between signatures within one batch).
+        a line, in first-occurrence order whatever the policy.
+        ``displaced`` marks the uniques that no longer own the line
+        their entry id names (only an eviction policy moves a line
+        between signatures within one batch).
         """
         if self._evictor is not None:
             return self._probe_and_admit_evicting(
                 uniques, first_index, inverse, payload_bytes, batch_index)
         displaced = np.zeros(len(uniques), dtype=bool)
-        if self.policy.admission == "always":
-            return (*self.mcache.lookup_or_insert_batch(uniques), displaced)
-
         present, entry_ids = self.mcache.probe_batch(uniques)
         entry_ids = entry_ids.copy()
         # Default for absents: no line (the MNU outcome) until admitted.

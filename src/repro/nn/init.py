@@ -11,13 +11,6 @@ def he_normal(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.ndarray
     return rng.normal(0.0, std, size=shape)
 
 
-def xavier_uniform(shape: tuple, fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def default_rng(seed: int | None = None) -> np.random.Generator:
     """Return a numpy Generator; a fixed default keeps runs repeatable."""
     return np.random.default_rng(0 if seed is None else seed)

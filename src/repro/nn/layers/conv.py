@@ -64,27 +64,13 @@ class Conv2D(Module):
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
         return out_h, out_w
 
-    def _channel_group_size(self) -> int | None:
-        """Input-channel granularity of signature computation.
-
-        The paper recomputes signatures whenever a new channel is
-        processed (§III-B); the reuse engine's configuration controls how
-        many channels are hashed together.  Engines without that setting
-        (exact/capture engines) see the whole cross-channel patch.
-        """
-        config = getattr(self.engine, "config", None)
-        group = getattr(config, "conv_channel_group", None)
-        if group is None:
-            return None
-        return max(min(int(group), self.in_channels), 1)
-
     def _weight_matrix(self) -> np.ndarray:
         """The filters as a cached ``(out_channels, features)`` view.
 
         Forward multiplies input vectors by its transpose, backward by
         the matrix itself; both orientations are zero-copy views of the
-        parameter array.  Only the channel-grouped engine forward copies
-        the transpose, once per call, into a C-contiguous weight stack
+        parameter array.  Only the per-channel engine forward copies the
+        transpose, once per call, into a C-contiguous weight stack
         (:meth:`_engine_forward`).
         """
         value = self.weight.value
@@ -102,53 +88,35 @@ class Conv2D(Module):
         return cache[1]
 
     def _engine_forward(self, cols: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
-        """Route the forward dot products through the engine, per channel group.
+        """Route the forward dot products through the engine.
 
-        When the group size divides the channel count, the groups go to
-        the engine's ``matmul_groups`` as one ``(groups, vectors,
-        group_size * k * k)`` stack — a single copy out of ``cols`` —
-        with the ``(groups, group_size * k * k, out_channels)`` weight
-        stack, and come back as one ``(groups, vectors, out_channels)``
-        array.  A ragged split goes as per-group lists.  The group
-        results are summed in channel order either way.
+        An engine with ``matmul_groups`` (the training reuse engine)
+        hashes each input channel's ``k x k`` patches on their own
+        (§III-B): the channels go to it as one ``(in_channels, vectors,
+        k * k)`` stack — a single copy out of ``cols`` — with the
+        ``(in_channels, k * k, out_channels)`` weight stack, and the
+        per-channel results are summed in channel order.  Every other
+        engine, and a single-channel conv, multiplies the whole patch
+        with one ``matmul``.
         """
-        group = self._channel_group_size()
-        if group is None or group >= self.in_channels:
+        if (self.in_channels == 1
+                or not hasattr(self.engine, "matmul_groups")):
             return self.engine.matmul(cols, weight_matrix,
                                       layer=self.layer_name, phase="forward")
 
         patch = self.kernel_size * self.kernel_size
         num_vectors = cols.shape[0]
-        cols3d = cols.reshape(num_vectors, self.in_channels, patch)
+        channel_cols = np.ascontiguousarray(
+            cols.reshape(num_vectors, self.in_channels, patch)
+            .transpose(1, 0, 2))
         # One C-contiguous copy of the (features, out_channels) filters:
-        # every group's GEMM, stacked or per call, then multiplies the
-        # same operand layout, and the stacked matmul runs faster.
-        weights3d = np.ascontiguousarray(weight_matrix).reshape(
+        # every channel's GEMM then multiplies the same operand layout,
+        # and the stacked matmul runs faster.
+        channel_weights = np.ascontiguousarray(weight_matrix).reshape(
             self.in_channels, patch, self.out_channels)
-        num_groups, tail = divmod(self.in_channels, group)
-        if tail == 0:
-            group_cols = np.ascontiguousarray(
-                cols3d.reshape(num_vectors, num_groups, group * patch)
-                .transpose(1, 0, 2))
-            group_weights = weights3d.reshape(num_groups, group * patch,
-                                              self.out_channels)
-        else:
-            starts = range(0, self.in_channels, group)
-            group_cols = [cols3d[:, start:start + group].reshape(
-                num_vectors, -1) for start in starts]
-            group_weights = [weights3d[start:start + group].reshape(
-                -1, self.out_channels) for start in starts]
-
-        if hasattr(self.engine, "matmul_groups"):
-            results = self.engine.matmul_groups(group_cols, group_weights,
-                                                layer=self.layer_name,
-                                                phase="forward")
-        else:
-            results = [self.engine.matmul(vectors, weights,
-                                          layer=self.layer_name,
-                                          phase="forward")
-                       for vectors, weights in zip(group_cols, group_weights)]
-        # Reducing over the leading (group) axis adds the groups one
+        results = self.engine.matmul_groups(channel_cols, channel_weights,
+                                            layer=self.layer_name)
+        # Reducing over the leading (channel) axis adds the channels one
         # after another, element by element: the same sums, in the same
         # order, as an ``out += result`` loop.
         return np.add.reduce(results, axis=0)

@@ -25,7 +25,10 @@ session; two granularities build on it:
   cache with its RPQ signatures, the serving analogue of the training
   engine's Hitmap phase.  Hits copy dot-product rows computed in
   *earlier* batches; telemetry mirrors the training
-  :class:`~repro.core.stats.ReuseStats` per layer.
+  :class:`~repro.core.stats.ReuseStats` per layer.  A convolution
+  hashes its whole cross-channel patch here (the engine has no
+  per-channel ``matmul_groups``), the natural serving choice where
+  whole-input repeats dominate.
 
 A note on exactness: copying a row that an identical vector produced in
 an earlier batch is numerically exact reuse, but BLAS kernels choose
@@ -77,10 +80,6 @@ class ServingPolicy(SessionPolicy):
     vector_cache: bool = False
     # Vector-granularity scope.
     layers: tuple[str, ...] | None = None
-    # Convolution signature granularity for the vector cache (``None``
-    # hashes the whole cross-channel patch — the natural serving choice,
-    # where whole-input repeats dominate).
-    conv_channel_group: int | None = None
     # How cache misses are computed by the server: "batched" forwards
     # all missing requests of a micro-batch in one stacked call (fast);
     # "per_request" forwards them one by one, which makes every output
@@ -135,9 +134,6 @@ class ServingReuseEngine:
 
     def __init__(self, policy: ServingPolicy | None = None):
         self.policy = policy or ServingPolicy(vector_cache=True)
-        # ``config`` mirrors the training engine's attribute so layers
-        # discover the convolution signature granularity the same way.
-        self.config = self.policy
         self.hasher = RPQHasher(seed=self.policy.rpq_seed)
         self.stats = ReuseStats()
         self.batch_index = 0

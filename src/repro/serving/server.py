@@ -820,7 +820,6 @@ class InferenceServer:
             # streams (never probed, or probed at other vector lengths).
             "layers": list(self.policy.layers)
             if self.policy.layers is not None else None,
-            "conv_channel_group": self.policy.conv_channel_group,
             "replicate_top": self.policy.replicate_top,
             "replicate_min_count": self.policy.replicate_min_count,
         })

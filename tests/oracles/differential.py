@@ -166,7 +166,7 @@ def run_serve_differential(signatures, entries: int, ways: int,
     names the row whose computation it reuses, and the session agrees
     with the line-level model exactly when both reuse the same rows.
     The line-level model is probed once per distinct signature of a
-    batch, in ascending signature order (the session's insertion order),
+    batch, in first-occurrence order (the session's insertion order),
     and runs the paper's data phase: a MAU writes its result (VD bit
     set), a HIT with valid data reads it, a HIT without valid data
     recomputes and rewrites, and an MNU computes without storing — once
@@ -190,9 +190,9 @@ def run_serve_differential(signatures, entries: int, ways: int,
         served, _ = session.serve(rows, lambda picks, v=rows: v[picks],
                                   batch)
         # The session probes each distinct signature of a batch once,
-        # in ascending signature order.
+        # in first-occurrence order.
         probed = {signature: scalar.lookup_or_insert(signature)
-                  for signature in sorted(set(scalar_values[start:stop]))}
+                  for signature in dict.fromkeys(scalar_values[start:stop])}
         computed_here: dict[int, int] = {}
         for offset, index in enumerate(range(start, stop)):
             signature = int(scalar_values[index])

@@ -15,24 +15,20 @@ from repro.core.reuse import ReuseEngine
 from tests.oracles.differential import scalar_reference_simulation
 
 
-def per_call_matmul_groups(engine: ReuseEngine, vectors_groups,
-                           weights_groups, *, layer: str,
-                           phase: str = "forward"):
-    """The grouped path's oracle: one ``engine.matmul`` call per group,
-    each with its own signature phase and its own masked ride."""
-    return [engine.matmul(vectors, weights, layer=layer, phase=phase)
-            for vectors, weights in zip(vectors_groups, weights_groups)]
+def per_call_matmul_groups(engine: ReuseEngine, vectors, weights, *,
+                           layer: str):
+    """The grouped path's oracle: one forward ``engine.matmul`` call per
+    group, each with its own signature phase and its own masked ride."""
+    return [engine.matmul(group_vectors, group_weights, layer=layer)
+            for group_vectors, group_weights in zip(vectors, weights)]
 
 
 def per_call_engine(config: MercuryConfig) -> ReuseEngine:
     """A reuse engine whose ``matmul_groups`` is the per-call loop."""
     engine = ReuseEngine(config)
 
-    def matmul_groups(vectors_groups, weights_groups, *, layer,
-                      phase="forward"):
-        return per_call_matmul_groups(engine, vectors_groups,
-                                      weights_groups, layer=layer,
-                                      phase=phase)
+    def matmul_groups(vectors, weights, *, layer):
+        return per_call_matmul_groups(engine, vectors, weights, layer=layer)
 
     engine.matmul_groups = matmul_groups
     return engine

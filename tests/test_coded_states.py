@@ -278,14 +278,11 @@ class TestFusedRide:
             np.testing.assert_array_equal(
                 result, ReuseSession.ride(vectors, w, sim))
 
-    @pytest.mark.parametrize("channel_group,in_channels",
-                             [(1, 6), (2, 6), (3, 7)])
-    def test_engine_fused_flag_bit_identity(self, rng, channel_group,
-                                            in_channels):
+    @pytest.mark.parametrize("in_channels", [6, 7])
+    def test_engine_fused_flag_bit_identity(self, rng, in_channels):
         """The fused ride equals the per-call masked oracle's output."""
         config = MercuryConfig(adaptive_signature_length=False,
                                adaptive_stoppage=False,
-                               conv_channel_group=channel_group,
                                mcache_entries=64, mcache_ways=4)
         x = rng.normal(size=(3, in_channels, 10, 10))
         outputs = {}

@@ -1,10 +1,11 @@
-"""Bit-identity of the batched multi-group channel path.
+"""Bit-identity of the batched per-channel convolution path.
 
-The reuse engine services `conv_channel_group` calls as one stacked
-hash, classification and cache ride (`ReuseEngine.matmul_groups`).
-These tests assert it is bit-identical to one engine call per group
-(the oracle in ``tests/oracles/engine.py``): outputs, per-layer
-statistics, signature-table state, MCACHE counters and clears.
+The reuse engine services a convolution's per-channel calls as one
+stacked hash, classification and cache ride
+(`ReuseEngine.matmul_groups`).  These tests assert it is bit-identical
+to one engine call per channel (the oracle in
+``tests/oracles/engine.py``): outputs, per-layer statistics,
+signature-table state, MCACHE counters and clears.
 """
 
 from __future__ import annotations
@@ -105,20 +106,37 @@ def _stats_snapshot(engine):
 
 def _paired_engines(**config_overrides):
     base = dict(adaptive_signature_length=False, adaptive_stoppage=False,
-                conv_channel_group=1, mcache_entries=64, mcache_ways=4)
+                mcache_entries=64, mcache_ways=4)
     base.update(config_overrides)
     config = MercuryConfig(**base)
     return per_call_engine(config), ReuseEngine(config)
 
 
-@pytest.mark.parametrize("channel_group,in_channels", [(1, 6), (2, 6),
-                                                       (4, 6), (3, 7)])
-def test_conv_forward_bit_identity(rng, channel_group, in_channels):
-    oracle, batched = _paired_engines(conv_channel_group=channel_group)
-    x = rng.normal(size=(3, in_channels, 10, 10))
+# (in_channels, kernel, stride, padding, input size).  The large
+# first-layer kernels are the only per-channel shapes with vector
+# lengths of 16 or more: 5x5 is the scaled alexnet's conv1, 7x7 the
+# resnet/googlenet conv1 and 11x11 the full-size alexnet conv1.
+CONV_SHAPES = {
+    "6ch-3x3": (6, 3, 1, 1, 10),
+    "7ch-3x3": (7, 3, 1, 1, 10),
+    "3ch-5x5": (3, 5, 2, 2, 16),
+    "3ch-7x7": (3, 7, 2, 3, 16),
+    "3ch-11x11": (3, 11, 4, 2, 24),
+    "6ch-1x1": (6, 1, 1, 0, 10),
+    "1ch-3x3": (1, 3, 1, 1, 10),
+}
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES.values(),
+                         ids=CONV_SHAPES.keys())
+def test_conv_forward_bit_identity(rng, shape):
+    in_channels, kernel, stride, padding, size = shape
+    oracle, batched = _paired_engines()
+    x = rng.normal(size=(3, in_channels, size, size))
     outputs = {}
     for engine in (oracle, batched):
-        conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
+        conv = Conv2D(in_channels, 5, kernel, stride=stride,
+                      padding=padding, seed=11)
         conv.engine = engine
         outputs[engine] = conv.forward(x)
     np.testing.assert_array_equal(outputs[oracle], outputs[batched])
@@ -127,20 +145,21 @@ def test_conv_forward_bit_identity(rng, channel_group, in_channels):
             oracle.mcache.stats.mnu) == (batched.mcache.stats.hits,
                                          batched.mcache.stats.mau,
                                          batched.mcache.stats.mnu)
-    # The signature table holds the last group's record either way.
+    # The signature table holds the last channel's record either way.
     for engine in (oracle, batched):
         record = engine.signature_table.get(conv.layer_name)
         assert record is not None
     left = oracle.signature_table.get(conv.layer_name)
     right = batched.signature_table.get(conv.layer_name)
     np.testing.assert_array_equal(left.signatures, right.signatures)
-    assert left.vector_length == right.vector_length
+    # Every channel is hashed on its own: k x k vectors.
+    assert left.vector_length == right.vector_length == kernel * kernel
 
 
 def test_conv_channel_sum_matches_an_accumulation_loop(rng):
-    """The channel reduction adds the groups in order, like ``+=``."""
+    """The channel reduction adds the channels in order, like ``+=``."""
     config = MercuryConfig(adaptive_signature_length=False,
-                           adaptive_stoppage=False, conv_channel_group=1)
+                           adaptive_stoppage=False)
     conv = Conv2D(12, 7, 3, padding=1, bias=False, seed=3)
     conv.engine = per_call_engine(config)
     x = rng.normal(size=(2, 12, 6, 6))
@@ -188,7 +207,6 @@ def _grouped_run_state(engine, steps: int = 3):
 def test_vgg13_training_steps_match_the_per_call_engine():
     """Three vgg13 steps: the stacked path changes nothing observable."""
     config = mercury_config_for(VGG13_POINT)
-    assert config.conv_channel_group == 1
     oracle = _grouped_run_state(per_call_engine(config))
     batched = _grouped_run_state(ReuseEngine(config))
 
@@ -211,8 +229,7 @@ def test_vgg13_training_steps_match_the_per_call_engine():
 
 def test_multiword_signature_bits_bit_identity(rng):
     oracle, batched = _paired_engines(signature_bits=70,
-                                      max_signature_bits=80,
-                                      conv_channel_group=2)
+                                      max_signature_bits=80)
     x = rng.normal(size=(2, 4, 8, 8))
     outputs = {}
     for engine in (oracle, batched):
@@ -224,14 +241,16 @@ def test_multiword_signature_bits_bit_identity(rng):
 
 
 def test_detection_disabled_bit_identity(rng):
-    oracle, batched = _paired_engines(reuse_forward=False,
-                                      conv_channel_group=2)
+    oracle, batched = _paired_engines(adaptive_stoppage=True)
     x = rng.normal(size=(2, 6, 8, 8))
     outputs = {}
     for engine in (oracle, batched):
         conv = Conv2D(6, 4, 3, seed=5)
         conv.engine = engine
+        engine.stoppage.force_disable(conv.layer_name, "forward")
         outputs[engine] = conv.forward(x)
+        record = engine.stats.get(conv.layer_name, "forward")
+        assert not record.similarity_detection_on
     np.testing.assert_array_equal(outputs[oracle], outputs[batched])
     assert _stats_snapshot(oracle) == _stats_snapshot(batched)
 
@@ -243,8 +262,7 @@ def test_full_model_training_step_bit_identity(rng):
     x = rng.normal(size=(4, 3, 12, 12))
     y = rng.integers(0, 3, size=4)
     results = {}
-    config = MercuryConfig(conv_channel_group=1,
-                           adaptive_signature_length=False,
+    config = MercuryConfig(adaptive_signature_length=False,
                            adaptive_stoppage=False,
                            mcache_entries=256, mcache_ways=8)
     for flag, build in ((False, per_call_engine), (True, ReuseEngine)):
@@ -263,19 +281,3 @@ def test_full_model_training_step_bit_identity(rng):
     assert results[False][1] == results[True][1]
     np.testing.assert_array_equal(results[False][2], results[True][2])
     assert results[False][3] == results[True][3]
-
-
-def test_matmul_groups_backward_falls_back(rng):
-    """Backward-phase group calls delegate to the per-call path."""
-    engine = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
-                                       adaptive_stoppage=False))
-    vectors = [rng.normal(size=(6, 5)), rng.normal(size=(6, 5))]
-    weights = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
-    grouped = engine.matmul_groups(vectors, weights, layer="L",
-                                   phase="backward")
-    reference = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
-                                          adaptive_stoppage=False))
-    singles = [reference.matmul(v, w, layer="L", phase="backward")
-               for v, w in zip(vectors, weights)]
-    for left, right in zip(grouped, singles):
-        np.testing.assert_array_equal(left, right)

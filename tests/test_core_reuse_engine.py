@@ -89,7 +89,8 @@ def test_shape_validation():
 
 
 def test_disabled_forward_reuse_is_exact():
-    engine = ReuseEngine(MercuryConfig(reuse_forward=False))
+    engine = ReuseEngine(MercuryConfig(adaptive_stoppage=True))
+    engine.stoppage.force_disable("fc", "forward")
     vectors = RNG.normal(size=(10, 5))
     weights = RNG.normal(size=(5, 3))
     out = engine.matmul(vectors, weights, layer="fc", phase="forward")

@@ -92,37 +92,16 @@ def test_signature_prefix_property(dim, bits, extra):
     rng = np.random.default_rng(dim * 97 + bits)
     vectors = rng.normal(size=(8, dim))
     # Fresh hashers per width, so the comparison spans two independent
-    # from-scratch projections (not one pipeline's cached columns).
+    # from-scratch projections.
     narrow_bits = RPQHasher(seed=13).signature_bits_matrix(vectors, bits)
     wide_bits = RPQHasher(seed=13).signature_bits_matrix(vectors,
                                                          bits + extra)
     np.testing.assert_array_equal(wide_bits[:, :bits], narrow_bits)
 
 
-def test_signature_pipeline_projects_only_new_columns():
-    """Growing the signature for a cached batch touches only the new
-    projection columns; results equal a from-scratch hash."""
-    hasher = RPQHasher(seed=21)
-    rng = np.random.default_rng(6)
-    vectors = rng.normal(size=(30, 10))
-    pipeline = hasher.pipeline(("layer", "forward"))
-
-    first = pipeline.signatures(vectors, 16)
-    assert pipeline.projected_columns == 16
-    grown = pipeline.signatures(vectors, 24)
-    assert pipeline.projected_columns == 24      # only 8 new columns
-    assert pipeline.reused_columns >= 16
-    np.testing.assert_array_equal(
-        RPQHasher(seed=21).signatures(vectors, 24), grown)
-    # Shrinking (or repeating) costs no new projection at all.
-    again = pipeline.signatures(vectors, 16)
-    assert pipeline.projected_columns == 24
-    np.testing.assert_array_equal(again, first)
-
-
 def test_empty_batch_produces_empty_signatures():
     """Zero-vector batches (an empty layer slice) must not crash the
-    pipeline's fingerprint path."""
+    hasher."""
     hasher = RPQHasher(seed=1)
     empty = np.empty((0, 5))
     sigs = hasher.signatures(empty, 16)
@@ -130,20 +109,6 @@ def test_empty_batch_produces_empty_signatures():
     wide = hasher.signatures(empty, 70)
     assert wide.shape[0] == 0
     assert hasher.similarity_fraction(empty, 16) == 0.0
-
-
-def test_signature_pipeline_detects_in_place_mutation():
-    """The content fingerprint invalidates a cached batch that was
-    mutated in place, so stale projections are never reused."""
-    hasher = RPQHasher(seed=22)
-    vectors = np.random.default_rng(7).normal(size=(12, 6))
-    pipeline = hasher.pipeline("consumer")
-    before = pipeline.signatures(vectors, 10).copy()
-    vectors *= -1.0       # same object, different content
-    after = pipeline.signatures(vectors, 10)
-    np.testing.assert_array_equal(
-        RPQHasher(seed=22).signatures(vectors, 10), after)
-    assert not np.array_equal(before, after)
 
 
 def test_public_hasher_api_is_pure_under_in_place_mutation():
@@ -350,17 +315,11 @@ def hash_batches(draw):
 def test_signatures_equal_packed_bit_matrix(batch):
     """The float pack of :func:`pack_projection` (up to 52 bits) and the
     integer and multi-word packs past it all equal
-    ``pack_bits(signature_bits_matrix(...))`` bit for bit, through the
-    hasher and through a pipeline, whose cached projection a second
-    hash must find unquantised."""
+    ``pack_bits(signature_bits_matrix(...))`` bit for bit."""
     vectors, bits = batch
     hasher = RPQHasher(seed=5)
-    pipeline = hasher.pipeline("property")
     with np.errstate(invalid="ignore"):
         expected = pack_bits(hasher.signature_bits_matrix(vectors, bits))
-        results = [hasher.signatures(vectors, bits),
-                   pipeline.signatures(vectors, bits),
-                   pipeline.signatures(vectors, bits)]
-    for packed in results:
-        assert packed.dtype == expected.dtype
-        np.testing.assert_array_equal(packed, expected)
+        packed = hasher.signatures(vectors, bits)
+    assert packed.dtype == expected.dtype
+    np.testing.assert_array_equal(packed, expected)

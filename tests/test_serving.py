@@ -259,6 +259,40 @@ class TestAdmissionPolicies:
                                          batch)
                 np.testing.assert_array_equal(results, vectors @ weights)
 
+    def test_always_admits_in_arrival_order(self):
+        """A full set keeps the first arrivals under every admission
+        policy, not the smallest signatures."""
+        class FirstColumnHasher:
+            def signatures(self, vectors, signature_bits):
+                return vectors[:, 0].astype(np.int64)
+
+        def kept(admission, vectors, entries, ways):
+            policy = ServingPolicy(entries=entries, ways=ways,
+                                   admission=admission,
+                                   admission_min_frequency=1,
+                                   exact_check=False)
+            cache = SignatureResultCache(policy, hasher=FirstColumnHasher())
+            _, outcome = cache.serve(vectors, lambda rows: vectors[rows], 0)
+            probe = cache.mcache.probe_batch(
+                np.unique(vectors[:, 0].astype(np.int64)))[0]
+            return outcome, probe.tolist()
+
+        # One set, one way: signature 7 arrives first and claims it.
+        first_wins = np.array([[7.0], [3.0]])
+        for admission in ("always", "frequency"):
+            outcome, resident = kept(admission, first_wins, 1, 1)
+            assert resident == [False, True]          # 3 out, 7 in
+            assert (outcome.inserted_unique, outcome.rejected_unique) \
+                == (1, 1)
+
+        # A batch that overflows its sets: both policies keep the same
+        # lines, in arrival order.
+        rng = np.random.default_rng(5)
+        overflow = rng.permutation(40).astype(np.float64)[:, None]
+        overflow = np.concatenate([overflow, overflow[:10]])
+        assert kept("always", overflow, 8, 2) == \
+            kept("frequency", overflow, 8, 2)
+
     def test_invalid_admission_configs_rejected(self):
         with pytest.raises(ValueError, match="admission"):
             ServingPolicy(admission="sometimes")
