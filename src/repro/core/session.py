@@ -345,9 +345,10 @@ class ReuseSession:
         always from 16 up, where a row's last bits can depend on where
         it sits in the product.  One numpy dispatch is handled here: a
         one-row product goes to gemv, whose sums run in another order
-        than gemm's, so a group whose only miss is its first row gets
-        that row from the same one-row product the per-call ride
-        computes.
+        than gemm's, so the groups whose only miss is their first row
+        get that row from one stacked ``(1, length) @ (length,
+        filters)`` product, which numpy sends to gemv group by group,
+        as the per-call ride's one-row product.
 
         ``weights`` is the ``(groups, length, filters)`` stack of the
         groups' weight matrices, and ``simulations`` the groups'
@@ -361,8 +362,9 @@ class ReuseSession:
         misses = np.count_nonzero(
             simulations.states.reshape(num_groups, num_vectors) != HIT_CODE,
             axis=1)
-        for group in np.flatnonzero(misses == 1).tolist():
-            computed[group, :1] = stack[group, :1] @ weights[group]
+        ones = np.flatnonzero(misses == 1)
+        if ones.size:
+            computed[ones, :1] = np.matmul(stack[ones, :1], weights[ones])
         flat = computed.reshape(num_groups * num_vectors, num_filters)
         return flat.take(simulations.representative, axis=0).reshape(
             computed.shape)

@@ -152,24 +152,37 @@ def col2im(cols: np.ndarray, input_shape: tuple, kernel_h: int, kernel_w: int,
 
     Overlapping windows alias each other, so the scatter-add cannot be a
     single strided write; instead the patch axes are walked (``kernel_h
-    * kernel_w`` vectorised slice-adds) while everything read from
-    ``cols`` stays a view.
+    * kernel_w`` vectorised slice-adds).  The adds accumulate in NHWC
+    order, ``(batch, height, width, channels)``, which is the order of
+    ``cols``'s own rows, so every add reads ``cols`` along its rows and
+    writes a run of adjacent channels.  Each element still receives its
+    contributions in the same ``(i, j)`` order, so the sums are exactly
+    those of the historical NCHW loop (``tests/oracles/im2col.py``).  One
+    transposing copy then writes the interior into an NCHW padded
+    buffer, and the result is the same strided view of it that the loop
+    returned: its strides decide the reduction order downstream (e.g. in
+    ``BatchNorm2D`` backward), so they must not change.
     """
     batch, channels, height, width = input_shape
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
+    padded_h = height + 2 * pad + stride - 1
+    padded_w = width + 2 * pad + stride - 1
 
-    # Views only: reshape of the (contiguous) cols matrix, then axis
-    # permutation back to (batch, channels, kernel_h, kernel_w, ...).
     cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-
-    padded = np.zeros((batch, channels, height + 2 * pad + stride - 1,
-                       width + 2 * pad + stride - 1), dtype=cols.dtype)
+    summed = np.zeros((batch, padded_h, padded_w, channels),
+                      dtype=cols.dtype)
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
+            summed[:, i:i_max:stride, j:j_max:stride] += cols[..., i, j]
 
-    return padded[:, :, pad:pad + height, pad:pad + width]
+    # Only the interior is ever read through the returned view, so the
+    # border of the NCHW buffer is left unwritten.
+    padded = np.empty((batch, channels, padded_h, padded_w),
+                      dtype=cols.dtype)
+    interior = padded[:, :, pad:pad + height, pad:pad + width]
+    interior[...] = summed[:, pad:pad + height,
+                           pad:pad + width].transpose(0, 3, 1, 2)
+    return interior

@@ -77,6 +77,9 @@ SNAPSHOT_FORMAT = "repro-serving-snapshot"
 SNAPSHOT_VERSION = 3
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_ARRAYS = "state.npz"
+# Largest ``POST /infer`` body the HTTP front end reads; a longer
+# claimed ``Content-Length`` gets a 413 before any of the body is read.
+MAX_INFER_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -1091,7 +1094,8 @@ class HttpFrontEnd:
     """JSON-over-HTTP adapter around an :class:`InferenceServer`.
 
     ``POST /infer`` with ``{"inputs": <nested list>}`` returns
-    ``{"outputs": <nested list>}``; ``GET /stats`` reports telemetry and
+    ``{"outputs": <nested list>}`` (a 413, unread, for a body longer
+    than :data:`MAX_INFER_BODY_BYTES`); ``GET /stats`` reports telemetry and
     ``GET /healthz`` each shard's batcher liveness, with a 503 while any
     is down.  The asyncio loop (and the micro-batchers of every shard)
     runs on a dedicated thread; HTTP handler threads submit into it and
@@ -1187,6 +1191,11 @@ class HttpFrontEnd:
                     length = int(raw)
                     if length < 0:
                         raise ValueError(f"negative Content-Length {length}")
+                    if length > MAX_INFER_BODY_BYTES:
+                        self._send(413, {
+                            "error": f"Content-Length {length} exceeds "
+                                     f"{MAX_INFER_BODY_BYTES} bytes"})
+                        return
                     payload = json.loads(self.rfile.read(length))
                     inputs = np.asarray(payload["inputs"])
                     started = time.perf_counter()

@@ -126,7 +126,9 @@ class Trainer:
         """One forward/backward/update step; returns the batch loss."""
         logits = self.model(inputs)
         loss = self.loss_fn(logits, targets)
-        self.model.zero_grad()
+        # The grads are views of the optimizer's flat buffer: one fill
+        # zeroes them all.
+        self.optimizer.zero_grad()
         self.model.backward(self.loss_fn.backward())
         self.optimizer.step()
         if self.engine is not None:

@@ -22,6 +22,8 @@ Oracle                                      Production function it checks
 (``engine.per_call_engine``)                ``ReuseSession.ride_groups``
 ``engine.scalar_engine``                    ``ReuseEngine`` Hitmaps end to end
 ``im2col.im2col_reference``                 ``repro.nn.im2col.im2col``
+``im2col.col2im_reference``                 ``repro.nn.im2col.col2im`` (values and strides)
+``optim.ReferenceSGD/ReferenceAdam``        ``repro.nn.optim`` ``SGD/Adam`` (flat buffer)
 ``eviction.ReferenceLRU/LFU/SLRU``          ``repro.core.eviction`` ``LRU/LFU/SLRUEviction``
 ``signatures.words_to_ints`` /              ``repro.core.rpq.pack_bits`` multi-word values
 ``ints_to_words`` / ``signatures_to_ints``  (and the int <-> words bridge the oracles need)

@@ -21,6 +21,7 @@ from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.reuse import ReuseEngine
+from repro.core.session import ReuseSession
 from repro.models.registry import build_model
 from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
@@ -112,27 +113,44 @@ def _paired_engines(**config_overrides):
     return per_call_engine(config), ReuseEngine(config)
 
 
-# (in_channels, kernel, stride, padding, input size).  The large
-# first-layer kernels are the only per-channel shapes with vector
-# lengths of 16 or more: 5x5 is the scaled alexnet's conv1, 7x7 the
-# resnet/googlenet conv1 and 11x11 the full-size alexnet conv1.
+# (in_channels, kernel, stride, padding, input size, input channels
+# held constant).  The large first-layer kernels are the only per-channel
+# shapes with vector lengths of 16 or more: 5x5 is the scaled alexnet's
+# conv1, 7x7 the resnet/googlenet conv1 and 11x11 the full-size alexnet
+# conv1.  Every vector of an unpadded constant channel is the same, so
+# its group's only miss is its first row: the one-row products
+# ``ReuseSession.ride_groups`` computes apart from the stacked GEMM.
 CONV_SHAPES = {
-    "6ch-3x3": (6, 3, 1, 1, 10),
-    "7ch-3x3": (7, 3, 1, 1, 10),
-    "3ch-5x5": (3, 5, 2, 2, 16),
-    "3ch-7x7": (3, 7, 2, 3, 16),
-    "3ch-11x11": (3, 11, 4, 2, 24),
-    "6ch-1x1": (6, 1, 1, 0, 10),
-    "1ch-3x3": (1, 3, 1, 1, 10),
+    "6ch-3x3": (6, 3, 1, 1, 10, ()),
+    "7ch-3x3": (7, 3, 1, 1, 10, ()),
+    "3ch-5x5": (3, 5, 2, 2, 16, ()),
+    "3ch-7x7": (3, 7, 2, 3, 16, ()),
+    "3ch-11x11": (3, 11, 4, 2, 24, ()),
+    "6ch-1x1": (6, 1, 1, 0, 10, ()),
+    "1ch-3x3": (1, 3, 1, 1, 10, ()),
+    "6ch-3x3-3-constant": (6, 3, 1, 0, 10, (0, 2, 5)),
 }
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES.values(),
                          ids=CONV_SHAPES.keys())
-def test_conv_forward_bit_identity(rng, shape):
-    in_channels, kernel, stride, padding, size = shape
+def test_conv_forward_bit_identity(rng, shape, monkeypatch):
+    in_channels, kernel, stride, padding, size, constant = shape
     oracle, batched = _paired_engines()
     x = rng.normal(size=(3, in_channels, size, size))
+    for channel in constant:
+        x[:, channel] = rng.normal()
+    one_miss_groups = []
+    ride_groups = ReuseSession.ride_groups
+
+    def counting_ride(stack, weights, simulations):
+        states = simulations.states.reshape(stack.shape[:2])
+        one_miss_groups.append(
+            int(np.count_nonzero((states != HIT_CODE).sum(axis=1) == 1)))
+        return ride_groups(stack, weights, simulations)
+
+    monkeypatch.setattr(ReuseSession, "ride_groups",
+                        staticmethod(counting_ride))
     outputs = {}
     for engine in (oracle, batched):
         conv = Conv2D(in_channels, 5, kernel, stride=stride,
@@ -154,6 +172,8 @@ def test_conv_forward_bit_identity(rng, shape):
     np.testing.assert_array_equal(left.signatures, right.signatures)
     # Every channel is hashed on its own: k x k vectors.
     assert left.vector_length == right.vector_length == kernel * kernel
+    if constant:
+        assert one_miss_groups == [len(constant)]
 
 
 def test_conv_channel_sum_matches_an_accumulation_loop(rng):

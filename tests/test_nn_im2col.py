@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.im2col import (col2im, conv_output_size, im2col,
                              im2col_view, sliding_windows)
-from tests.oracles.im2col import im2col_reference
+from tests.oracles.im2col import col2im_reference, im2col_reference
 
 
 def test_conv_output_size_basic():
@@ -158,3 +158,25 @@ def test_col2im_total_mass_preserved(size, kernel):
     cols = rng.normal(size=((size - kernel + 1) ** 2, kernel * kernel))
     restored = col2im(cols, (1, 1, size, size), kernel, kernel)
     assert np.isclose(restored.sum(), cols.sum())
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch=st.integers(1, 3), channels=st.integers(1, 4),
+       size=st.integers(1, 8), kernel=st.integers(1, 5),
+       stride=st.integers(1, 2), pad=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 16))
+def test_col2im_matches_reference_bitwise(batch, channels, size, kernel,
+                                          stride, pad, seed):
+    """The NHWC-order scatter adds each element's contributions in the
+    NCHW loop's order, and returns a view with the loop's strides."""
+    assume(size + 2 * pad >= kernel)
+    out = conv_output_size(size, kernel, stride, pad)
+    cols = np.random.default_rng(seed).normal(
+        size=(batch * out * out, channels * kernel * kernel))
+    shape = (batch, channels, size, size)
+    fast = col2im(cols, shape, kernel, kernel, stride=stride, pad=pad)
+    reference = col2im_reference(cols, shape, kernel, kernel,
+                                 stride=stride, pad=pad)
+    assert fast.dtype == reference.dtype
+    assert fast.tobytes() == reference.tobytes()
+    assert fast.strides == reference.strides

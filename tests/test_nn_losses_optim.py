@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (Adam, Conv2D, CrossEntropyLoss, Flatten, Linear, MSELoss,
                       ReLU, SGD, Sequential)
 from repro.nn.module import Module, Parameter, assign_unique_layer_names
 from tests.helpers import numerical_gradient, relative_error
+from tests.oracles.optim import ReferenceAdam, ReferenceSGD
 
 RNG = np.random.default_rng(3)
 
@@ -117,6 +120,80 @@ def test_zero_grad_clears_gradients():
     optimizer = SGD([param], lr=0.1)
     optimizer.zero_grad()
     np.testing.assert_array_equal(param.grad, np.zeros(4))
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                   min_size=1, max_size=5)
+
+
+@settings(deadline=None, max_examples=30)
+@given(shapes=_SHAPES, kind=st.sampled_from(["sgd", "adam"]),
+       lr=st.floats(1e-4, 0.5),
+       momentum=st.just(0.0) | st.floats(0.0, 0.99),
+       weight_decay=st.just(0.0) | st.floats(0.0, 0.1),
+       beta1=st.floats(0.5, 0.99), beta2=st.floats(0.9, 0.9999),
+       steps=st.integers(5, 8), seed=st.integers(0, 2 ** 16))
+def test_flat_optimizers_match_the_per_parameter_loop(
+        shapes, kind, lr, momentum, weight_decay, beta1, beta2, steps,
+        seed):
+    """One flat update is bit-identical to the per-parameter loop, and
+    both zero_grad paths reach the parameters' views of the buffer."""
+    rng = np.random.default_rng(seed)
+    initial = [rng.normal(size=shape) for shape in shapes]
+    stale = [rng.normal(size=shape) for shape in shapes]
+    reference_params, flat_params = (
+        [Parameter(value.copy()) for value in initial] for _ in range(2))
+    for params in (reference_params, flat_params):
+        for p, grad in zip(params, stale):
+            p.grad += grad
+    if kind == "sgd":
+        options = dict(lr=lr, momentum=momentum, weight_decay=weight_decay)
+        reference = ReferenceSGD(reference_params, **options)
+        optimizer = SGD(flat_params, **options)
+    else:
+        options = dict(lr=lr, betas=(beta1, beta2),
+                       weight_decay=weight_decay)
+        reference = ReferenceAdam(reference_params, **options)
+        optimizer = Adam(flat_params, **options)
+    holder = Module()
+    holder.params = flat_params
+    for p, value, grad in zip(flat_params, initial, stale):
+        assert p.value.tobytes() == value.tobytes()
+        assert p.grad.tobytes() == grad.tobytes()
+    for step in range(steps):
+        (holder if step % 2 else optimizer).zero_grad()
+        reference.zero_grad()
+        for p in flat_params:
+            assert p.grad.shape == p.value.shape and not p.grad.any()
+        for p, q in zip(reference_params, flat_params):
+            grad = rng.normal(size=p.value.shape)
+            p.grad += grad
+            q.grad += grad
+        reference.step()
+        optimizer.step()
+        for p, q in zip(reference_params, flat_params):
+            assert p.value.shape == q.value.shape
+            assert p.value.tobytes() == q.value.tobytes()
+
+
+@pytest.mark.parametrize("optimizer_class", [SGD, Adam])
+def test_optimizer_rejects_a_repeated_parameter(optimizer_class):
+    param = _quadratic_parameter()
+    with pytest.raises(ValueError, match="same parameter twice"):
+        optimizer_class([param, _quadratic_parameter(), param])
+
+
+@pytest.mark.parametrize("attr", ["value", "grad"])
+@pytest.mark.parametrize("optimizer_class", [SGD, Adam])
+def test_step_refuses_a_parameter_rebound_off_the_buffer(optimizer_class,
+                                                          attr):
+    kept = Parameter(np.ones(2), name="kept")
+    rebound = Parameter(np.ones((2, 3)), name="rebound")
+    optimizer = optimizer_class([kept, rebound], lr=0.1)
+    optimizer.step()
+    setattr(rebound, attr, np.zeros((2, 3)))
+    with pytest.raises(RuntimeError, match=f"'rebound'.*{attr}"):
+        optimizer.step()
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ ORACLE_NAMES = {
     "scalar_reference_simulation", "im2col_reference", "ReferenceLRU",
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
     "signatures_to_ints", "per_call_matmul_groups", "Reservoir",
+    "col2im_reference", "ReferenceSGD", "ReferenceAdam",
 }
 
 _IMPORT_EVERYTHING = """

@@ -1262,6 +1262,28 @@ class TestHttpFrontEnd:
         assert status_line.split()[1] == b"400"
         assert json.loads(body)["error"]
 
+    def test_oversized_content_length_gets_413_without_reading(self):
+        # The claimed 1 GiB never arrives: the client half-closes after a
+        # few bytes, so a handler that tried to read the claimed length
+        # would get a short body and answer 400 instead.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy(
+            compute="per_request"))
+        front = server.serve_http(port=0)
+        try:
+            with socket.create_connection((front.host, front.port),
+                                          timeout=5) as conn:
+                conn.sendall(b"POST /infer HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: 1073741824\r\n\r\n"
+                             b'{"inputs": [')
+                conn.shutdown(socket.SHUT_WR)
+                reply = conn.makefile("rb").read()
+        finally:
+            front.stop()
+        status_line, _, body = reply.partition(b"\r\n\r\n")
+        assert status_line.split()[1] == b"413"
+        assert "exceeds" in json.loads(body)["error"]
+
     def test_timed_out_request_is_never_computed(self, small_pool):
         # The doomed request waits in an open batch (max_wait 0.5 s)
         # past its 0.05 s timeout; cancelling it must keep it out of
