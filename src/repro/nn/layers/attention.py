@@ -8,9 +8,14 @@ engine (the rows of ``X`` are the input vectors whose similarity is
 exploited, just like a fully-connected layer).
 
 :class:`MultiHeadSelfAttention` is the standard parametric variant used
-inside the transformer model of the model zoo; its Q/K/V projections are
-Linear layers, so they already benefit from reuse, and its score and
-context products are routed through the engine as well.
+inside the transformer model of the model zoo.  Only its Q/K/V and
+output projections go through the engine: they are Linear layers, so
+they benefit from reuse like any other.  Its score and context products
+are plain numpy products, one ``np.matmul`` over the ``(batch, heads,
+seq, ·)`` stacks each, with transposed operands taken as
+``swapaxes`` views; every ``(b, h)`` pair is its own GEMM, so a
+sample's attention core does not depend on how many samples share the
+batch.
 """
 
 from __future__ import annotations
@@ -106,9 +111,9 @@ class MultiHeadSelfAttention(Module):
         v = self._split_heads(self.v_proj(x))
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        scores = np.einsum("bhqd,bhkd->bhqk", q, k) * scale
+        scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
         attn = softmax(scores, axis=-1)
-        context = np.einsum("bhqk,bhkd->bhqd", attn, v)
+        context = np.matmul(attn, v)
 
         merged = self._merge_heads(context)
         out = self.out_proj(merged)
@@ -123,16 +128,16 @@ class MultiHeadSelfAttention(Module):
         grad_context = grad_merged.reshape(
             batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        grad_attn = np.einsum("bhqd,bhkd->bhqk", grad_context, v)
-        grad_v = np.einsum("bhqk,bhqd->bhkd", attn, grad_context)
+        grad_attn = np.matmul(grad_context, v.swapaxes(-1, -2))
+        grad_v = np.matmul(attn.swapaxes(-1, -2), grad_context)
 
         # Softmax backward
         dot = np.sum(grad_attn * attn, axis=-1, keepdims=True)
         grad_scores = attn * (grad_attn - dot)
         grad_scores = grad_scores * scale
 
-        grad_q = np.einsum("bhqk,bhkd->bhqd", grad_scores, k)
-        grad_k = np.einsum("bhqk,bhqd->bhkd", grad_scores, q)
+        grad_q = np.matmul(grad_scores, k)
+        grad_k = np.matmul(grad_scores.swapaxes(-1, -2), q)
 
         grad_x = self.q_proj.backward(self._merge_heads(grad_q))
         grad_x = grad_x + self.k_proj.backward(self._merge_heads(grad_k))

@@ -646,11 +646,16 @@ class InferenceServer:
 
         A payload that is not bool, integer or floating point fails
         here, alone, instead of failing every request of the
-        micro-batch it would join.  Valid payloads go on unconverted.
+        micro-batch it would join.  So does a payload holding a NaN or
+        an inf: it would hash to a real signature (every ``NaN >= 0`` is
+        false), and a finite request with that signature would be
+        served its cached result.  Valid payloads go on unconverted.
         """
-        dtype = np.asarray(payload).dtype
-        if dtype.kind not in "biuf":
-            raise ValueError(f"payload dtype {dtype} is not numeric")
+        array = np.asarray(payload)
+        if array.dtype.kind not in "biuf":
+            raise ValueError(f"payload dtype {array.dtype} is not numeric")
+        if not np.isfinite(array).all():
+            raise ValueError("payload holds NaN or inf")
         shard = self.shards[self.shard_for(payload)]
         return await shard.batcher.submit(payload)
 

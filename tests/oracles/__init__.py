@@ -2,8 +2,10 @@
 
 Every oracle here answers a question that exactly one production
 function answers in ``src/repro``; the tests replay the same inputs
-through both and require bit-identical results (the sampled
-reservoir: agreement with the exact stream within tolerance).
+through both and require bit-identical results.  Two are tolerance
+oracles: the sampled reservoir agrees with the exact stream within
+tolerance, and the transformer kernels sum and round differently from
+their einsum and ``pow`` twins by design, so they agree within 1e-12.
 Production code never imports this package
 (``tests/test_oracle_boundary.py`` checks).
 
@@ -29,5 +31,9 @@ Oracle                                      Production function it checks
 ``ints_to_words`` / ``signatures_to_ints``  (and the int <-> words bridge the oracles need)
 ``reservoir.Reservoir``                     ``repro.obs.metrics.LogHistogram`` percentile reads
                                             (``BatcherTelemetry.latency_hist``)
+``layers.EinsumMultiHeadSelfAttention``     ``repro.nn.MultiHeadSelfAttention`` matmul core
+                                            and gradients (tolerance oracle, 1e-12)
+``layers.PowGELU``                          ``repro.nn.GELU`` multiplied cube, forward and
+                                            backward (tolerance oracle, 1e-12)
 ==========================================  =================================================
 """

@@ -21,6 +21,7 @@ ORACLE_NAMES = {
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
     "signatures_to_ints", "per_call_matmul_groups", "Reservoir",
     "col2im_reference", "ReferenceSGD", "ReferenceAdam",
+    "EinsumMultiHeadSelfAttention", "PowGELU",
 }
 
 _IMPORT_EVERYTHING = """

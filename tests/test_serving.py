@@ -1024,6 +1024,62 @@ class TestInferenceServer:
         assert processed[0] is good and processed[1] is other
         assert shard.batcher.telemetry.failed == 0
 
+    def test_non_finite_payload_cannot_poison_a_shared_signature(self):
+        # Every NaN >= 0 is false, so a NaN payload hashes to signature
+        # 0; so does -(R @ 1) for the request cache's projection R.  The
+        # NaN request used to fill that line and the finite one was
+        # then served the NaN request's cached row.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        policy = ServingPolicy(entries=16, ways=16, eviction="lru",
+                               compute="batched", exact_check=False)
+        server = InferenceServer(model, policy)
+        hasher = server.shards[0].request_cache.hasher
+        bits = policy.signature_bits
+        poisoned = np.full((3, 24, 24), np.nan)
+        projection = hasher.projection_matrix(poisoned.size, bits)
+        victim = -(projection @ np.ones(bits)).reshape(poisoned.shape)
+        for payload in (poisoned, victim):
+            assert hasher.signatures(payload.reshape(1, -1), bits)[0] == 0
+
+        async def drive():
+            await server.start()
+            try:
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    await server.infer(poisoned)
+                return await server.infer(victim)
+            finally:
+                await server.stop()
+
+        np.testing.assert_allclose(
+            asyncio.run(drive()), server.oracle_outputs(victim[None])[0],
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_fails_alone(self, small_pool, bad_value):
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(
+            model, ServingPolicy(compute="per_request"),
+            BatcherConfig(max_batch_size=8, max_wait_s=0.05))
+        bad = small_pool[2].copy()
+        bad[0, 0, 0] = bad_value
+
+        async def drive():
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    server.infer(small_pool[0]), server.infer(bad),
+                    server.infer(small_pool[1]), return_exceptions=True)
+            finally:
+                await server.stop()
+
+        first, failed, last = asyncio.run(drive())
+        assert isinstance(failed, ValueError)
+        assert "NaN or inf" in str(failed)
+        oracle = server.oracle_outputs(small_pool[:2])
+        np.testing.assert_array_equal(first, oracle[0])
+        np.testing.assert_array_equal(last, oracle[1])
+        assert server.shards[0].batcher.telemetry.failed == 0
+
     def test_invalid_shard_count_rejected(self):
         model = build_model("squeezenet", num_classes=4, seed=3)
         with pytest.raises(ValueError, match="shards"):
@@ -1236,6 +1292,26 @@ class TestHttpFrontEnd:
             with caught.value as error:
                 assert error.code == 400
                 assert "not numeric" in json.load(error)["error"]
+        finally:
+            front.stop()
+
+    def test_non_finite_inputs_get_400(self, small_pool):
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy())
+        front = server.serve_http(port=0)
+        inputs = small_pool[0].tolist()
+        inputs[0][0][0] = float("nan")
+        body = json.dumps({"inputs": inputs}).encode()
+        assert b"NaN" in body
+        request = urllib.request.Request(
+            front.url("/infer"), data=body,
+            headers={"Content-Type": "application/json"})
+        try:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            with caught.value as error:
+                assert error.code == 400
+                assert "NaN or inf" in json.load(error)["error"]
         finally:
             front.stop()
 
