@@ -166,17 +166,6 @@ class FPGAModel:
         """MERCURY total power relative to the baseline (paper: ~1.13x)."""
         return self.mercury_power(sets, ways).total / self.baseline_power().total
 
-    def resource_overhead(self, sets: int = 64, ways: int = 16) -> dict:
-        """Per-resource ratios of MERCURY over the baseline."""
-        mercury = self.mercury_resources(sets, ways)
-        baseline = self.baseline_resources()
-        return {
-            "slice_luts": mercury.slice_luts / baseline.slice_luts,
-            "slice_registers": mercury.slice_registers / baseline.slice_registers,
-            "block_ram": mercury.block_ram / baseline.block_ram,
-            "dsp48": mercury.dsp48 / baseline.dsp48,
-        }
-
     # ------------------------------------------------------------------
     def table2_rows(self) -> list[dict]:
         """Table II: ways fixed at 16, sets swept over 16/32/48/64."""

@@ -54,17 +54,19 @@ class UnlimitedSimilarityBound:
         bucketised input value* in a vector is required (its products
         with that filter's weights can be shared across repeated
         elements); the per-vector unique-value count therefore bounds
-        the required multiplies.
+        the required multiplies.  A row's distinct values are counted on
+        its sorted buckets: one for the first, plus one per change.
         """
         num_vectors, vector_length = vectors.shape
         num_filters = weights.shape[1]
         total = float(num_vectors * vector_length * num_filters)
 
-        bucketised = self._bucketise(vectors)
-        unique_per_vector = np.array(
-            [len(np.unique(bucketised[row])) for row in range(num_vectors)],
-            dtype=np.float64)
-        required = float(unique_per_vector.sum() * num_filters)
+        distinct = 0
+        if vector_length:  # an empty row has no distinct value
+            ordered = np.sort(self._bucketise(vectors), axis=1)
+            distinct = num_vectors + int(np.count_nonzero(
+                ordered[:, 1:] != ordered[:, :-1]))
+        required = float(distinct) * num_filters
         return UnlimitedSimilarityLayerReport(layer=layer, total_macs=total,
                                               required_macs=required)
 

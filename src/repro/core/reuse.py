@@ -7,8 +7,10 @@ which
 1. computes (or reloads) RPQ signatures for the incoming vectors,
 2. probes a freshly-cleared MCACHE with each signature to build the
    Hitmap (HIT / MAU / MNU),
-3. executes the dot products of MAU and MNU vectors exactly and *copies*
-   the already-computed result for HIT vectors, and
+3. executes the dot products of MAU and MNU vectors exactly and gives
+   each HIT vector its representative's dot products: the product runs
+   once, as one GEMM of the engine-less shape, over the vectors with
+   every HIT vector replaced by its representative, and
 4. records per-layer statistics that the accelerator cycle model and the
    adaptation policies consume.
 
@@ -166,57 +168,61 @@ class ReuseEngine:
 
     # ------------------------------------------------------------------
     def matmul_groups(self, vectors: np.ndarray, weights: np.ndarray, *,
-                      layer: str) -> np.ndarray:
-        """Service several same-layer forward matmuls in one signature phase.
+                      groups: int, layer: str) -> np.ndarray:
+        """A forward ``vectors @ weights`` whose rows are hashed in
+        ``groups`` equal segments, each segment position on its own.
 
-        ``vectors[i] @ weights[i]`` for a ``(groups, vectors, length)``
-        stack and a ``(groups, length, filters)`` stack, with signature
-        reuse, exactly as ``len(vectors)`` successive forward
-        :meth:`matmul` calls would compute it — same results,
-        statistics, MCACHE counters, clears and signature-table state,
-        which the regression suite asserts against that per-call loop.
-        Each group still probes a fresh MCACHE: signatures never match,
-        and never steal ways, across groups.
-
-        The work is constant however many groups there are: one hash of
-        the whole stack, one multi-group classification
-        (:meth:`ReuseSession.classify_groups`), one stacked cache ride
-        (:meth:`ReuseSession.ride_groups`) and one statistics merge.
-        Returns the ``(groups, vectors, filters)`` results.
+        This is a convolution's per-channel reuse (§III-B): each row of
+        the ``(vectors, groups * length)`` patch matrix holds one
+        ``length``-wide segment per input channel.  Every group gets
+        its own signature phase on a fresh MCACHE — signatures never
+        match, and never steal ways, across groups — with the
+        statistics, MCACHE counters, clears and signature-table state
+        of one forward :meth:`matmul` call per group.  The product is
+        one GEMM of the engine-less shape over the rows with every HIT
+        segment replaced by its representative's
+        (:meth:`ReuseSession.ride_groups`).  The work is constant
+        however many groups there are: one hash of the ``(vectors *
+        groups, length)`` segment view, one multi-group classification
+        (:meth:`ReuseSession.classify_groups`), one ride and one
+        statistics merge.
         """
-        stack = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
-        if stack.ndim != 3 or weights.ndim != 3:
-            raise ValueError("matmul_groups expects (groups, vectors, "
-                             "length) and (groups, length, filters) stacks")
-        if stack.shape[0] != weights.shape[0]:
-            raise ValueError("vectors and weights must pair up by group")
-        if stack.shape[2] != weights.shape[1]:
-            raise ValueError(f"shape mismatch: vectors {stack.shape} x "
+        if vectors.ndim != 2 or weights.ndim != 2:
+            raise ValueError("matmul_groups expects 2D vectors and weights")
+        if vectors.shape[1] != weights.shape[0]:
+            raise ValueError(f"shape mismatch: vectors {vectors.shape} x "
                              f"weights {weights.shape}")
-        num_groups, num_vectors, vector_length = stack.shape
-        num_filters = weights.shape[2]
-        rows = num_groups * num_vectors
+        if groups < 1 or vectors.shape[1] % groups:
+            raise ValueError(f"{vectors.shape[1]} features do not split "
+                             f"into {groups} groups")
+        num_vectors, width = vectors.shape
+        vector_length = width // groups
+        num_filters = weights.shape[1]
+        rows = num_vectors * groups
 
         if not self._detection_enabled(layer, "forward"):
             self._record(layer, "forward", vectors=rows, hits=0, mau=0,
                          mnu=rows, vector_length=vector_length,
                          num_filters=num_filters, unique=rows,
-                         detection_on=False, calls=num_groups)
-            return np.matmul(stack, weights)
+                         detection_on=False, calls=groups)
+            return vectors @ weights
 
-        # The projection is per row, so one hash of the stacked rows
-        # gives every group the signatures a per-group hash would.
+        # The projection is per row, so one hash of the segment view
+        # gives every group the signatures a per-group hash would;
+        # swapping the axes puts them in group-major order.
         signatures = self.hasher.signatures(
-            stack.reshape(rows, vector_length), self.signature_bits)
-        signatures = signatures.reshape(num_groups, num_vectors,
-                                        *signatures.shape[1:])
+            vectors.reshape(rows, vector_length), self.signature_bits)
+        signatures = signatures.reshape(
+            num_vectors, groups, *signatures.shape[1:]).swapaxes(0, 1)
         simulations = self.session.classify_groups(signatures,
                                                    self.signature_bits)
-        results = ReuseSession.ride_groups(stack, weights, simulations)
+        result = ReuseSession.ride_groups(vectors, weights, simulations)
 
-        # The per-call loop overwrites the table record and the last
-        # simulation group by group; only the last group's survives.
+        # One call per group would overwrite the table record and the
+        # last simulation group by group; only the last group's
+        # survives.
         self.signature_table.store(layer, vector_length,
                                    self.signature_bits, signatures[-1],
                                    simulations[-1])
@@ -225,8 +231,8 @@ class ReuseEngine:
                      mau=simulations.mau, mnu=simulations.mnu,
                      vector_length=vector_length, num_filters=num_filters,
                      unique=simulations.unique_signatures,
-                     detection_on=True, calls=num_groups)
-        return results
+                     detection_on=True, calls=groups)
+        return result
 
     # ------------------------------------------------------------------
     def _record(self, layer: str, phase: str, *, vectors: int, hits: int,

@@ -2,7 +2,7 @@
 
 Before this module existed the probe/insert + cache-ride logic lived
 twice: once in the training :class:`~repro.core.reuse.ReuseEngine`
-(signatures → Hitmap over a freshly-cleared MCACHE → copy HIT rows) and
+(signatures → Hitmap over a freshly-cleared MCACHE → reuse HIT rows) and
 once in the serving ``SignatureResultCache`` (signatures → persistent
 probe/insert → serve cached rows, admit fresh ones).  The two copies
 had started to drift; :class:`ReuseSession` is now the single
@@ -12,8 +12,8 @@ implementation, instantiated in one of two modes:
   :meth:`classify` call sees a freshly-cleared MCACHE, so similarity is
   exploited only *within* one batch (the paper's per-layer flush).  The
   engine drives the two phases separately — :meth:`classify` builds the
-  Hitmap on the batch MCACHE, :meth:`ride` performs the
-  compute-misses/copy-hits assembly;
+  Hitmap on the batch MCACHE, :meth:`ride` multiplies the batch with
+  every HIT row's input replaced by its representative's;
 * **persistent** (``persistent=True``) — the serving semantics: cache
   state survives across :meth:`serve` calls, entries age by micro-batch
   (:attr:`SessionPolicy.ttl_batches`), hits may be payload-verified
@@ -306,68 +306,54 @@ class ReuseSession:
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
              simulation: HitmapSimulation) -> np.ndarray:
-        """The cache-ride assembly: compute misses, copy HIT rows."""
+        """The cache ride: one GEMM over the input rows, with every HIT
+        row replaced by its representative's row.
+
+        A HIT row reuses its representative's dot products (its source
+        is its MAU row, every other row is its own), so the product is
+        ``vectors @ weights`` with the HIT rows' inputs substituted.
+        Each row that does not hit is the same row at the same position
+        in a GEMM of the same shape as the engine-less product (and of
+        the same operand layout: the layers pass C-contiguous rows), so
+        it equals that product's row bit for bit; a Hitmap without hits
+        gives the engine-less product itself.
+        """
         if not simulation.hits:
-            # Nothing to copy: skip the index build and the gather /
-            # scatter round trip.
             return vectors @ weights
-        # Compute the non-HIT rows into place; every row's
-        # representative is then a computed row (a HIT row's source is
-        # its MAU row, any other row itself), so one gather through the
-        # representative map assembles the result.
-        computed_rows = np.flatnonzero(simulation.states != HIT_CODE)
-        computed = np.empty((vectors.shape[0], weights.shape[1]),
-                            dtype=np.float64)
-        misses = vectors.take(computed_rows, axis=0)
-        computed[computed_rows] = misses @ weights
-        return computed.take(simulation.representative, axis=0)
+        return vectors.take(simulation.representative, axis=0) @ weights
 
     @staticmethod
-    def ride_groups(stack: np.ndarray, weights: np.ndarray,
+    def ride_groups(vectors: np.ndarray, weights: np.ndarray,
                     simulations: GroupedSimulation) -> np.ndarray:
-        """The cache ride of a whole ``(groups, vectors, length)`` stack.
+        """The cache ride of ``(vectors, groups * length)`` rows whose
+        ``length``-wide segments were classified group by group.
 
-        Matches calling :meth:`ride` once per group.
-        ``np.matmul(stack, weights)`` runs one ``(vectors, length) @
-        (length, filters)`` GEMM per group — the shape of the no-hit
-        :meth:`ride` — and one row gather through the representative
-        map then copies every HIT row's result from its source (a MAU
-        row, so always computed).  Computing the HIT rows too costs
-        their share of the GEMM, and saves the per-group
-        gather → GEMM → scatter that a miss-only product needs.
-
-        The miss rows equal the per-call miss-only product's bit for
-        bit where the BLAS computes a row of a product independently of
-        how many rows the product has.  The regression suite pins this
-        for the conv shapes it drives.  OpenBLAS 0.3.31 on an AVX-512
-        Xeon held it for every vector length below 16 — which covers
-        the per-channel ``k * k`` rows of a 3x3 convolution — but not
-        always from 16 up, where a row's last bits can depend on where
-        it sits in the product.  One numpy dispatch is handled here: a
-        one-row product goes to gemv, whose sums run in another order
-        than gemm's, so the groups whose only miss is their first row
-        get that row from one stacked ``(1, length) @ (length,
-        filters)`` product, which numpy sends to gemv group by group,
-        as the per-call ride's one-row product.
-
-        ``weights`` is the ``(groups, length, filters)`` stack of the
-        groups' weight matrices, and ``simulations`` the groups'
-        :class:`~repro.core.hitmap_sim.GroupedSimulation`.  Returns the
-        ``(groups, vectors, filters)`` results.
+        ``simulations`` holds one Hitmap per segment position (group):
+        group ``g``'s rows are the ``g``-th segments of every row, in
+        the group-major frame of :meth:`classify_groups`.  Each HIT
+        segment is replaced by its representative's segment of the same
+        group — one row gather over the ``(vectors * groups, length)``
+        segment view — and the substituted rows go through one ``@
+        weights``, the ``(groups * length, filters)`` product the
+        engine-less path runs.  As in :meth:`ride`, a row none of whose
+        segments hits equals the engine-less product's row bit for bit.
         """
-        computed = np.matmul(stack, weights)
         if not simulations.hits:
-            return computed
-        num_groups, num_vectors, num_filters = computed.shape
-        misses = np.count_nonzero(
-            simulations.states.reshape(num_groups, num_vectors) != HIT_CODE,
-            axis=1)
-        ones = np.flatnonzero(misses == 1)
-        if ones.size:
-            computed[ones, :1] = np.matmul(stack[ones, :1], weights[ones])
-        flat = computed.reshape(num_groups * num_vectors, num_filters)
-        return flat.take(simulations.representative, axis=0).reshape(
-            computed.shape)
+            return vectors @ weights
+        num_vectors, width = vectors.shape
+        num_groups = len(simulations)
+        rows = num_vectors * num_groups
+        # Group g's representative r (a row of the group-major frame)
+        # is vector r - g * vectors, whose g-th segment is row
+        # (r - g * vectors) * groups + g of the segment view; the
+        # transposed representatives list the sources in that view's
+        # own (vector-major) order.
+        group = np.arange(num_groups)
+        sources = simulations.representative.reshape(
+            num_groups, num_vectors).T * num_groups + group * (1 - rows)
+        segments = vectors.reshape(rows, width // num_groups)
+        return segments.take(sources.ravel(), axis=0).reshape(
+            num_vectors, width) @ weights
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

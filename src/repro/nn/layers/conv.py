@@ -69,9 +69,7 @@ class Conv2D(Module):
 
         Forward multiplies input vectors by its transpose, backward by
         the matrix itself; both orientations are zero-copy views of the
-        parameter array.  Only the per-channel engine forward copies the
-        transpose, once per call, into a C-contiguous weight stack
-        (:meth:`_engine_forward`).
+        parameter array.
         """
         value = self.weight.value
         cache = self._weight_matrix_cache
@@ -92,34 +90,20 @@ class Conv2D(Module):
 
         An engine with ``matmul_groups`` (the training reuse engine)
         hashes each input channel's ``k x k`` patches on their own
-        (§III-B): the channels go to it as one ``(in_channels, vectors,
-        k * k)`` stack — a single copy out of ``cols`` — with the
-        ``(in_channels, k * k, out_channels)`` weight stack, and the
-        per-channel results are summed in channel order.  Every other
-        engine, and a single-channel conv, multiplies the whole patch
-        with one ``matmul``.
+        (§III-B): it gets the same ``cols`` and ``(features,
+        out_channels)`` weight view the engine-less product multiplies,
+        split into ``in_channels`` groups, and runs that product once
+        with every HIT channel patch replaced by its representative's.
+        Every other engine, and a single-channel conv, multiplies the
+        whole patch with one ``matmul``.
         """
         if (self.in_channels == 1
                 or not hasattr(self.engine, "matmul_groups")):
             return self.engine.matmul(cols, weight_matrix,
                                       layer=self.layer_name, phase="forward")
-
-        patch = self.kernel_size * self.kernel_size
-        num_vectors = cols.shape[0]
-        channel_cols = np.ascontiguousarray(
-            cols.reshape(num_vectors, self.in_channels, patch)
-            .transpose(1, 0, 2))
-        # One C-contiguous copy of the (features, out_channels) filters:
-        # every channel's GEMM then multiplies the same operand layout,
-        # and the stacked matmul runs faster.
-        channel_weights = np.ascontiguousarray(weight_matrix).reshape(
-            self.in_channels, patch, self.out_channels)
-        results = self.engine.matmul_groups(channel_cols, channel_weights,
-                                            layer=self.layer_name)
-        # Reducing over the leading (channel) axis adds the channels one
-        # after another, element by element: the same sums, in the same
-        # order, as an ``out += result`` loop.
-        return np.add.reduce(results, axis=0)
+        return self.engine.matmul_groups(cols, weight_matrix,
+                                         groups=self.in_channels,
+                                         layer=self.layer_name)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, _, height, width = x.shape

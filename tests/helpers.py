@@ -31,3 +31,17 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def capture_grouped(engine) -> list:
+    """Record every grouped Hitmap ``engine`` classifies, in order."""
+    captured = []
+    classify_groups = engine.session.classify_groups
+
+    def capturing(signature_groups, signature_bits):
+        simulations = classify_groups(signature_groups, signature_bits)
+        captured.append(simulations)
+        return simulations
+
+    engine.session.classify_groups = capturing
+    return captured

@@ -20,8 +20,9 @@ Oracle                                      Production function it checks
                                             over chunked persistent traces
 ``differential.run_serve_differential``     ``ReuseSession.serve`` (the dense result store)
                                             against the line-level data phase
-``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its stacked
-(``engine.per_call_engine``)                ``ReuseSession.ride_groups``
+``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its
+(``engine.per_call_engine``,                substituted-input ``ReuseSession.ride_groups``
+``engine.substitute_segments``)
 ``engine.scalar_engine``                    ``ReuseEngine`` Hitmaps end to end
 ``im2col.im2col_reference``                 ``repro.nn.im2col.im2col``
 ``im2col.col2im_reference``                 ``repro.nn.im2col.col2im`` (values and strides)
@@ -35,5 +36,7 @@ Oracle                                      Production function it checks
                                             and gradients (tolerance oracle, 1e-12)
 ``layers.PowGELU``                          ``repro.nn.GELU`` multiplied cube, forward and
                                             backward (tolerance oracle, 1e-12)
+``baselines.LoopUnlimitedSimilarityBound``  ``UnlimitedSimilarityBound.layer_report``
+                                            (row-sorted distinct-value count)
 ==========================================  =================================================
 """

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import (format_table, geomean, measure_layer_similarity,
                             measure_unique_vectors, rpq_unique_vector_experiment)
@@ -12,6 +14,7 @@ from repro.data import ClusteredImageDataset, ImageDatasetConfig
 from repro.models import build_model
 from repro.nn import CrossEntropyLoss, Linear, ReLU, Sequential
 from repro.training import Trainer, TrainingConfig, bleu_score, top1_accuracy
+from tests.oracles.baselines import LoopUnlimitedSimilarityBound
 
 RNG = np.random.default_rng(17)
 
@@ -143,6 +146,35 @@ def test_unlimited_similarity_bound():
     # Only two distinct values per vector -> half the multiplies needed.
     assert report.speedup == pytest.approx(2.0)
     assert UnlimitedSimilarityBound().model_speedup(_captured_toy_model()) >= 1.0
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 4),
+       st.sampled_from((1e-3, 1e-2, 0.5, 3.0)),
+       st.sampled_from(("normal", "repeated", "signed-zeros")),
+       st.integers(0, 2 ** 31))
+def test_unlimited_similarity_matches_the_per_row_unique_loop(
+        rows, length, filters, resolution, values, seed):
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        vectors = rng.normal(size=(rows, length))
+    elif values == "repeated":
+        vectors = rng.choice([-1.5, 0.0, 0.25, 2.0], size=(rows, length))
+    else:
+        vectors = rng.choice([-0.0, 0.0, 1.0], size=(rows, length))
+    weights = np.ones((length, filters))
+    report = UnlimitedSimilarityBound(resolution).layer_report(
+        "l", vectors, weights)
+    reference = LoopUnlimitedSimilarityBound(resolution).layer_report(
+        "l", vectors, weights)
+    assert report == reference
+    assert report.speedup == reference.speedup
+
+
+def test_unlimited_similarity_model_speedup_matches_the_loop():
+    capture = _captured_toy_model()
+    for resolution in (1e-3, 1e-2, 0.5):
+        assert UnlimitedSimilarityBound(resolution).model_speedup(capture) \
+            == LoopUnlimitedSimilarityBound(resolution).model_speedup(capture)
 
 
 def test_bounds_validation():

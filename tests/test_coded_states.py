@@ -14,9 +14,9 @@ representation to that oracle:
   codes whose semantics match a line-level mirror replay;
 * the grouped group-by's admission, with and without an
   over-subscribed set, equals per-group classification;
-* the stacked GEMM -> row-gather ``ride_groups`` is bit-identical to
-  the per-group masked ``ride``, directly and engine-to-engine against
-  the per-call ``matmul_groups`` oracle;
+* the substituted-input ``ride_groups`` is bit-identical to the
+  product over segments substituted one at a time, directly and
+  engine-to-engine against the per-group ``matmul_groups`` oracle;
 * ``words_to_ints`` (the exact-Python-int expansion the oracles use)
   is exact;
 * ``_prune_seen``'s argpartition selection matches the old
@@ -37,7 +37,7 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
-from tests.oracles.engine import per_call_engine
+from tests.oracles.engine import per_call_engine, substitute_segments
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import ints_to_words, words_to_ints
 
@@ -241,46 +241,59 @@ class TestGroupedAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Stacked GEMM -> row-gather cache ride
+# Input-substitution cache ride
 # ---------------------------------------------------------------------------
 class TestFusedRide:
     @given(st.integers(0, 2 ** 31), st.integers(1, 5),
-           st.integers(1, 40), st.integers(1, 16))
+           st.integers(1, 40), st.integers(1, 16), st.integers(1, 20))
     @settings(max_examples=20, deadline=None)
-    def test_ride_groups_matches_per_group_ride(self, seed, num_groups,
-                                                rows, pool):
+    def test_ride_groups_matches_the_substituted_product(
+            self, seed, num_groups, rows, pool, length):
         rng = np.random.default_rng(seed)
-        groups = [rng.normal(size=(rows, 5)) for _ in range(num_groups)]
-        weights = [rng.normal(size=(5, 3)) for _ in range(num_groups)]
+        vectors = rng.normal(size=(rows, num_groups * length))
+        weights = rng.normal(size=(num_groups * length, 3))
         traces = [rng.choice(rng.integers(0, 1 << 16, size=pool),
                              size=rows) for _ in range(num_groups)]
         sims = simulate_hitmap_grouped(np.concatenate(traces),
                                        [rows] * num_groups,
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(np.stack(groups),
-                                         np.stack(weights), sims)
-        for result, vectors, w, sim in zip(fused, groups, weights, sims):
+        ridden = ReuseSession.ride_groups(vectors, weights, sims)
+        np.testing.assert_array_equal(
+            ridden, substitute_segments(
+                vectors, [sim.representative for sim in sims], length)
+            @ weights)
+        if num_groups == 1:
             np.testing.assert_array_equal(
-                result, ReuseSession.ride(vectors, w, sim))
+                ridden, ReuseSession.ride(vectors, weights, sims[0]))
+        # A row none of whose segments hits is the engine-less row.
+        states = sims.states.reshape(num_groups, rows)
+        missed = (states != HIT_CODE).all(axis=0)
+        np.testing.assert_array_equal(ridden[missed],
+                                      (vectors @ weights)[missed])
 
     def test_ride_groups_all_hit_and_no_hit_groups(self, rng):
         # One group with zero hits, one fully redundant after its first
-        # row — a single miss, which the per-call ride multiplies as a
-        # one-row product.
-        groups = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
-        weights = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+        # row: every row but the first takes group 1's first segment.
+        vectors = rng.normal(size=(4, 6))
+        weights = rng.normal(size=(6, 2))
         traces = [np.arange(4) * 7, np.full(4, 9)]
         sims = simulate_hitmap_grouped(np.concatenate(traces), [4, 4],
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(np.stack(groups),
-                                         np.stack(weights), sims)
-        for result, vectors, w, sim in zip(fused, groups, weights, sims):
-            np.testing.assert_array_equal(
-                result, ReuseSession.ride(vectors, w, sim))
+        substituted = vectors.copy()
+        substituted[1:, 3:] = vectors[0, 3:]
+        ridden = ReuseSession.ride_groups(vectors, weights, sims)
+        np.testing.assert_array_equal(ridden, substituted @ weights)
+        np.testing.assert_array_equal(ridden[0], (vectors @ weights)[0])
+        # Without a hit the ride is the engine-less product itself.
+        sims = simulate_hitmap_grouped(np.arange(8) * 7, [4, 4],
+                                       num_sets=4, ways=2)
+        np.testing.assert_array_equal(
+            ReuseSession.ride_groups(vectors, weights, sims),
+            vectors @ weights)
 
     @pytest.mark.parametrize("in_channels", [6, 7])
     def test_engine_fused_flag_bit_identity(self, rng, in_channels):
-        """The fused ride equals the per-call masked oracle's output."""
+        """The fused ride equals the per-group oracle's output."""
         config = MercuryConfig(adaptive_signature_length=False,
                                adaptive_stoppage=False,
                                mcache_entries=64, mcache_ways=4)

@@ -1,11 +1,14 @@
 """Bit-identity of the batched per-channel convolution path.
 
-The reuse engine services a convolution's per-channel calls as one
-stacked hash, classification and cache ride
+The reuse engine services a convolution's per-channel signature phases
+as one hash and one classification, and rides them with one GEMM of
+the engine-less shape over the substituted patches
 (`ReuseEngine.matmul_groups`).  These tests assert it is bit-identical
-to one engine call per channel (the oracle in
+to one signature phase per channel followed by one product over the
+patches substituted element by element (the oracle in
 ``tests/oracles/engine.py``): outputs, per-layer statistics,
-signature-table state, MCACHE counters and clears.
+signature-table state, MCACHE counters and clears; and that every
+patch row none of whose channels hits equals the engine-less conv's.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.reuse import ReuseEngine
-from repro.core.session import ReuseSession
 from repro.models.registry import build_model
 from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
 from repro.training.trainer import Trainer
-from tests.oracles.engine import per_call_engine
+from tests.helpers import capture_grouped
+from tests.oracles.engine import per_call_engine, substitute_segments
 from tests.oracles.signatures import ints_to_words
 
 
@@ -118,8 +121,7 @@ def _paired_engines(**config_overrides):
 # shapes with vector lengths of 16 or more: 5x5 is the scaled alexnet's
 # conv1, 7x7 the resnet/googlenet conv1 and 11x11 the full-size alexnet
 # conv1.  Every vector of an unpadded constant channel is the same, so
-# its group's only miss is its first row: the one-row products
-# ``ReuseSession.ride_groups`` computes apart from the stacked GEMM.
+# its group's only miss is its first row.
 CONV_SHAPES = {
     "6ch-3x3": (6, 3, 1, 1, 10, ()),
     "7ch-3x3": (7, 3, 1, 1, 10, ()),
@@ -134,25 +136,18 @@ CONV_SHAPES = {
 
 @pytest.mark.parametrize("shape", CONV_SHAPES.values(),
                          ids=CONV_SHAPES.keys())
-def test_conv_forward_bit_identity(rng, shape, monkeypatch):
+def test_conv_forward_bit_identity(rng, shape):
+    """The grouped engine equals the per-group oracle bit for bit, and
+    every row none of whose channels hits equals the engine-less
+    conv's."""
     in_channels, kernel, stride, padding, size, constant = shape
     oracle, batched = _paired_engines()
+    captured = capture_grouped(batched)
     x = rng.normal(size=(3, in_channels, size, size))
     for channel in constant:
         x[:, channel] = rng.normal()
-    one_miss_groups = []
-    ride_groups = ReuseSession.ride_groups
-
-    def counting_ride(stack, weights, simulations):
-        states = simulations.states.reshape(stack.shape[:2])
-        one_miss_groups.append(
-            int(np.count_nonzero((states != HIT_CODE).sum(axis=1) == 1)))
-        return ride_groups(stack, weights, simulations)
-
-    monkeypatch.setattr(ReuseSession, "ride_groups",
-                        staticmethod(counting_ride))
     outputs = {}
-    for engine in (oracle, batched):
+    for engine in (oracle, batched, None):
         conv = Conv2D(in_channels, 5, kernel, stride=stride,
                       padding=padding, seed=11)
         conv.engine = engine
@@ -163,6 +158,7 @@ def test_conv_forward_bit_identity(rng, shape, monkeypatch):
             oracle.mcache.stats.mnu) == (batched.mcache.stats.hits,
                                          batched.mcache.stats.mau,
                                          batched.mcache.stats.mnu)
+    assert oracle.session.clears == batched.session.clears
     # The signature table holds the last channel's record either way.
     for engine in (oracle, batched):
         record = engine.signature_table.get(conv.layer_name)
@@ -170,29 +166,51 @@ def test_conv_forward_bit_identity(rng, shape, monkeypatch):
     left = oracle.signature_table.get(conv.layer_name)
     right = batched.signature_table.get(conv.layer_name)
     np.testing.assert_array_equal(left.signatures, right.signatures)
+    _assert_simulations_equal(left.hitmap, right.hitmap)
     # Every channel is hashed on its own: k x k vectors.
     assert left.vector_length == right.vector_length == kernel * kernel
-    if constant:
-        assert one_miss_groups == [len(constant)]
+
+    if in_channels == 1:
+        assert captured == []
+        simulations = [batched.last_simulations[(conv.layer_name,
+                                                 "forward")]]
+    else:
+        (simulations,) = captured
+        for channel in constant:
+            # A constant channel's group misses only on its first row.
+            assert simulations[channel].hits == \
+                len(simulations[channel].states) - 1
+    states = np.stack([simulation.states for simulation in simulations])
+    missed = (states != HIT_CODE).all(axis=0)
+    assert missed.any()
+
+    def rows(out):
+        return out.transpose(0, 2, 3, 1).reshape(-1, 5)
+
+    np.testing.assert_array_equal(rows(outputs[batched])[missed],
+                                  rows(outputs[None])[missed])
 
 
-def test_conv_channel_sum_matches_an_accumulation_loop(rng):
-    """The channel reduction adds the channels in order, like ``+=``."""
+def test_conv_forward_matches_the_substituted_exact_product(rng):
+    """The grouped forward is the engine-less GEMM over ``cols`` with
+    each HIT channel patch replaced by its representative's, built
+    here one (row, channel) at a time."""
     config = MercuryConfig(adaptive_signature_length=False,
-                           adaptive_stoppage=False)
-    conv = Conv2D(12, 7, 3, padding=1, bias=False, seed=3)
-    conv.engine = per_call_engine(config)
+                           adaptive_stoppage=False, signature_bits=8)
+    engine = ReuseEngine(config)
+    captured = capture_grouped(engine)
+    conv = Conv2D(12, 7, 3, padding=1, seed=3)
+    conv.engine = engine
     x = rng.normal(size=(2, 12, 6, 6))
     out = conv.forward(x)
 
-    reference = per_call_engine(config)
-    cols = im2col(x, 3, 3, 1, 1).reshape(-1, 12, 9)
-    weights = conv.weight.value.reshape(7, 12, 9)
-    expected = np.zeros((len(cols), 7))
-    for channel in range(12):
-        expected += reference.matmul(np.ascontiguousarray(cols[:, channel]),
-                                     weights[:, channel].T,
-                                     layer=conv.layer_name)
+    (simulations,) = captured
+    assert simulations.hits
+    substituted = substitute_segments(
+        im2col(x, 3, 3, 1, 1),
+        [simulation.representative for simulation in simulations], 9)
+    expected = substituted @ conv.weight.value.reshape(7, -1).T
+    expected += conv.bias.value
     expected = expected.reshape(2, 6, 6, 7).transpose(0, 3, 1, 2)
     np.testing.assert_array_equal(out, expected)
 

@@ -19,9 +19,10 @@ ORACLE_NAMES = {
     "run_differential", "run_serve_differential",
     "scalar_reference_simulation", "im2col_reference", "ReferenceLRU",
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
-    "signatures_to_ints", "per_call_matmul_groups", "Reservoir",
-    "col2im_reference", "ReferenceSGD", "ReferenceAdam",
+    "signatures_to_ints", "per_call_matmul_groups", "substitute_segments",
+    "Reservoir", "col2im_reference", "ReferenceSGD", "ReferenceAdam",
     "EinsumMultiHeadSelfAttention", "PowGELU",
+    "LoopUnlimitedSimilarityBound",
 }
 
 _IMPORT_EVERYTHING = """
