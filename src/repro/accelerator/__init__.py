@@ -7,7 +7,6 @@ MERCURY under the row-stationary, weight-stationary and input-stationary
 dataflows, plus the FPGA resource/power estimates of Tables II-IV.
 """
 
-from repro.accelerator.pe import PEConfig, ProcessingElement
 from repro.accelerator.signature_pipeline import (
     SignaturePipelineModel,
     pipelined_signature_cycles,
@@ -26,8 +25,6 @@ from repro.accelerator.mercury_sim import MercurySimulator, SimulationReport
 from repro.accelerator.fpga import FPGAModel, ResourceUsage, PowerBreakdown
 
 __all__ = [
-    "PEConfig",
-    "ProcessingElement",
     "SignaturePipelineModel",
     "pipelined_signature_cycles",
     "unpipelined_signature_cycles",

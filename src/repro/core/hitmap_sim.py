@@ -13,11 +13,16 @@ model in ``tests/oracles``) using numpy group-by operations:
 * occurrences of a signature whose set was already full at its first
   occurrence are MNU (no replacement — Figure 9).
 
-Signatures arrive either as a 1-D ``int64`` array or — beyond 62 bits —
-as the multi-word ``(n_vectors, n_words)`` ``uint64`` representation
-(:mod:`repro.core.rpq`); the multi-word path groups by lexicographic
-row sort and stays fully vectorised.  Any other representation is
-rejected (:func:`~repro.core.rpq.coerce_packed`).
+One core serves the plain signature phase and the grouped one
+(:func:`simulate_hitmap_interleaved`, a fresh MCACHE per group): a
+plain batch is the one-group case.  Each row's ``(group, signature,
+row)`` fuses into one int64 key, so one sort groups the batch and
+orders every signature's rows by arrival.  Signatures arrive either as
+a 1-D ``int64`` array or — beyond 62 bits — as the multi-word
+``(n_vectors, n_words)`` ``uint64`` representation
+(:mod:`repro.core.rpq`); those, and keys too wide for 63 bits, group by
+one lexicographic row sort instead and stay fully vectorised.  Any
+other representation is rejected (:func:`~repro.core.rpq.coerce_packed`).
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, Hitmap, MNU_CODE
-from repro.core.rpq import coerce_packed, unique_signatures, words_mod
+from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, Hitmap, MAU_CODE,
+                               MNU_CODE)
+from repro.core.rpq import coerce_packed, words_mod
 
 
 @dataclass
@@ -63,54 +69,48 @@ class HitmapSimulation:
 
 
 class GroupedSimulation(Sequence):
-    """The per-group Hitmaps of one grouped signature phase.
+    """The per-group Hitmaps of one grouped signature phase, in the
+    interleaved frame.
 
-    A sequence of :class:`HitmapSimulation` — one per group, in order,
-    each a row view of the concatenation — that also carries what
-    whole-stack callers need, so they never walk the groups: the
-    concatenated ``states`` codes, the ``representative`` row map over
-    the concatenation (a HIT row points at its source's row in the
-    concatenated frame, every other row at itself), and the HIT / MAU /
-    MNU / unique-signature totals over all groups.
+    Row ``n * groups + g`` of the frame is vector ``n`` of group ``g``:
+    the row order of a convolution's ``(vectors * channels, k * k)``
+    segment view, where group ``g`` is input channel ``g``.  ``states``
+    holds every row's code and ``representative`` every row's source
+    row in the same frame (a HIT row's MAU row of its own group, every
+    other row itself); ``hits``, ``mau``, ``mnu`` and
+    ``unique_signatures`` are totals over all groups, so whole-stack
+    callers never walk the groups.
 
-    Built from a list of simulations, or by
-    :func:`simulate_hitmap_grouped`, which leaves the per-group views
-    to be built when first indexed: the reuse engine reads only the
-    last one.  Indexing (negative indices and slices too), ``len``,
-    iteration and ``==`` against a list behave as on a list.
+    A sequence of :class:`HitmapSimulation`, one per group: group
+    ``g``'s is the strided view ``states[g::groups]`` with local
+    representatives ``representative[g::groups] // groups``, built when
+    first indexed (the reuse engine reads only the last one).
+    ``unique_groups`` names the group of each unique signature.
+    Indexing (negative indices and slices too), ``len``, iteration and
+    ``==`` against a list behave as on a list.
     """
 
-    def __init__(self, groups, *, states: np.ndarray,
+    def __init__(self, groups: int, *, states: np.ndarray,
                  representative: np.ndarray, hits: int, mau: int, mnu: int,
-                 unique_signatures: int):
-        self._views = list(groups)
+                 unique_groups: np.ndarray):
+        self._views: list[HitmapSimulation | None] = [None] * groups
         self.states = states
         self.representative = representative
         self.hits = hits
         self.mau = mau
         self.mnu = mnu
-        self.unique_signatures = unique_signatures
-        # Lazy form only: group row bounds and each unique's group.
-        self._bounds: list[int] | None = None
-        self._unique_groups: np.ndarray | None = None
-
-    @classmethod
-    def _lazy(cls, bounds: list[int], unique_groups: np.ndarray,
-              **fields) -> "GroupedSimulation":
-        grouped = cls([None] * (len(bounds) - 1), **fields)
-        grouped._bounds = bounds
-        grouped._unique_groups = unique_groups
-        return grouped
+        self.unique_signatures = len(unique_groups)
+        self._unique_groups = unique_groups
 
     def _view(self, group: int) -> HitmapSimulation:
-        lo, hi = self._bounds[group], self._bounds[group + 1]
-        states = self.states[lo:hi]
+        groups = len(self._views)
+        states = self.states[group::groups]
         hits, mau, mnu = np.bincount(states, minlength=3).tolist()
         return HitmapSimulation(
-            states=states, representative=self.representative[lo:hi] - lo,
+            states=states,
+            representative=self.representative[group::groups] // groups,
             hits=hits, mau=mau, mnu=mnu, unique_signatures=int(
-                np.diff(np.searchsorted(self._unique_groups,
-                                        [group, group + 1]))[0]))
+                np.count_nonzero(self._unique_groups == group)))
 
     def __len__(self) -> int:
         return len(self._views)
@@ -137,8 +137,8 @@ def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
     """Rank of each element within its run of equal, pre-sorted keys.
 
     ``sorted_keys`` must be grouped (equal values adjacent); the result
-    counts 0, 1, 2, ... within each run.  Shared by the stateless
-    group-by simulation below and the batch MCACHE's insert competition
+    counts 0, 1, 2, ... within each run.  Shared by the signature-phase
+    admission below and the batch MCACHE's insert competition
     (:mod:`repro.core.mcache_vec`) so the two stay structurally, not
     just observably, identical.
     """
@@ -171,163 +171,172 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
     num_sets, ways:
         MCACHE geometry; insertion into a set stops once ``ways``
         distinct signatures have claimed its lines.
+
+    The one-group case of the shared core behind
+    :func:`simulate_hitmap_interleaved`.
     """
-    if num_sets <= 0 or ways <= 0:
-        raise ValueError("num_sets and ways must be positive")
-    signatures = coerce_packed(signatures)
-    if len(signatures) == 0:
-        return HitmapSimulation(states=np.empty(0, dtype=np.int8),
-                                representative=np.empty(0, dtype=np.int64),
-                                hits=0, mau=0, mnu=0, unique_signatures=0)
-    return _simulate_vectorised(signatures, num_sets, ways)
-
-
-def _classify_uniques(unique_sets: np.ndarray, first_index: np.ndarray,
-                      inverse: np.ndarray, num_vectors: int,
-                      ways: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared classification core given a group-by of the batch.
-
-    ``unique_sets`` names the cache set competed for by each unique
-    signature (callers may offset it to model independent caches — the
-    multi-group path); returns ``(codes, representative)`` over the
-    ``num_vectors`` probes.
-    """
-    # Decide which unique signatures win a cache line: order them by
-    # first occurrence and admit the first `ways` per set.  The
-    # (set, arrival) order usually packs into one int64 key
-    # ``set << row_bits | first_index``: the keys are distinct, so one
-    # unstable sort of the keys themselves gives the stable order, and
-    # the first index in the low bits names each unique via ``inverse``.
-    num_uniques = len(unique_sets)
-    inserted_unique = np.empty(num_uniques, dtype=bool)
-    max_set = int(unique_sets.max()) if num_uniques else 0
-    row_bits = max(num_vectors - 1, 0).bit_length()
-    if max_set.bit_length() + row_bits <= 63:
-        keys = np.sort((unique_sets.astype(np.int64, copy=False)
-                        << row_bits) | first_index)
-        rank_within_set = rank_within_groups(keys >> row_bits)
-        in_set_order = inverse[keys & ((1 << row_bits) - 1)]
-        inserted_unique[in_set_order] = rank_within_set < ways
-    else:  # pragma: no cover — needs ~2^62 composite sets
-        arrival_order = np.argsort(first_index, kind="stable")
-        sets_in_arrival = unique_sets[arrival_order]
-        by_set = np.argsort(sets_in_arrival, kind="stable")
-        rank_within_set = rank_within_groups(sets_in_arrival[by_set])
-        inserted_in_arrival = np.empty(num_uniques, dtype=bool)
-        inserted_in_arrival[by_set] = rank_within_set < ways
-        inserted_unique[arrival_order] = inserted_in_arrival
-
-    # An inserted signature's first occurrence is MAU and its later
-    # ones HIT — with HIT_CODE = 0 and MAU_CODE = 1 that is the
-    # first-occurrence flag itself; rows of a rejected signature are
-    # MNU.  HIT rows point at their signature's first occurrence (for a
-    # MAU row that is the row itself); MNU rows point at themselves.
-    rejected = np.flatnonzero(~inserted_unique[inverse])
-    is_first = np.zeros(num_vectors, dtype=bool)
-    is_first[first_index] = True
-    codes = is_first.view(np.int8)
-    codes[rejected] = MNU_CODE
-    representative = first_index[inverse]
-    representative[rejected] = rejected
-    return codes, representative
-
-
-def _simulate_vectorised(signatures: np.ndarray, num_sets: int,
-                         ways: int) -> HitmapSimulation:
-    """numpy group-by implementation for either packed representation."""
-    num_vectors = len(signatures)
-    unique_values, first_index, inverse = unique_signatures(signatures)
-    unique_sets = signature_sets(unique_values, num_sets)
-    codes, representative = _classify_uniques(
-        unique_sets, first_index, inverse, num_vectors, ways)
-    hits, mau, mnu = np.bincount(codes, minlength=3).tolist()
+    codes, representative, hits, mau, mnu, unique_groups = _classify(
+        signatures, 1, num_sets, ways, None)
     return HitmapSimulation(states=codes, representative=representative,
                             hits=hits, mau=mau, mnu=mnu,
-                            unique_signatures=len(unique_values))
+                            unique_signatures=len(unique_groups))
 
 
-def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
-                            ways: int,
-                            signature_bits: int | None = None
-                            ) -> GroupedSimulation:
-    """Per-group Hitmaps for a concatenation of signature batches.
+def simulate_hitmap_interleaved(signatures, groups: int, num_sets: int,
+                                ways: int,
+                                signature_bits: int | None = None
+                                ) -> GroupedSimulation:
+    """Per-group Hitmaps for ``groups`` interleaved signature batches.
 
-    Bit-identical to calling :func:`simulate_hitmap` once per group —
-    each group is classified against its own fresh MCACHE — but the
-    group-by runs once over the whole concatenation: group ``g``'s
-    signatures compete only for composite sets ``g * num_sets + set``,
-    so no signature can hit, or steal a way from, another group.  This
-    is the batched signature phase behind the reuse engine's
-    per-channel convolution path, where per-call overhead used to
-    dominate (one engine call per input channel).
-
-    ``signatures`` holds the groups back to back in arrival order (1-D
-    int64 or the multi-word 2-D form); ``group_sizes`` their lengths.
-    The result is a :class:`GroupedSimulation`: one
-    :class:`HitmapSimulation` per group — row views whose representative
-    indices are local to the group, exactly as the per-call path
-    produces them — plus the concatenated arrays and the totals.
+    Row ``n * groups + g`` of ``signatures`` (1-D int64 or the
+    multi-word 2-D form) is the ``n``-th signature of group ``g``.
+    Bit-identical to calling :func:`simulate_hitmap` on each group's
+    rows ``signatures[g::groups]`` — every group is classified against
+    its own fresh MCACHE — but the work is one pass of the shared core
+    over the whole frame: group ``g``'s signatures compete only for
+    composite sets ``g * num_sets + set``, so no signature can hit, or
+    steal a way from, another group.  This is the batched signature
+    phase behind the reuse engine's per-channel convolution path.
 
     ``signature_bits``, when the caller knows every signature fits that
-    many bits, lets the composite (group, signature) key fuse into one
-    int64, which :func:`~repro.core.rpq.unique_signatures` groups with a
-    single packed ``(group, signature, row)`` sort; without it, or past
-    62 bits, the groups go through a lexicographic row sort.  Either
-    way the work is a constant number of numpy passes over the whole
-    concatenation; a per-group view is built only when indexed.
+    many bits, is the fused key's signature width (a batch that does
+    not fit it takes the lexicographic sort); without it the width is
+    read off the batch.  The result is a
+    :class:`GroupedSimulation` in the interleaved frame.
+    """
+    if groups < 1:
+        raise ValueError("groups must be positive")
+    codes, representative, hits, mau, mnu, unique_groups = _classify(
+        signatures, groups, num_sets, ways, signature_bits)
+    return GroupedSimulation(groups, states=codes,
+                             representative=representative, hits=hits,
+                             mau=mau, mnu=mnu, unique_groups=unique_groups)
+
+
+def _group_by(signatures: np.ndarray, groups: int, num_sets: int,
+              signature_bits: int | None):
+    """Sort the frame's rows by ``(group, signature, row)``.
+
+    Returns ``(order, starts, unique_groups, unique_sets)``: the rows
+    in that order, the start of each ``(group, signature)`` run in it
+    (one run per unique signature of a group, the run's first row its
+    first occurrence), and each unique's group and cache set
+    ``signature % num_sets``.
+    """
+    num_rows = len(signatures)
+    row_bits = max(num_rows - 1, 0).bit_length()
+    bits = None
+    if signatures.ndim == 1:
+        if signature_bits is None:
+            # The OR of all values is as wide as the widest.
+            bits = int(np.bitwise_or.reduce(signatures)).bit_length()
+        elif int(signatures.max()) < (1 << signature_bits):
+            bits = int(signature_bits)
+    if bits is not None and (groups - 1).bit_length() + bits + row_bits <= 63:
+        # One key per row, ``group << (bits + row_bits) | signature <<
+        # row_bits | row``.  The keys are distinct, so an unstable sort
+        # of the keys themselves is the stable (group, signature)
+        # order, and the row falls out of the low bits.  Row ``n *
+        # groups + g`` is group ``g``, so the group field is one
+        # broadcast OR over the frame's ``(n, groups)`` view.
+        keys = (signatures.reshape(-1, groups)
+                | np.arange(groups, dtype=np.int64) << bits).reshape(-1)
+        keys <<= row_bits
+        keys |= np.arange(num_rows, dtype=np.int64)
+        keys.sort()
+        order = keys & ((1 << row_bits) - 1)
+        keys >>= row_bits
+        new_run = np.empty(num_rows, dtype=bool)
+        new_run[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        unique_keys = keys[starts]
+        unique_groups = unique_keys >> bits
+        unique_keys &= (1 << bits) - 1
+        return order, starts, unique_groups, _sets_of(unique_keys, num_sets)
+    # Multi-word signatures, or keys past 63 bits: a stable
+    # lexicographic sort of (group, words...) — lexsort's last key is
+    # primary — with ties in row order.
+    row_groups = np.arange(num_rows, dtype=np.int64) % groups
+    columns = signatures if signatures.ndim == 2 else signatures[:, None]
+    order = np.lexsort((*(columns[:, col] for col in
+                          range(columns.shape[1] - 1, -1, -1)),
+                        row_groups))
+    sorted_columns = columns[order]
+    sorted_groups = row_groups[order]
+    new_run = np.ones(num_rows, dtype=bool)
+    new_run[1:] = ((sorted_columns[1:] != sorted_columns[:-1]).any(axis=1)
+                   | (sorted_groups[1:] != sorted_groups[:-1]))
+    starts = np.flatnonzero(new_run)
+    return order, starts, sorted_groups[starts], \
+        _sets_of(signatures[order[starts]], num_sets)
+
+
+def _sets_of(unique_values: np.ndarray, num_sets: int) -> np.ndarray:
+    """:func:`signature_sets`, by a mask when ``num_sets`` is a power of 2."""
+    if unique_values.ndim == 1 and num_sets & (num_sets - 1) == 0:
+        return unique_values & (num_sets - 1)
+    return signature_sets(unique_values, num_sets)
+
+
+def _classify(signatures, groups: int, num_sets: int, ways: int,
+              signature_bits: int | None):
+    """The shared signature-phase core over an interleaved frame.
+
+    Returns ``(codes, representative, hits, mau, mnu, unique_groups)``
+    over the frame's rows.
     """
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
-    group_sizes = np.asarray(group_sizes, dtype=np.int64).reshape(-1)
-    if (group_sizes < 0).any():
-        raise ValueError("group sizes must be non-negative")
     signatures = coerce_packed(signatures)
-    num_vectors = len(signatures)
-    if int(group_sizes.sum()) != num_vectors:
-        raise ValueError("group sizes must sum to the number of signatures")
+    num_rows = len(signatures)
+    if num_rows % groups:
+        raise ValueError(f"{num_rows} signatures do not split into "
+                         f"{groups} groups")
+    if num_rows == 0:
+        return (np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64),
+                0, 0, 0, np.empty(0, dtype=np.int64))
+    order, starts, unique_groups, local_sets = _group_by(
+        signatures, groups, num_sets, signature_bits)
 
-    num_groups = len(group_sizes)
-    starts = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum(group_sizes, out=starts[1:])
-    group_ids = np.repeat(np.arange(num_groups, dtype=np.int64),
-                          group_sizes)
-    fused_bits = None
-    if (signatures.ndim == 1 and signature_bits is not None
-            and signature_bits + max(num_groups - 1, 0).bit_length() <= 62
-            and (num_vectors == 0
-                 or int(signatures.max()) < (1 << signature_bits))):
-        fused_bits = int(signature_bits)
+    # Every row points at its run's first row, its signature's first
+    # occurrence in its group; that row is MAU, the others HIT.
+    first_rows = order[starts]
+    run_lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=run_lengths[:-1])
+    run_lengths[-1] = num_rows - starts[-1]
+    representative = np.empty(num_rows, dtype=np.int64)
+    representative[order] = first_rows.repeat(run_lengths)
+    codes = np.zeros(num_rows, dtype=np.int8)
+    codes[first_rows] = MAU_CODE
 
-    if fused_bits is not None:
-        # Fused single-key path: (group << bits) | signature is unique
-        # per (group, signature) pair and sorts group-major, so one
-        # int64 group-by replaces the two-column lexsort.
-        fused = (group_ids << fused_bits) | signatures
-        unique_values, first_index, inverse = unique_signatures(fused)
-        unique_groups = unique_values >> fused_bits
-        unique_sets = signature_sets(
-            unique_values & ((np.int64(1) << fused_bits) - 1), num_sets)
-    else:
-        word_groups = group_ids.astype(np.uint64)
-        if signatures.ndim == 2:
-            composite = np.hstack([word_groups[:, None], signatures])
-        else:
-            composite = np.stack([word_groups,
-                                  signatures.astype(np.uint64)], axis=1)
-        unique_values, first_index, inverse = unique_signatures(composite)
-        unique_groups = unique_values[:, 0].astype(np.int64)
-        unique_sets = signature_sets(
-            unique_values[:, 1] if unique_values.shape[1] == 2
-            else unique_values[:, 1:], num_sets)
-    # The cache set is derived from the signature alone (exactly the
-    # single-group rule), then offset per group so groups never share a
-    # set: per-group fresh-MCACHE semantics inside one group-by.
-    composite_sets = unique_groups * num_sets + unique_sets
+    # Admission: each group's set admits its first `ways` uniques by
+    # first arrival.  Only a set holding more uniques than that can
+    # reject one, so only the uniques of such sets are ranked, by one
+    # distinct key ``composite set << row_bits | first row`` each.
+    # (It fits 63 bits: a wider key needs ``set_sizes`` and the
+    # signatures to take over 16 GB between them.)
+    rejected_rows = np.empty(0, dtype=np.int64)
+    rejected_uniques = 0
+    unique_sets = unique_groups * num_sets + local_sets
+    set_sizes = np.bincount(unique_sets)
+    if int(set_sizes.max()) > ways:
+        contested = np.flatnonzero(set_sizes[unique_sets] > ways)
+        row_bits = max(num_rows - 1, 0).bit_length()
+        keys = unique_sets[contested] << row_bits
+        keys |= first_rows[contested]
+        keys.sort()
+        rejected_firsts = keys[rank_within_groups(keys >> row_bits) >= ways]
+        rejected_firsts &= (1 << row_bits) - 1
+        rejected_uniques = len(rejected_firsts)
+        # Every row of a rejected unique is MNU and its own source.
+        rejected = np.zeros(num_rows, dtype=bool)
+        rejected[rejected_firsts] = True
+        rejected_rows = np.flatnonzero(rejected[representative])
+        codes[rejected_rows] = MNU_CODE
+        representative[rejected_rows] = rejected_rows
 
-    states, representative = _classify_uniques(
-        composite_sets, first_index, inverse, num_vectors, ways)
-    hits, mau, mnu = np.bincount(states, minlength=3).tolist()
-    return GroupedSimulation._lazy(
-        starts.tolist(), unique_groups, states=states,
-        representative=representative, hits=hits, mau=mau, mnu=mnu,
-        unique_signatures=len(unique_groups))
+    mau = len(starts) - rejected_uniques
+    mnu = len(rejected_rows)
+    return (codes, representative, num_rows - mau - mnu, mau, mnu,
+            unique_groups)

@@ -184,8 +184,12 @@ class ReuseEngine:
         (:meth:`ReuseSession.ride_groups`).  The work is constant
         however many groups there are: one hash of the ``(vectors *
         groups, length)`` segment view, one multi-group classification
-        (:meth:`ReuseSession.classify_groups`), one ride and one
-        statistics merge.
+        of its signatures in the view's own row order, the interleaved
+        frame where row ``n * groups + g`` is group ``g``
+        (:meth:`ReuseSession.classify_groups`), one ride that gathers
+        the view's rows by the frame's representatives, and one
+        statistics merge.  The signature table keeps the last group's
+        rows, ``signatures[groups - 1::groups]``.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -210,13 +214,11 @@ class ReuseEngine:
             return vectors @ weights
 
         # The projection is per row, so one hash of the segment view
-        # gives every group the signatures a per-group hash would;
-        # swapping the axes puts them in group-major order.
+        # gives every group the signatures a per-group hash would, in
+        # the interleaved frame that classification and ride share.
         signatures = self.hasher.signatures(
             vectors.reshape(rows, vector_length), self.signature_bits)
-        signatures = signatures.reshape(
-            num_vectors, groups, *signatures.shape[1:]).swapaxes(0, 1)
-        simulations = self.session.classify_groups(signatures,
+        simulations = self.session.classify_groups(signatures, groups,
                                                    self.signature_bits)
         result = ReuseSession.ride_groups(vectors, weights, simulations)
 
@@ -224,7 +226,8 @@ class ReuseEngine:
         # last simulation group by group; only the last group's
         # survives.
         self.signature_table.store(layer, vector_length,
-                                   self.signature_bits, signatures[-1],
+                                   self.signature_bits,
+                                   signatures[groups - 1::groups],
                                    simulations[-1])
         self.last_simulations[(layer, "forward")] = simulations[-1]
         self._record(layer, "forward", vectors=rows, hits=simulations.hits,

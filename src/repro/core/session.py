@@ -53,7 +53,8 @@ import numpy as np
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (GroupedSimulation, HitmapSimulation,
-                                   signature_sets, simulate_hitmap_grouped)
+                                   signature_sets,
+                                   simulate_hitmap_interleaved)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
@@ -275,28 +276,27 @@ class ReuseSession:
         self.clears += 1
         return self.mcache.simulate(signatures)
 
-    def classify_groups(self, signature_groups,
+    def classify_groups(self, signatures, groups: int,
                         signature_bits: int) -> GroupedSimulation:
         """One Hitmap per group, bit-identical to :meth:`classify` per group.
 
-        ``signature_groups`` is a ``(groups, vectors)`` int64 stack or
-        a ``(groups, vectors, words)`` multi-word stack.  All groups
-        share one multi-group group-by
-        (:func:`~repro.core.hitmap_sim.simulate_hitmap_grouped`).  Each
-        group sees a fresh MCACHE: signatures never match, and never
-        steal ways, across groups, and each counts as one clear.
+        ``signatures`` holds ``groups`` interleaved batches — int64 or
+        multi-word rows, row ``n * groups + g`` the ``n``-th signature of
+        group ``g`` — in the row order of a convolution's segment view,
+        so no copy puts them group-major.  All groups go through one
+        pass of the shared signature-phase core
+        (:func:`~repro.core.hitmap_sim.simulate_hitmap_interleaved`),
+        which :meth:`classify` runs as its one-group case.  Each group
+        sees a fresh MCACHE: signatures never match, and never steal
+        ways, across groups, and each counts as one clear.
         """
-        num_groups, num_vectors = signature_groups.shape[:2]
-        simulations = simulate_hitmap_grouped(
-            signature_groups.reshape(num_groups * num_vectors,
-                                     *signature_groups.shape[2:]),
-            np.full(num_groups, num_vectors),
-            num_sets=self.num_sets, ways=self.policy.ways,
-            signature_bits=signature_bits)
+        simulations = simulate_hitmap_interleaved(
+            signatures, groups, num_sets=self.num_sets,
+            ways=self.policy.ways, signature_bits=signature_bits)
         # The batch MCACHE's simulate() path is "clear, replay,
         # accumulate counters" per group; mirror it so its stats
         # characterise the run identically.
-        self.clears += num_groups
+        self.clears += groups
         self.mcache.clear()
         self.mcache.stats.hits += simulations.hits
         self.mcache.stats.mau += simulations.mau
@@ -328,32 +328,22 @@ class ReuseSession:
         """The cache ride of ``(vectors, groups * length)`` rows whose
         ``length``-wide segments were classified group by group.
 
-        ``simulations`` holds one Hitmap per segment position (group):
-        group ``g``'s rows are the ``g``-th segments of every row, in
-        the group-major frame of :meth:`classify_groups`.  Each HIT
-        segment is replaced by its representative's segment of the same
-        group — one row gather over the ``(vectors * groups, length)``
-        segment view — and the substituted rows go through one ``@
-        weights``, the ``(groups * length, filters)`` product the
-        engine-less path runs.  As in :meth:`ride`, a row none of whose
-        segments hits equals the engine-less product's row bit for bit.
+        ``simulations`` is the interleaved frame of
+        :meth:`classify_groups`: its row ``n * groups + g`` is the
+        ``g``-th segment of row ``n``, which is row ``n * groups + g``
+        of the ``(vectors * groups, length)`` segment view too.  So one
+        gather of the segment view by the representatives replaces
+        every HIT segment with its representative's segment of the same
+        group, and the substituted rows go through one ``@ weights``,
+        the ``(groups * length, filters)`` product the engine-less path
+        runs.  As in :meth:`ride`, a row none of whose segments hits
+        equals the engine-less product's row bit for bit.
         """
         if not simulations.hits:
             return vectors @ weights
-        num_vectors, width = vectors.shape
-        num_groups = len(simulations)
-        rows = num_vectors * num_groups
-        # Group g's representative r (a row of the group-major frame)
-        # is vector r - g * vectors, whose g-th segment is row
-        # (r - g * vectors) * groups + g of the segment view; the
-        # transposed representatives list the sources in that view's
-        # own (vector-major) order.
-        group = np.arange(num_groups)
-        sources = simulations.representative.reshape(
-            num_groups, num_vectors).T * num_groups + group * (1 - rows)
-        segments = vectors.reshape(rows, width // num_groups)
-        return segments.take(sources.ravel(), axis=0).reshape(
-            num_vectors, width) @ weights
+        segments = vectors.reshape(len(simulations.representative), -1)
+        return segments.take(simulations.representative, axis=0).reshape(
+            vectors.shape) @ weights
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

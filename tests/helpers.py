@@ -38,8 +38,8 @@ def capture_grouped(engine) -> list:
     captured = []
     classify_groups = engine.session.classify_groups
 
-    def capturing(signature_groups, signature_bits):
-        simulations = classify_groups(signature_groups, signature_bits)
+    def capturing(signatures, groups, signature_bits):
+        simulations = classify_groups(signatures, groups, signature_bits)
         captured.append(simulations)
         return simulations
 

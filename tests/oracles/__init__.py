@@ -15,7 +15,7 @@ Oracle                                      Production function it checks
 ``mcache.MCache`` (+ ``CacheLine``)         ``repro.core.mcache_vec.VectorizedMCache``
                                             (``lookup_or_insert_batch``, ``probe_batch``)
 ``differential.scalar_reference_simulation``  ``ReuseSession.classify`` / ``classify_groups``,
-                                            ``hitmap_sim.simulate_hitmap(_grouped)``
+                                            ``hitmap_sim.simulate_hitmap(_interleaved)``
 ``differential.run_differential``           ``VectorizedMCache.lookup_or_insert_batch``
                                             over chunked persistent traces
 ``differential.run_serve_differential``     ``ReuseSession.serve`` (the dense result store)
@@ -38,5 +38,7 @@ Oracle                                      Production function it checks
                                             backward (tolerance oracle, 1e-12)
 ``baselines.LoopUnlimitedSimilarityBound``  ``UnlimitedSimilarityBound.layer_report``
                                             (row-sorted distinct-value count)
+``pe.PEConfig`` / ``pe.ProcessingElement``  ``repro.accelerator.signature_pipeline``'s PE
+                                            timing (fully pipelined MAC, ORg saved cycle)
 ==========================================  =================================================
 """

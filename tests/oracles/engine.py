@@ -91,23 +91,26 @@ def scalar_engine(config: MercuryConfig) -> ReuseEngine:
     def classify(signatures):
         return scalar_reference_simulation(signatures, num_sets, ways)
 
-    def classify_groups(signature_groups, signature_bits):
-        simulations = [classify(signatures)
-                       for signatures in signature_groups]
-        offsets = np.cumsum([0] + [len(simulation.states)
-                                   for simulation in simulations])
+    def classify_groups(signatures, groups, signature_bits):
+        # Group g is every groups-th row from row g (the interleaved
+        # frame); its local rows n map back to frame rows n * groups + g.
+        simulations = [classify(signatures[group::groups])
+                       for group in range(groups)]
+        states = np.empty(len(signatures), dtype=np.int8)
+        representative = np.empty(len(signatures), dtype=np.int64)
+        for group, simulation in enumerate(simulations):
+            states[group::groups] = simulation.states
+            representative[group::groups] = \
+                simulation.representative * groups + group
         return GroupedSimulation(
-            simulations,
-            states=np.concatenate([simulation.states
-                                   for simulation in simulations]),
-            representative=np.concatenate(
-                [simulation.representative + offset
-                 for simulation, offset in zip(simulations, offsets)]),
+            groups, states=states, representative=representative,
             hits=sum(simulation.hits for simulation in simulations),
             mau=sum(simulation.mau for simulation in simulations),
             mnu=sum(simulation.mnu for simulation in simulations),
-            unique_signatures=sum(simulation.unique_signatures
-                                  for simulation in simulations))
+            unique_groups=np.repeat(
+                np.arange(groups),
+                [simulation.unique_signatures
+                 for simulation in simulations]))
 
     engine.session.classify = classify
     engine.session.classify_groups = classify_groups

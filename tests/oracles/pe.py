@@ -1,4 +1,4 @@
-"""Processing element model.
+"""Processing element model: a cycle-level twin of the analytic PE timing.
 
 A MERCURY PE is the standard Eyeriss-style PE (input/weight registers,
 multiplier, adder, input buffer) extended with the ORg register used to
@@ -6,9 +6,11 @@ pipeline signature calculation and, for the asynchronous design, a
 second input buffer with valid / InUse / FlUse flags (Figure 11).
 
 The class below is a small cycle-accurate model of one PE's MAC
-pipeline.  It is used by the signature-pipeline tests to validate the
-analytical formulas in :mod:`repro.accelerator.signature_pipeline` and
-by the unit tests that exercise the asynchronous buffer handshake.
+pipeline.  No library code simulates a PE cycle by cycle; the tests use
+it to check the PE timing the analytical formulas in
+:mod:`repro.accelerator.signature_pipeline` assume (a fully pipelined
+MAC, the ORg register's saved cycle) and the asynchronous buffer
+handshake.
 """
 
 from __future__ import annotations

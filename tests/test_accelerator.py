@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accelerator import (BaselineAccelerator, CycleCostModel, FPGAModel,
-                               InputStationary, MercurySimulator, PEConfig,
-                               ProcessingElement, RowStationary,
-                               SignaturePipelineModel, WeightStationary,
-                               make_dataflow, pipelined_signature_cycles,
+                               InputStationary, MercurySimulator,
+                               RowStationary, SignaturePipelineModel,
+                               WeightStationary, make_dataflow,
+                               pipelined_signature_cycles,
                                unpipelined_signature_cycles)
 from repro.accelerator.dataflow import available_dataflows
 from repro.accelerator.mercury_sim import replace_detection_off
@@ -17,6 +17,7 @@ from repro.accelerator.workloads import (ARCHITECTURES, build_workload,
                                          workload_to_stats)
 from repro.core.config import MercuryConfig
 from repro.core.stats import LayerReuseStats, ReuseStats
+from tests.oracles.pe import PEConfig, ProcessingElement
 
 
 # ----------------------------------------------------------------------

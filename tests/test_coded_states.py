@@ -12,8 +12,8 @@ representation to that oracle:
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a line-level mirror replay;
-* the grouped group-by's admission, with and without an
-  over-subscribed set, equals per-group classification;
+* the grouped core's admission over the interleaved frame, with and
+  without an over-subscribed set, equals per-group classification;
 * the substituted-input ``ride_groups`` is bit-identical to the
   product over segments substituted one at a time, directly and
   engine-to-engine against the per-group ``matmul_groups`` oracle;
@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
-from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
+from repro.core.hitmap_sim import (simulate_hitmap,
+                                   simulate_hitmap_interleaved)
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
@@ -192,15 +193,22 @@ class TestProbePathCodes:
 # ---------------------------------------------------------------------------
 # Grouped admission and lazy per-group views
 # ---------------------------------------------------------------------------
+def _interleave(traces):
+    """Equal-length traces as one interleaved frame: row
+    ``n * len(traces) + g`` is the ``n``-th signature of trace ``g``."""
+    return np.stack(traces, axis=1).reshape(-1)
+
+
 class TestGroupedAdmission:
-    """``simulate_hitmap_grouped`` against per-group ``simulate_hitmap``,
-    with and without a set that has more than ``ways`` uniques."""
+    """``simulate_hitmap_interleaved`` against per-group
+    ``simulate_hitmap``, with and without a set that has more than
+    ``ways`` uniques."""
 
     @staticmethod
     def _check(traces, num_sets, ways):
-        grouped = simulate_hitmap_grouped(
-            np.concatenate(traces), [len(trace) for trace in traces],
-            num_sets=num_sets, ways=ways, signature_bits=8)
+        grouped = simulate_hitmap_interleaved(
+            _interleave(traces), len(traces), num_sets=num_sets,
+            ways=ways, signature_bits=8)
         expected = [simulate_hitmap(trace, num_sets, ways)
                     for trace in traces]
         assert len(grouped) == len(expected)
@@ -223,8 +231,9 @@ class TestGroupedAdmission:
         rng = np.random.default_rng(3)
         # Over a 4-set x 2-way cache, group 0's set 0 gets exactly
         # ways + 1 signatures (0, 4, 8); the other groups' sets stay
-        # within their ways.
-        pools = [[0, 4, 8, 1, 2, 3], [1, 2, 3, 5], [0, 5, 6, 7]]
+        # within their ways.  Equal pool sizes give the equal-length
+        # groups of the interleaved frame.
+        pools = [[0, 4, 8, 1, 2, 3], [1, 2, 3, 5, 6, 7], [0, 5, 6, 7, 4, 9]]
         traces = [rng.permutation(np.repeat(np.array(pool) + 16 * group, 3))
                   for group, pool in enumerate(pools)]
         grouped = self._check(traces, num_sets=4, ways=2)
@@ -254,9 +263,8 @@ class TestFusedRide:
         weights = rng.normal(size=(num_groups * length, 3))
         traces = [rng.choice(rng.integers(0, 1 << 16, size=pool),
                              size=rows) for _ in range(num_groups)]
-        sims = simulate_hitmap_grouped(np.concatenate(traces),
-                                       [rows] * num_groups,
-                                       num_sets=4, ways=2)
+        sims = simulate_hitmap_interleaved(_interleave(traces), num_groups,
+                                           num_sets=4, ways=2)
         ridden = ReuseSession.ride_groups(vectors, weights, sims)
         np.testing.assert_array_equal(
             ridden, substitute_segments(
@@ -266,8 +274,8 @@ class TestFusedRide:
             np.testing.assert_array_equal(
                 ridden, ReuseSession.ride(vectors, weights, sims[0]))
         # A row none of whose segments hits is the engine-less row.
-        states = sims.states.reshape(num_groups, rows)
-        missed = (states != HIT_CODE).all(axis=0)
+        states = sims.states.reshape(rows, num_groups)
+        missed = (states != HIT_CODE).all(axis=1)
         np.testing.assert_array_equal(ridden[missed],
                                       (vectors @ weights)[missed])
 
@@ -277,16 +285,16 @@ class TestFusedRide:
         vectors = rng.normal(size=(4, 6))
         weights = rng.normal(size=(6, 2))
         traces = [np.arange(4) * 7, np.full(4, 9)]
-        sims = simulate_hitmap_grouped(np.concatenate(traces), [4, 4],
-                                       num_sets=4, ways=2)
+        sims = simulate_hitmap_interleaved(_interleave(traces), 2,
+                                           num_sets=4, ways=2)
         substituted = vectors.copy()
         substituted[1:, 3:] = vectors[0, 3:]
         ridden = ReuseSession.ride_groups(vectors, weights, sims)
         np.testing.assert_array_equal(ridden, substituted @ weights)
         np.testing.assert_array_equal(ridden[0], (vectors @ weights)[0])
         # Without a hit the ride is the engine-less product itself.
-        sims = simulate_hitmap_grouped(np.arange(8) * 7, [4, 4],
-                                       num_sets=4, ways=2)
+        sims = simulate_hitmap_interleaved(np.arange(8) * 7, 2,
+                                           num_sets=4, ways=2)
         np.testing.assert_array_equal(
             ReuseSession.ride_groups(vectors, weights, sims),
             vectors @ weights)

@@ -22,7 +22,8 @@ from repro.analysis.functional_sweep import (MODEL_STREAM, FunctionalPoint,
                                              training_config_for)
 from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
-from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
+from repro.core.hitmap_sim import (simulate_hitmap,
+                                   simulate_hitmap_interleaved)
 from repro.core.reuse import ReuseEngine
 from repro.models.registry import build_model
 from repro.nn.im2col import im2col
@@ -40,12 +41,19 @@ def _assert_simulations_equal(left, right):
         (right.hits, right.mau, right.mnu, right.unique_signatures)
 
 
+def _interleave(groups):
+    """Equal-length batches as one interleaved frame: row
+    ``n * len(groups) + g`` is the ``n``-th row of batch ``g``."""
+    stacked = np.stack(groups, axis=1)
+    return stacked.reshape(-1, *stacked.shape[2:])
+
+
 class TestSimulateHitmapGrouped:
     def test_matches_per_group_simulation(self, make_trace):
         groups = [make_trace(300, 40, seed=s) for s in range(5)]
-        grouped = simulate_hitmap_grouped(np.concatenate(groups),
-                                          [len(g) for g in groups],
-                                          num_sets=8, ways=4)
+        grouped = simulate_hitmap_interleaved(_interleave(groups),
+                                              len(groups), num_sets=8,
+                                              ways=4)
         for trace, simulation in zip(groups, grouped):
             _assert_simulations_equal(simulation,
                                       simulate_hitmap(trace, num_sets=8,
@@ -56,21 +64,23 @@ class TestSimulateHitmapGrouped:
         # per group), and a full set in one group must not reject the
         # other group's inserts.
         sigs = np.array([5, 5, 5, 5], dtype=np.int64)
-        grouped = simulate_hitmap_grouped(sigs, [2, 2], num_sets=2, ways=1)
+        grouped = simulate_hitmap_interleaved(sigs, 2, num_sets=2, ways=1)
         for simulation in grouped:
             assert list(simulation.states) == [MAU_CODE, HIT_CODE]
             assert simulation.representative[1] == 0
 
-    def test_uneven_group_sizes(self, make_trace):
-        groups = [make_trace(17, 6, seed=1), make_trace(120, 200, seed=2),
-                  make_trace(1, 1, seed=3)]
-        grouped = simulate_hitmap_grouped(np.concatenate(groups),
-                                          [len(g) for g in groups],
-                                          num_sets=4, ways=2)
+    def test_groups_of_uneven_traffic(self, make_trace):
+        # One group of a single signature, one with more uniques than
+        # the cache holds, one in between.
+        groups = [make_trace(120, 1, seed=1), make_trace(120, 200, seed=2),
+                  make_trace(120, 6, seed=3)]
+        grouped = simulate_hitmap_interleaved(_interleave(groups), 3,
+                                              num_sets=4, ways=2)
         for trace, simulation in zip(groups, grouped):
             _assert_simulations_equal(simulation,
                                       simulate_hitmap(trace, num_sets=4,
                                                       ways=2))
+        assert grouped[0].hits == 119 and grouped[1].mnu > 0
 
     def test_multiword_groups(self):
         rng = np.random.default_rng(0)
@@ -79,9 +89,8 @@ class TestSimulateHitmapGrouped:
                             rng.integers(0, len(pool), size=80)],
                            dtype=object) for _ in range(3)]
         words = [ints_to_words(g, num_words=2) for g in groups]
-        grouped = simulate_hitmap_grouped(np.vstack(words),
-                                          [len(w) for w in words],
-                                          num_sets=4, ways=2)
+        grouped = simulate_hitmap_interleaved(_interleave(words), 3,
+                                              num_sets=4, ways=2)
         for trace, simulation in zip(words, grouped):
             _assert_simulations_equal(simulation,
                                       simulate_hitmap(trace, num_sets=4,
@@ -89,11 +98,18 @@ class TestSimulateHitmapGrouped:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            simulate_hitmap_grouped(np.arange(4), [1, 1], num_sets=2, ways=1)
+            simulate_hitmap_interleaved(np.arange(5), 2, num_sets=2, ways=1)
+        with pytest.raises(ValueError):
+            simulate_hitmap_interleaved(np.arange(4), 0, num_sets=2, ways=1)
 
     def test_empty(self):
-        assert simulate_hitmap_grouped(np.empty(0, dtype=np.int64), [],
-                                       num_sets=2, ways=1) == []
+        grouped = simulate_hitmap_interleaved(np.empty(0, dtype=np.int64), 3,
+                                              num_sets=2, ways=1)
+        assert len(grouped) == 3
+        assert (grouped.hits, grouped.mau, grouped.mnu,
+                grouped.unique_signatures) == (0, 0, 0, 0)
+        for simulation in grouped:
+            assert len(simulation.states) == simulation.unique_signatures == 0
 
 
 def _stats_snapshot(engine):

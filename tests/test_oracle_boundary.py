@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import repro
+import repro.accelerator
 import repro.core
 
 ORACLE_NAMES = {
@@ -22,7 +23,7 @@ ORACLE_NAMES = {
     "signatures_to_ints", "per_call_matmul_groups", "substitute_segments",
     "Reservoir", "col2im_reference", "ReferenceSGD", "ReferenceAdam",
     "EinsumMultiHeadSelfAttention", "PowGELU",
-    "LoopUnlimitedSimilarityBound",
+    "LoopUnlimitedSimilarityBound", "PEConfig", "ProcessingElement",
 }
 
 _IMPORT_EVERYTHING = """
@@ -43,7 +44,7 @@ def test_importing_repro_loads_no_test_module():
 
 
 def test_public_namespaces_export_no_oracle():
-    for namespace in (repro, repro.core):
+    for namespace in (repro, repro.core, repro.accelerator):
         exported = set(getattr(namespace, "__all__", ())) | set(
             vars(namespace))
         assert not exported & ORACLE_NAMES, namespace.__name__
