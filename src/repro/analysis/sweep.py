@@ -38,7 +38,7 @@ from repro.accelerator.workloads import build_workload, workload_to_stats
 from repro.analysis.grid import (GridResults, expand_grid,
                                 point_row, run_grid)
 from repro.core.config import MercuryConfig
-from repro.core.mcache_vec import VectorizedMCache
+from repro.core.hitmap_sim import simulate_hitmap
 
 # Result-row schema: every dict produced by evaluate_point carries at
 # least these keys (asserted by tests/test_bench_smoke.py).
@@ -85,16 +85,17 @@ def _achieved_hit_fraction(entries: int, ways: int, num_vectors: int,
 
     The trace draws ``num_vectors`` probes from ``unique_signatures``
     random signature values — the arrival pattern of a convolution
-    layer with the paper's measured similarity — and replays it on the
-    vectorized engine.  Deterministic in all arguments (and cached, so
+    layer with the paper's measured similarity — and classifies it with
+    the signature-phase core.  Deterministic in all arguments (and cached, so
     the reference organisation is simulated once per process).
     """
     rng = np.random.default_rng(seed)
     pool = rng.integers(0, 1 << 20, size=max(unique_signatures, 1))
     trace = rng.choice(pool, size=num_vectors)
-    cache = VectorizedMCache(entries=entries, ways=ways)
-    simulation = cache.simulate(trace)
-    return simulation.hits / num_vectors
+    num_sets, remainder = divmod(entries, ways)
+    if remainder:
+        raise ValueError("entries must be divisible by ways")
+    return simulate_hitmap(trace, num_sets, ways).hits / num_vectors
 
 
 def measure_hit_scale(entries: int, ways: int, num_vectors: int = 12544,

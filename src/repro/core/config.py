@@ -64,11 +64,6 @@ class MercuryConfig:
                                  "input_stationary"):
             raise ValueError(f"unknown dataflow {self.dataflow!r}")
 
-    @property
-    def mcache_sets(self) -> int:
-        """Number of sets in the MCACHE."""
-        return self.mcache_entries // self.mcache_ways
-
     def replace(self, **changes) -> "MercuryConfig":
         """Return a copy with the given fields changed."""
         from dataclasses import replace as dc_replace

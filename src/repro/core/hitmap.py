@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 #: Dense ``int8`` state codes carried by every batch-classification
-#: array (``HitmapSimulation.states``, ``lookup_or_insert_batch``).
+#: array (``HitmapSimulation.states``, ``ReuseSession``'s probe-and-admit).
 HIT_CODE: int = 0
 MAU_CODE: int = 1
 MNU_CODE: int = 2

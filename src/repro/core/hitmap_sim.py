@@ -54,6 +54,15 @@ class HitmapSimulation:
     mnu: int
     unique_signatures: int
 
+    def __eq__(self, other):
+        if not isinstance(other, HitmapSimulation):
+            return NotImplemented
+        return (np.array_equal(self.states, other.states)
+                and np.array_equal(self.representative, other.representative)
+                and (self.hits, self.mau, self.mnu, self.unique_signatures)
+                == (other.hits, other.mau, other.mnu,
+                    other.unique_signatures))
+
     def state_objects(self) -> np.ndarray:
         """The user-facing enum view: an object array of ``HitState``."""
         return CODE_TO_STATE[self.states]

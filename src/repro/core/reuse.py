@@ -274,9 +274,3 @@ class ReuseEngine:
     def disabled_layers(self) -> list[str]:
         """Layers whose similarity detection has been switched off."""
         return self.stoppage.disabled_layers()
-
-    def reset_statistics(self) -> None:
-        self.stats = ReuseStats()
-        self.batch_stats = ReuseStats()
-        self.mcache.stats = type(self.mcache.stats)()
-        self.last_simulations.clear()

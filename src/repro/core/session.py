@@ -19,6 +19,12 @@ implementation, instantiated in one of two modes:
   (:attr:`SessionPolicy.ttl_batches`), hits may be payload-verified
   (``exact_check``) and insertion is governed by an admission policy.
 
+:meth:`serve` and a replication push (:meth:`admit_external`) share
+one probe-and-admit step: probe the batch's distinct signatures once,
+gate the absent ones, insert the admitted ones into the MCACHE in
+first-occurrence order, and hand each signature whose set is full to
+the eviction policy, if there is one.  A restore makes the same insert.
+
 Persistent sessions also support :meth:`state_dict` /
 :meth:`load_state_dict` so a serving cache can be snapshotted to disk
 and warm-started after a restart; the restore rebuilds the MCACHE by
@@ -53,7 +59,7 @@ import numpy as np
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (GroupedSimulation, HitmapSimulation,
-                                   signature_sets,
+                                   signature_sets, simulate_hitmap,
                                    simulate_hitmap_interleaved)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
@@ -219,10 +225,11 @@ class ReuseSession:
     """One signature→result reuse step, flash-clear or persistent.
 
     One instance serves one stream of equal-length vectors (a request
-    payload shape, or one layer's input vectors).  Probing and admission
-    ride on the persistent batch machinery of
+    payload shape, or one layer's input vectors).  A flash session
+    classifies with the stateless signature-phase core; a persistent
+    one probes and inserts into the persistent store
     :class:`~repro.core.mcache_vec.VectorizedMCache`
-    (``lookup_or_insert_batch``), so capacity behaves exactly like the
+    (``probe_batch``/``insert``), so capacity behaves exactly like the
     hardware structure: set-associative, no replacement unless an
     eviction policy is configured.  Results live in a dense store
     indexed by MCACHE entry id.
@@ -272,9 +279,17 @@ class ReuseSession:
     # Flash phase — the training engine's per-layer Hitmap
     # ------------------------------------------------------------------
     def classify(self, signatures) -> HitmapSimulation:
-        """Simulate the MCACHE signature phase for one batch (Figure 9)."""
-        self.clears += 1
-        return self.mcache.simulate(signatures)
+        """Simulate the MCACHE signature phase for one batch (Figure 9).
+
+        The batch sees a freshly-cleared MCACHE, so the classification
+        is the stateless group-by
+        (:func:`~repro.core.hitmap_sim.simulate_hitmap`): no tag writes
+        and no entry ids, only the access counters accumulate.
+        """
+        simulation = simulate_hitmap(signatures, num_sets=self.num_sets,
+                                     ways=self.policy.ways)
+        self._count_flash(simulation, clears=1)
+        return simulation
 
     def classify_groups(self, signatures, groups: int,
                         signature_bits: int) -> GroupedSimulation:
@@ -293,15 +308,17 @@ class ReuseSession:
         simulations = simulate_hitmap_interleaved(
             signatures, groups, num_sets=self.num_sets,
             ways=self.policy.ways, signature_bits=signature_bits)
-        # The batch MCACHE's simulate() path is "clear, replay,
-        # accumulate counters" per group; mirror it so its stats
-        # characterise the run identically.
-        self.clears += groups
-        self.mcache.clear()
-        self.mcache.stats.hits += simulations.hits
-        self.mcache.stats.mau += simulations.mau
-        self.mcache.stats.mnu += simulations.mnu
+        self._count_flash(simulations, clears=groups)
         return simulations
+
+    def _count_flash(self, simulation, clears: int) -> None:
+        """Record ``clears`` fresh-cache replays in the MCACHE's counters."""
+        self.clears += clears
+        self.mcache.clear()
+        stats = self.mcache.stats
+        stats.hits += simulation.hits
+        stats.mau += simulation.mau
+        stats.mnu += simulation.mnu
 
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
@@ -451,107 +468,85 @@ class ReuseSession:
         return np.asarray(wants, dtype=np.int64)
 
     def _probe_and_admit(self, uniques, first_index, inverse,
-                         payload_bytes: int, batch_index: int
+                         payload_bytes: int, batch_index: int,
+                         gated: bool = True
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probe residents and insert admitted absents.
 
         Returns ``(states, entry_ids, displaced)`` per unique signature:
-        states and ids exactly like ``lookup_or_insert_batch`` but with
-        the admission policy deciding which absent signatures may claim
-        a line, in first-occurrence order whatever the policy.
-        ``displaced`` marks the uniques that no longer own the line
-        their entry id names (only an eviction policy moves a line
-        between signatures within one batch).
-        """
-        if self._evictor is not None:
-            return self._probe_and_admit_evicting(
-                uniques, first_index, inverse, payload_bytes, batch_index)
-        displaced = np.zeros(len(uniques), dtype=bool)
-        present, entry_ids = self.mcache.probe_batch(uniques)
-        entry_ids = entry_ids.copy()
-        # Default for absents: no line (the MNU outcome) until admitted.
-        states = np.full(len(uniques), MNU_CODE, dtype=np.int8)
-        states[present] = HIT_CODE
+        HIT (``entry_ids`` names its line) for a resident; for an absent
+        signature that the admission policy lets in (every one unless
+        ``gated``), MAU on the line it claims, or MNU with id -1 when
+        its set is full.  Admitted signatures claim lines in
+        first-occurrence order whatever the policy, which equals a
+        sequential replay of the batch.
 
-        absent = np.flatnonzero(~present)
-        counts = np.bincount(inverse, minlength=len(uniques))
-        admitted = self._admitted_absents(uniques, absent, counts,
-                                          payload_bytes, batch_index)
-        if len(admitted):
-            # Insert in first-occurrence (arrival) order so the way
-            # claims match a sequential replay of the batch.
-            arrival = admitted[np.argsort(first_index[admitted],
-                                          kind="stable")]
-            sub_states, sub_ids = self.mcache.lookup_or_insert_batch(
-                uniques[arrival])
-            states[arrival] = sub_states
-            entry_ids[arrival] = sub_ids
-        return states, entry_ids, displaced
-
-    def _probe_and_admit_evicting(self, uniques, first_index, inverse,
-                                  payload_bytes: int, batch_index: int
-                                  ) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-        """The replacement-policy probe path.
-
-        Residents *touch* their line's recency/frequency state in
-        first-occurrence order (recency equals a sequential replay of
-        the batch); admitted absents claim a free way when the set has
-        one and otherwise recycle the policy's victim line via
-        :meth:`VectorizedMCache.replace_line` — the outcome the paper's
-        no-replacement model would have called MNU becomes MAU on the
-        victim's line.  Frequencies count rows, not batches, so a batch
-        with five rows of one signature weighs five.
+        With an eviction policy, residents first *touch* their line's
+        recency/frequency state in first-occurrence order, and an
+        admitted signature whose set is full recycles the policy's
+        victim line (:meth:`VectorizedMCache.replace_line`) instead of
+        being rejected: MAU on the victim's line.  Within a set every
+        free-way claim precedes every recycle, so one batch insert
+        followed by the recycles in arrival order is the per-signature
+        replay.  Frequencies count rows, not batches, so a batch with
+        five rows of one signature weighs five.
 
         A recycled line keeps its entry id, so one id can name several
         uniques of this batch: a resident whose line was recycled, or an
         earlier admit whose fresh line was recycled again.  Only the
-        last claimant owns the line; the others are marked displaced so
+        last claimant owns the line; ``displaced`` marks the others so
         :meth:`serve` never stores their rows under the new owner's id.
         """
         m = self.mcache
+        evictor = self._evictor
         present, entry_ids = m.probe_batch(uniques)
-        entry_ids = entry_ids.copy()
         states = np.full(len(uniques), MNU_CODE, dtype=np.int8)
         states[present] = HIT_CODE
         counts = np.bincount(inverse, minlength=len(uniques))
         displaced = np.zeros(len(uniques), dtype=bool)
 
-        residents = np.flatnonzero(present)
-        # entry id -> the unique position currently owning that line.
-        owner = dict(zip(entry_ids[residents].tolist(), residents.tolist()))
-        for position in residents[np.argsort(first_index[residents],
-                                             kind="stable")]:
-            entry = int(entry_ids[position])
-            self._evictor.touch(int(m._entry_set[entry]),
-                                int(m._entry_way[entry]),
-                                count=int(counts[position]))
+        if evictor is not None:
+            residents = np.flatnonzero(present)
+            # entry id -> the unique position currently owning that line.
+            owner = dict(zip(entry_ids[residents].tolist(),
+                             residents.tolist()))
+            for position in residents[np.argsort(first_index[residents],
+                                                 kind="stable")]:
+                entry = int(entry_ids[position])
+                evictor.touch(int(m._entry_set[entry]),
+                              int(m._entry_way[entry]),
+                              count=int(counts[position]))
 
         absent = np.flatnonzero(~present)
-        admitted = self._admitted_absents(uniques, absent, counts,
-                                          payload_bytes, batch_index)
-        if len(admitted):
-            arrival = admitted[np.argsort(first_index[admitted],
-                                          kind="stable")]
-            unique_sets = signature_sets(uniques, m.num_sets)
-            for position in arrival:
-                set_index = int(unique_sets[position])
-                if m._occupancy[set_index] < m.ways:
-                    sub_states, sub_ids = m.lookup_or_insert_batch(
-                        uniques[position:position + 1])
-                    entry = int(sub_ids[0])
-                    states[position] = sub_states[0]
-                    self._evictor.insert(set_index,
-                                         int(m._entry_way[entry]),
-                                         count=int(counts[position]))
-                else:
-                    entry = self._recycle(set_index, uniques[position],
-                                          int(counts[position]))
-                    states[position] = MAU_CODE
-                    if entry in owner:
-                        displaced[owner[entry]] = True
+        admitted = self._admitted_absents(
+            uniques, absent, counts, payload_bytes, batch_index) \
+            if gated else absent
+        if not len(admitted):
+            return states, entry_ids, displaced
+        arrival = admitted[np.argsort(first_index[admitted], kind="stable")]
+        claimed_ids = m.insert(uniques[arrival])
+        entry_ids[arrival] = claimed_ids
+        if evictor is None:
+            claimed = claimed_ids >= 0
+            states[arrival[claimed]] = MAU_CODE
+            m.stats.mnu += len(arrival) - int(claimed.sum())
+            return states, entry_ids, displaced
+
+        states[arrival] = MAU_CODE
+        arrival_sets = signature_sets(uniques[arrival], m.num_sets)
+        for position, set_index, entry in zip(
+                arrival.tolist(), arrival_sets.tolist(),
+                claimed_ids.tolist()):
+            if entry >= 0:
+                evictor.insert(set_index, int(m._entry_way[entry]),
+                               count=int(counts[position]))
+            else:
+                entry = self._recycle(set_index, uniques[position],
+                                      int(counts[position]))
                 entry_ids[position] = entry
-                owner[entry] = position
+                if entry in owner:
+                    displaced[owner[entry]] = True
+            owner[entry] = position
         return states, entry_ids, displaced
 
     def _recycle(self, set_index: int, signature, count: int = 1) -> int:
@@ -732,26 +727,13 @@ class ReuseSession:
         row = np.asarray(row, dtype=np.float64)
         signatures = self.hasher.signatures(vector,
                                             self.policy.signature_bits)
-        m = self.mcache
-        present, probe_ids = m.probe_batch(signatures)
-        if present[0]:
-            entry = int(probe_ids[0])
-            if self._evictor is not None:
-                self._evictor.touch(int(m._entry_set[entry]),
-                                    int(m._entry_way[entry]))
-        elif self._evictor is not None:
-            set_index = int(signature_sets(signatures, m.num_sets)[0])
-            if m._occupancy[set_index] < m.ways:
-                _, sub_ids = m.lookup_or_insert_batch(signatures)
-                entry = int(sub_ids[0])
-                self._evictor.insert(set_index, int(m._entry_way[entry]))
-            else:
-                entry = self._recycle(set_index, signatures[0])
-        else:
-            sub_states, sub_ids = m.lookup_or_insert_batch(signatures)
-            if sub_states[0] == MNU_CODE:
-                return False
-            entry = int(sub_ids[0])
+        only = np.zeros(1, dtype=np.int64)
+        states, entry_ids, _ = self._probe_and_admit(
+            signatures, only, only, vector.shape[1] * 8, batch_index,
+            gated=False)
+        if states[0] == MNU_CODE:
+            return False
+        entry = int(entry_ids[0])
         self._grow_entry_batches(batch_index)
         self._store_write(np.array([entry]), row.reshape(1, -1),
                           vector if self.policy.exact_check else None)
@@ -880,10 +862,13 @@ class ReuseSession:
                                        dtype=np.int64).copy()
         self._store_valid = np.zeros(len(self._entry_batch), dtype=bool)
         if len(signatures):
-            states, entry_ids = self.mcache.lookup_or_insert_batch(signatures)
-            if not (states == MAU_CODE).all() or \
-                    not np.array_equal(entry_ids,
-                                       np.arange(len(signatures))):
+            # Every signature must claim the next line and probe back to
+            # it: a duplicate resolves to its first copy's id, and an
+            # overfull set leaves a signature without a line.
+            entry_ids = self.mcache.insert(signatures)
+            if not np.array_equal(entry_ids, np.arange(len(signatures))) \
+                    or not np.array_equal(
+                        self.mcache.probe_batch(signatures)[1], entry_ids):
                 raise ValueError("snapshot signatures did not rebuild "
                                  "cleanly (corrupt or wrong geometry)")
             has_data = np.asarray(arrays["has_data"], dtype=bool)

@@ -11,14 +11,14 @@ from repro.nn.module import Module, Parameter
 from repro.nn.network import Sequential
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.activations import ReLU, Sigmoid, Tanh, GELU, Softmax
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
+from repro.nn.layers.activations import ReLU, GELU
+from repro.nn.layers.pooling import MaxPool2D, GlobalAvgPool2D
 from repro.nn.layers.norm import BatchNorm2D, LayerNorm
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.attention import SelfAttention, MultiHeadSelfAttention
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD, Adam
 
 __all__ = [
@@ -28,12 +28,8 @@ __all__ = [
     "Conv2D",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "GELU",
-    "Softmax",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "BatchNorm2D",
     "LayerNorm",
@@ -43,7 +39,6 @@ __all__ = [
     "SelfAttention",
     "MultiHeadSelfAttention",
     "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
     "Adam",
 ]

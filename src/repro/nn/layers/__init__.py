@@ -2,8 +2,8 @@
 
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.activations import ReLU, Sigmoid, Tanh, GELU, Softmax
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
+from repro.nn.layers.activations import ReLU, GELU
+from repro.nn.layers.pooling import MaxPool2D, GlobalAvgPool2D
 from repro.nn.layers.norm import BatchNorm2D, LayerNorm
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
@@ -14,12 +14,8 @@ __all__ = [
     "Conv2D",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "GELU",
-    "Softmax",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "BatchNorm2D",
     "LayerNorm",

@@ -22,36 +22,6 @@ class ReLU(Module):
         return grad_output * self._mask
 
 
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def __init__(self):
-        super().__init__()
-        self._out = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._out * (1.0 - self._out)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self):
-        super().__init__()
-        self._out = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._out ** 2)
-
-
 class GELU(Module):
     """Gaussian error linear unit (tanh approximation).
 
@@ -85,21 +55,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-class Softmax(Module):
-    """Softmax layer along the last axis."""
-
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-        self._out = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = softmax(x, axis=self.axis)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = self._out
-        dot = np.sum(grad_output * out, axis=self.axis, keepdims=True)
-        return out * (grad_output - dot)

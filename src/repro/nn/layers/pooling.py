@@ -57,44 +57,6 @@ class MaxPool2D(Module):
         return grad_input
 
 
-class AvgPool2D(Module):
-    """Average pooling over square windows."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = conv_output_size(height, k, s, 0)
-        out_w = conv_output_size(width, k, s, 0)
-
-        out = np.empty((batch, channels, out_h, out_w), dtype=x.dtype)
-        for i in range(out_h):
-            for j in range(out_w):
-                window = x[:, :, i * s:i * s + k, j * s:j * s + k]
-                out[:, :, i, j] = window.mean(axis=(2, 3))
-
-        self._cache = x.shape
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape = self._cache
-        k, s = self.kernel_size, self.stride
-        _, _, out_h, out_w = grad_output.shape
-
-        grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
-        scale = 1.0 / (k * k)
-        for i in range(out_h):
-            for j in range(out_w):
-                grad_input[:, :, i * s:i * s + k, j * s:j * s + k] += (
-                    grad_output[:, :, i, j][:, :, None, None] * scale)
-        return grad_input
-
-
 class GlobalAvgPool2D(Module):
     """Average over the full spatial extent, producing ``(batch, channels)``."""
 

@@ -50,22 +50,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, targets: np.ndarray) -> float:
         return self.forward(logits, targets)
-
-
-class MSELoss:
-    """Mean squared error."""
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        diff = predictions - targets
-        self._cache = (diff, predictions.size)
-        return float(np.mean(diff ** 2))
-
-    def backward(self) -> np.ndarray:
-        diff, count = self._cache
-        return 2.0 * diff / count
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)

@@ -9,36 +9,36 @@ their einsum and ``pow`` twins by design, so they agree within 1e-12.
 Production code never imports this package
 (``tests/test_oracle_boundary.py`` checks).
 
-==========================================  =================================================
-Oracle                                      Production function it checks
-==========================================  =================================================
-``mcache.MCache`` (+ ``CacheLine``)         ``repro.core.mcache_vec.VectorizedMCache``
-                                            (``lookup_or_insert_batch``, ``probe_batch``)
+============================================  =======================================================
+Oracle                                        Production function it checks
+============================================  =======================================================
+``mcache.MCache`` (+ ``CacheLine``)           ``repro.core.mcache_vec.VectorizedMCache``
+                                              (``probe_batch``, ``insert``), via ``run_differential``
 ``differential.scalar_reference_simulation``  ``ReuseSession.classify`` / ``classify_groups``,
-                                            ``hitmap_sim.simulate_hitmap(_interleaved)``
-``differential.run_differential``           ``VectorizedMCache.lookup_or_insert_batch``
-                                            over chunked persistent traces
-``differential.run_serve_differential``     ``ReuseSession.serve`` (the dense result store)
-                                            against the line-level data phase
-``engine.per_call_matmul_groups``           ``ReuseEngine.matmul_groups`` and its
-(``engine.per_call_engine``,                substituted-input ``ReuseSession.ride_groups``
+                                              ``hitmap_sim.simulate_hitmap(_interleaved)``
+``differential.run_differential``             ``ReuseSession._probe_and_admit`` (the one
+(``differential.probe_and_admit_rows``)       persistent probe-and-admit step) over chunked traces
+``differential.run_serve_differential``       ``ReuseSession.serve`` (the dense result store)
+                                              against the line-level data phase
+``engine.per_call_matmul_groups``             ``ReuseEngine.matmul_groups`` and its
+(``engine.per_call_engine``,                  substituted-input ``ReuseSession.ride_groups``
 ``engine.substitute_segments``)
-``engine.scalar_engine``                    ``ReuseEngine`` Hitmaps end to end
-``im2col.im2col_reference``                 ``repro.nn.im2col.im2col``
-``im2col.col2im_reference``                 ``repro.nn.im2col.col2im`` (values and strides)
-``optim.ReferenceSGD/ReferenceAdam``        ``repro.nn.optim`` ``SGD/Adam`` (flat buffer)
-``eviction.ReferenceLRU/LFU/SLRU``          ``repro.core.eviction`` ``LRU/LFU/SLRUEviction``
-``signatures.words_to_ints`` /              ``repro.core.rpq.pack_bits`` multi-word values
-``ints_to_words`` / ``signatures_to_ints``  (and the int <-> words bridge the oracles need)
-``reservoir.Reservoir``                     ``repro.obs.metrics.LogHistogram`` percentile reads
-                                            (``BatcherTelemetry.latency_hist``)
-``layers.EinsumMultiHeadSelfAttention``     ``repro.nn.MultiHeadSelfAttention`` matmul core
-                                            and gradients (tolerance oracle, 1e-12)
-``layers.PowGELU``                          ``repro.nn.GELU`` multiplied cube, forward and
-                                            backward (tolerance oracle, 1e-12)
-``baselines.LoopUnlimitedSimilarityBound``  ``UnlimitedSimilarityBound.layer_report``
-                                            (row-sorted distinct-value count)
-``pe.PEConfig`` / ``pe.ProcessingElement``  ``repro.accelerator.signature_pipeline``'s PE
-                                            timing (fully pipelined MAC, ORg saved cycle)
-==========================================  =================================================
+``engine.scalar_engine``                      ``ReuseEngine`` Hitmaps end to end
+``im2col.im2col_reference``                   ``repro.nn.im2col.im2col``
+``im2col.col2im_reference``                   ``repro.nn.im2col.col2im`` (values and strides)
+``optim.ReferenceSGD/ReferenceAdam``          ``repro.nn.optim`` ``SGD/Adam`` (flat buffer)
+``eviction.ReferenceLRU/LFU/SLRU``            ``repro.core.eviction`` ``LRU/LFU/SLRUEviction``
+``signatures.words_to_ints`` /                ``repro.core.rpq.pack_bits`` multi-word values
+``ints_to_words`` / ``signatures_to_ints``    (and the int <-> words bridge the oracles need)
+``reservoir.Reservoir``                       ``repro.obs.metrics.LogHistogram`` percentile reads
+                                              (``BatcherTelemetry.latency_hist``)
+``layers.EinsumMultiHeadSelfAttention``       ``repro.nn.MultiHeadSelfAttention`` matmul core
+                                              and gradients (tolerance oracle, 1e-12)
+``layers.PowGELU``                            ``repro.nn.GELU`` multiplied cube, forward and
+                                              backward (tolerance oracle, 1e-12)
+``baselines.LoopUnlimitedSimilarityBound``    ``UnlimitedSimilarityBound.layer_report``
+                                              (row-sorted distinct-value count)
+``pe.PEConfig`` / ``pe.ProcessingElement``    ``repro.accelerator.signature_pipeline``'s PE
+                                              timing (fully pipelined MAC, ORg saved cycle)
+============================================  =======================================================
 """

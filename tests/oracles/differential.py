@@ -10,8 +10,9 @@ and through production code:
   :meth:`ReuseSession.classify <repro.core.session.ReuseSession.classify>`
   and :func:`~repro.core.hitmap_sim.simulate_hitmap`;
 * :func:`run_differential` — replay a trace in (possibly ragged) chunks
-  against persistent line-level and batch caches and list every probe
-  whose state or entry id differs;
+  against a persistent line-level cache and a persistent session's
+  probe-and-admit step (:func:`probe_and_admit_rows`) and list every
+  probe whose state or entry id differs;
 * :func:`run_serve_differential` — replay a trace through a persistent
   :class:`~repro.core.session.ReuseSession` and through the line-level
   model's data phase (VD bits, write/read, flash invalidation) and list
@@ -24,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.hitmap import CODE_TO_STATE, HitState, STATE_TO_CODE
+from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, HitState, MAU_CODE,
+                               STATE_TO_CODE)
 from repro.core.hitmap_sim import HitmapSimulation
-from repro.core.mcache_vec import VectorizedMCache
+from repro.core.rpq import unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import signatures_to_ints
@@ -98,25 +100,53 @@ def _chunks(num_probes: int, chunk_sizes):
         chunk_index += 1
 
 
+def probe_and_admit_rows(session: ReuseSession,
+                         signatures) -> tuple[np.ndarray, np.ndarray]:
+    """One batch through a persistent session's probe-and-admit step,
+    as per-row ``(state codes, entry ids)``.
+
+    The session probes and admits each distinct signature once; a
+    sequential replay sees every row, so each unique's outcome is
+    expanded to its rows, and a MAU unique is MAU on its first row and
+    a HIT on every later one.
+    """
+    uniques, first_index, inverse = unique_signatures(signatures)
+    states, entry_ids, _ = session._probe_and_admit(
+        uniques, first_index, inverse, payload_bytes=0, batch_index=0)
+    codes = states[inverse]
+    later = np.ones(len(codes), dtype=bool)
+    later[first_index] = False
+    codes[later & (codes == MAU_CODE)] = HIT_CODE
+    return codes, entry_ids[inverse]
+
+
 def run_differential(signatures, entries: int, ways: int,
                      chunk_sizes=None) -> DifferentialReport:
     """Replay a trace through both MCACHE models and diff every probe.
 
-    The trace is replayed in order *without* clearing between chunks
-    (the persistent-state path; the reuse engine's fresh-cache path is
-    covered by comparing ``simulate`` outputs directly).  ``chunk_sizes``
-    are the batch sizes for the batch cache; the line-level model always
-    steps one probe at a time.  Defaults to one single batch.
+    The trace is replayed in order *without* clearing between chunks:
+    each chunk is one batch through a persistent session's
+    probe-and-admit step (:func:`probe_and_admit_rows`), the serving
+    path (the reuse engine's fresh-cache path is covered by comparing
+    ``classify`` outputs directly).  ``chunk_sizes`` are the batch
+    sizes; the line-level model always steps one probe at a time.
+    Defaults to one single batch.  Besides states, entry ids and
+    occupancy, the per-row HIT / MAU / MNU counts must equal the
+    line-level model's counters, and the batch cache must count one
+    MAU per claimed line.
     """
     signatures = np.atleast_1d(np.asarray(signatures))
     scalar_values = signatures_to_ints(signatures)
     scalar = MCache(entries=entries, ways=ways)
-    vectorized = VectorizedMCache(entries=entries, ways=ways)
+    session = ReuseSession(SessionPolicy(entries=entries, ways=ways),
+                           persistent=True)
     report = DifferentialReport(probes=len(scalar_values), chunks=0)
+    row_counts = np.zeros(3, dtype=np.int64)
 
     for start, stop in _chunks(len(scalar_values), chunk_sizes):
-        vec_states, vec_entries = vectorized.lookup_or_insert_batch(
-            signatures[start:stop])
+        vec_states, vec_entries = probe_and_admit_rows(
+            session, signatures[start:stop])
+        row_counts += np.bincount(vec_states, minlength=3)
         for offset, index in enumerate(range(start, stop)):
             state, entry_id = scalar.lookup_or_insert(
                 int(scalar_values[index]))
@@ -129,19 +159,20 @@ def run_differential(signatures, entries: int, ways: int,
                                    int(vec_entries[offset]))})
         report.chunks += 1
 
-    if scalar.occupancy() != vectorized.occupancy():
+    if scalar.occupancy() != session.occupancy():
         report.mismatches.append({"field": "occupancy",
                                   "scalar": scalar.occupancy(),
-                                  "vectorized": vectorized.occupancy()})
+                                  "vectorized": session.occupancy()})
     report.scalar_stats = {"hits": scalar.stats.hits, "mau": scalar.stats.mau,
                            "mnu": scalar.stats.mnu}
-    report.vectorized_stats = {"hits": vectorized.stats.hits,
-                               "mau": vectorized.stats.mau,
-                               "mnu": vectorized.stats.mnu}
-    if report.scalar_stats != report.vectorized_stats:
+    report.vectorized_stats = dict(zip(("hits", "mau", "mnu"),
+                                       row_counts.tolist()))
+    if report.scalar_stats != report.vectorized_stats \
+            or session.mcache.stats.mau != scalar.stats.mau:
         report.mismatches.append({"field": "stats",
                                   "scalar": report.scalar_stats,
-                                  "vectorized": report.vectorized_stats})
+                                  "vectorized": report.vectorized_stats,
+                                  "mcache_mau": session.mcache.stats.mau})
     return report
 
 

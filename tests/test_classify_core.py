@@ -119,3 +119,18 @@ def test_interleaved_groups_match_the_line_level_replay(
         assert session.clears == 2
         assert (stats.hits, stats.mau, stats.mnu) == \
             tuple(2 * total for total in totals[:3])
+
+
+def test_simulations_compare_by_value():
+    """``==`` compares Hitmaps by their arrays and counts, not identity."""
+    signatures = _frame(seed=5, groups=3, rows=40, num_sets=3, bits=12,
+                        pool_size=12)
+    grouped = simulate_hitmap_interleaved(signatures, 3, 3, 2)
+    wants = [scalar_reference_simulation(signatures[group::3], 3, 2)
+             for group in range(3)]
+    assert grouped == wants
+    assert simulate_hitmap(signatures, 3, 2) == \
+        simulate_hitmap(signatures, 3, 2)
+    other = simulate_hitmap(signatures[:-1], 3, 2)
+    assert other != simulate_hitmap(signatures, 3, 2)
+    assert grouped != wants[::-1]

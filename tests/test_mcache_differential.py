@@ -1,9 +1,9 @@
 """Differential tests: the line-level MCACHE oracle vs production.
 
 The line-level :class:`~tests.oracles.mcache.MCache` is the reference
-model; every test replays a trace through it and through
-:class:`~repro.core.mcache_vec.VectorizedMCache`, a persistent
-:class:`~repro.core.session.ReuseSession` or a ``ReuseEngine`` and
+model; every test replays a trace through it and through a flash
+:class:`~repro.core.session.ReuseSession` (``classify``), a persistent
+one (its probe-and-admit step, or ``serve``) or a ``ReuseEngine`` and
 requires bit-identical Hitmap states, representatives, entry ids, stats
 counters and served results.
 """
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
 from repro.core.hitmap_sim import simulate_hitmap
-from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import RPQHasher
+from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.im2col import im2col
 from tests.oracles.differential import (run_differential,
                                         run_serve_differential,
@@ -26,6 +26,12 @@ from tests.oracles.engine import scalar_engine
 from tests.oracles.signatures import ints_to_words
 
 GEOMETRIES = [(8, 1, 1), (8, 2, 1), (16, 4, 2), (64, 16, 1), (4, 4, 3)]
+
+
+def classify(trace, entries: int, ways: int):
+    """The training engine's Hitmap: a flash session's classify."""
+    return ReuseSession(SessionPolicy(entries=entries, ways=ways),
+                        persistent=False).classify(trace)
 
 
 def assert_simulations_equal(a, b):
@@ -43,8 +49,7 @@ def test_simulation_matches_oracle_on_random_traces(entries, ways, versions,
                                                     make_trace):
     for seed, pool in ((0, 5), (1, 40), (2, 500)):
         trace = make_trace(300, pool_size=pool, seed=seed)
-        vectorized = VectorizedMCache(entries=entries, ways=ways)
-        ours = vectorized.simulate(trace)
+        ours = classify(trace, entries, ways)
         oracle = scalar_reference_simulation(trace,
                                              num_sets=entries // ways,
                                              ways=ways)
@@ -57,9 +62,8 @@ def test_simulation_matches_oracle_on_random_traces(entries, ways, versions,
 def test_simulation_matches_oracle_property(signatures, geometry):
     entries, ways, _ = geometry
     trace = np.array(signatures, dtype=np.int64)
-    vectorized = VectorizedMCache(entries=entries, ways=ways)
     assert_simulations_equal(
-        vectorized.simulate(trace),
+        classify(trace, entries, ways),
         scalar_reference_simulation(trace, num_sets=entries // ways,
                                     ways=ways))
 
@@ -136,7 +140,7 @@ def test_vgg13_conv2_trace_matches_oracle():
     trace = RPQHasher(seed=1).signatures(im2col(image[None, None], 3, 3), 20)
     assert len(trace) == 112 * 112
 
-    simulation = VectorizedMCache(entries=1024, ways=16).simulate(trace)
+    simulation = classify(trace, entries=1024, ways=16)
     assert_simulations_equal(
         simulation, scalar_reference_simulation(trace, num_sets=64, ways=16))
     assert simulation.hits > len(trace) // 2
@@ -189,8 +193,6 @@ def test_vectorized_backend_accumulates_mcache_stats(rng):
     record = engine.stats.get("conv", "forward")
     assert (stats.hits, stats.mau, stats.mnu) == \
         (record.hits, record.mau, record.mnu)
-    engine.reset_statistics()
-    assert engine.mcache.stats.accesses == 0
 
 
 def test_backends_identical_with_wide_signatures(rng):

@@ -3,7 +3,8 @@
 Signatures longer than 62 bits pack into ``(n_vectors, n_words)``
 ``uint64`` rows (:mod:`repro.core.rpq`).  These tests drive that
 representation through every Hitmap path — the stateless group-by
-simulation and the persistent batch MCACHE — against the line-level
+simulation, a flash session's classify and a persistent session's
+probe-and-admit step over the batch MCACHE — against the line-level
 oracle, and assert bit-identity throughout, then smoke a real training
 run whose signature length crosses the multi-word boundary.
 """
@@ -20,7 +21,9 @@ from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import RPQHasher, signature_words, words_mod
-from tests.oracles.differential import (run_differential,
+from repro.core.session import ReuseSession, SessionPolicy
+from tests.oracles.differential import (probe_and_admit_rows,
+                                        run_differential,
                                         run_serve_differential,
                                         scalar_reference_simulation)
 from tests.oracles.engine import scalar_engine
@@ -53,8 +56,8 @@ def test_multiword_simulations_match_oracle(values, picks, geometry):
                                          num_sets=entries // ways, ways=ways)
     groupby = simulate_hitmap(trace_words, num_sets=entries // ways,
                               ways=ways)
-    vectorized = VectorizedMCache(entries=entries, ways=ways).simulate(
-        trace_words)
+    vectorized = ReuseSession(SessionPolicy(entries=entries, ways=ways),
+                              persistent=False).classify(trace_words)
 
     for simulation in (groupby, vectorized):
         assert list(simulation.states) == list(oracle.states)
@@ -88,17 +91,15 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
     """int64 batches followed by multi-word batches (the adaptive-growth
     transition) keep matching resident lines by full value."""
     entries, ways = geometry
-    cache = VectorizedMCache(entries=entries, ways=ways)
+    session = ReuseSession(SessionPolicy(entries=entries, ways=ways))
     scalar_trace = list(narrow) + list(wide) + list(narrow)
 
     # Replay: one narrow int64 batch, one wide multi-word batch, then
     # the narrow values again (now against the promoted words store).
     results = []
-    results.append(cache.lookup_or_insert_batch(
-        np.array(narrow, dtype=np.int64)))
-    results.append(cache.lookup_or_insert_batch(ints_to_words(wide)))
-    results.append(cache.lookup_or_insert_batch(
-        np.array(narrow, dtype=np.int64)))
+    for batch in (np.array(narrow, dtype=np.int64), ints_to_words(wide),
+                  np.array(narrow, dtype=np.int64)):
+        results.append(probe_and_admit_rows(session, batch))
 
     oracle = MCache(entries=entries, ways=ways)
     position = 0
@@ -115,10 +116,10 @@ def test_uint64_signatures_beyond_int63_stay_exact():
     """Values >= 2^63 must not wrap through int64: a 1-D uint64 batch is
     refused, and the multi-word form keeps oracle bit-identity."""
     values = [(1 << 63) + 7, 5, (1 << 64) - 1, 5, (1 << 63) + 7]
-    cache = VectorizedMCache(entries=8, ways=2)
+    session = ReuseSession(SessionPolicy(entries=8, ways=2))
     with pytest.raises(ValueError):
-        cache.lookup_or_insert_batch(np.array(values, dtype=np.uint64))
-    states, entry_ids = cache.lookup_or_insert_batch(ints_to_words(values))
+        session.mcache.insert(np.array(values, dtype=np.uint64))
+    states, entry_ids = probe_and_admit_rows(session, ints_to_words(values))
 
     oracle = MCache(entries=8, ways=2)
     for offset, value in enumerate(values):
@@ -135,7 +136,7 @@ def test_non_integral_float_signatures_are_rejected():
     cache = VectorizedMCache(entries=8, ways=2)
     for floats in ([0.5, 0.0], [3.0, 3.0]):
         with pytest.raises(ValueError, match="1-D int64 or 2-D uint64"):
-            cache.lookup_or_insert_batch(np.array(floats))
+            cache.insert(np.array(floats))
     assert cache.occupancy() == 0
 
 
@@ -143,24 +144,24 @@ def test_probe_batch_is_non_mutating_across_representations():
     """Read-only probes never promote the tag store and never set the
     dirty flag."""
     cache = VectorizedMCache(entries=8, ways=2)
-    cache.lookup_or_insert(5)
-    cache.simulate([])                     # leaves the cache clean
+    cache.insert([5])
+    cache.clear()                          # leaves the cache clean
     assert cache._tag_words is None and not cache._dirty
 
     wide = ints_to_words([(1 << 70) + 3, 5, (1 << 64) - 5])
     present, entry_ids = cache.probe_batch(wide)
-    # Cache was cleared by simulate(): everything misses, nothing mutates.
+    # Cache was cleared: everything misses, nothing mutates.
     assert not present.any()
     assert cache._tag_words is None and not cache._dirty
 
-    cache.lookup_or_insert(5)
+    cache.insert([5])
     present, entry_ids = cache.probe_batch(wide)
     assert list(present) == [False, True, False]
     assert entry_ids[1] >= 0
     assert cache._tag_words is None                # still int64 mode
     # int64 probes against a words-mode store bridge the other way too.
     cache.clear()
-    cache.lookup_or_insert_batch(ints_to_words([(1 << 70) + 3, 9]))
+    cache.insert(ints_to_words([(1 << 70) + 3, 9]))
     present, _ = cache.probe_batch(np.array([9, 10], dtype=np.int64))
     assert list(present) == [True, False]
 
@@ -170,7 +171,7 @@ def test_probe_batch_uint64_beyond_int63_is_exact():
     value matches, its neighbour does not, and a 1-D uint64 probe is
     refused."""
     cache = VectorizedMCache(entries=8, ways=2)
-    cache.lookup_or_insert_batch(ints_to_words([(1 << 63) + 7]))
+    cache.insert(ints_to_words([(1 << 63) + 7]))
     present, entry_ids = cache.probe_batch(
         ints_to_words([(1 << 63) + 7, (1 << 63) + 8]))
     assert list(present) == [True, False]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (Adam, Conv2D, CrossEntropyLoss, Flatten, Linear, MSELoss,
-                      ReLU, SGD, Sequential)
+from repro.nn import (Adam, Conv2D, CrossEntropyLoss, Flatten, Linear, ReLU,
+                      SGD, Sequential)
 from repro.nn.module import Module, Parameter, assign_unique_layer_names
 from tests.helpers import numerical_gradient, relative_error
 from tests.oracles.optim import ReferenceAdam, ReferenceSGD
@@ -52,14 +52,6 @@ def test_cross_entropy_all_ignored_raises():
     loss = CrossEntropyLoss(ignore_index=0)
     with pytest.raises(ValueError):
         loss(np.zeros((1, 2, 3)), np.zeros((1, 2), dtype=int))
-
-
-def test_mse_loss_and_gradient():
-    loss = MSELoss()
-    pred = np.array([1.0, 2.0, 3.0])
-    target = np.array([1.0, 1.0, 1.0])
-    assert np.isclose(loss(pred, target), (0 + 1 + 4) / 3)
-    np.testing.assert_allclose(loss.backward(), 2 * (pred - target) / 3)
 
 
 # ----------------------------------------------------------------------

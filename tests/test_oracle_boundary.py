@@ -17,7 +17,7 @@ import repro.core
 
 ORACLE_NAMES = {
     "MCache", "CacheLine", "ScalarMCacheStats", "DifferentialReport",
-    "run_differential", "run_serve_differential",
+    "run_differential", "run_serve_differential", "probe_and_admit_rows",
     "scalar_reference_simulation", "im2col_reference", "ReferenceLRU",
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
     "signatures_to_ints", "per_call_matmul_groups", "substitute_segments",

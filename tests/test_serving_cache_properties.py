@@ -233,6 +233,26 @@ def test_missing_eviction_metadata_fails_loudly():
         restored.load_state_dict(meta, stripped)
 
 
+def test_corrupt_snapshot_signatures_are_rejected():
+    """The restore re-inserts the snapshot's signatures and refuses any
+    that do not each claim the next line and probe back to it."""
+    import pytest
+
+    donor = _driven_cache("none")
+    meta, arrays = donor.state_dict()
+    signatures = arrays["signatures"]
+    num_sets = donor.mcache.num_sets
+    assert len(signatures) > donor.policy.ways
+    duplicated = signatures.copy()
+    duplicated[1] = duplicated[0]
+    # Distinct values, every one in set 0: more than ``ways`` of them.
+    overfull = np.arange(len(signatures), dtype=np.int64) * num_sets
+    for corrupt in (duplicated, overfull):
+        restored = SignatureResultCache(donor.policy)
+        with pytest.raises(ValueError, match="did not rebuild cleanly"):
+            restored.load_state_dict(meta, {**arrays, "signatures": corrupt})
+
+
 def test_identical_nan_payloads_hit_without_collisions():
     """Exact checks compare payload bytes: NaN never equals itself under
     ``==``, yet identical NaN payloads have identical results."""
