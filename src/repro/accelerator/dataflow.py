@@ -107,8 +107,3 @@ def make_dataflow(name: str, **kwargs) -> Dataflow:
             f"unknown dataflow {name!r}; choose from {sorted(_DATAFLOWS)}"
         ) from None
     return factory(**kwargs)
-
-
-def available_dataflows() -> list[str]:
-    """Names of all supported dataflows."""
-    return sorted(_DATAFLOWS)

@@ -158,7 +158,3 @@ class GridResults:
         if not values:
             raise ValueError(f"no rows match {filters!r}")
         return float(np.exp(np.mean(np.log(values))))
-
-    def missing_keys(self) -> list[set]:
-        """Per-row schema violations (empty sets when rows conform)."""
-        return [self.result_keys - set(row) for row in self.rows]

@@ -35,7 +35,7 @@ import numpy as np
 from repro.analysis.functional_sweep import derive_seed
 from repro.analysis.grid import GridResults, expand_grid, point_row, run_grid
 from repro.core.eviction import EVICTION_POLICIES
-from repro.core.session import ADMISSION_POLICIES
+from repro.serving.cache import ADMISSION_POLICIES
 from repro.models.registry import MODEL_NAMES, build_model, get_spec
 from repro.serving.batcher import BatcherConfig
 from repro.serving.engine import ServingPolicy

@@ -44,9 +44,6 @@ class BloomFilter:
     def contains(self, item: bytes) -> bool:
         return all(self.bits[position] for position in self._positions(item))
 
-    def fill_ratio(self) -> float:
-        return float(self.bits.mean())
-
 
 class BloomFilterSimilarity:
     """Counts unique vectors with a Bloom filter over quantised vectors."""

@@ -16,13 +16,7 @@ from repro.core.hitmap import (
 )
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
-from repro.core.session import (
-    ADMISSION_POLICIES,
-    CacheCounters,
-    ReuseSession,
-    ServeOutcome,
-    SessionPolicy,
-)
+from repro.core.session import ReuseSession
 from repro.core.stats import LayerReuseStats, ReuseStats
 from repro.core.adaptation import SignatureLengthScheduler, SimilarityStoppage
 
@@ -43,11 +37,7 @@ __all__ = [
     "states_to_codes",
     "VectorizedMCache",
     "ReuseEngine",
-    "ADMISSION_POLICIES",
-    "CacheCounters",
     "ReuseSession",
-    "ServeOutcome",
-    "SessionPolicy",
     "LayerReuseStats",
     "ReuseStats",
     "SignatureLengthScheduler",

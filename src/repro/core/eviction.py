@@ -1,4 +1,4 @@
-"""Replacement policies for persistent reuse sessions.
+"""Replacement policies for the persistent serving caches.
 
 The paper's MCACHE has **no replacement**: a signature whose set is full
 is computed every time (MNU).  That is the right model for training —
@@ -6,7 +6,7 @@ batches are single-use and the cache is flash-cleared per layer — but a
 long-running serving cache under skewed traffic needs real eviction, or
 cold keys squat on their lines forever.  This module provides the three
 replacement policies the serving stack exposes through the
-``SessionPolicy.eviction`` axis:
+``ServingPolicy.eviction`` axis:
 
 * ``lru`` — evict the least-recently-*probed* line of the full set;
 * ``lfu`` — evict the lowest-frequency line (frequency counts the rows
@@ -30,7 +30,7 @@ and identical serialized state.
 
 All state serializes to plain integer arrays (recency ranks, segment
 membership, frequencies) in canonical ``(set, way)`` layout, so a
-snapshot→restore round trip is byte-identical and restored sessions
+snapshot→restore round trip is byte-identical and restored caches
 evict exactly as the donor would have.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: The ``SessionPolicy.eviction`` axis.  ``none`` is the paper's
+#: The ``ServingPolicy.eviction`` axis.  ``none`` is the paper's
 #: no-replacement semantics (the default, bit-identical to the
 #: pre-eviction code path).
 EVICTION_POLICIES = ("none", "lru", "lfu", "slru")

@@ -13,8 +13,8 @@ for an input vector it consults the Hitmap entry —
 
 Two representations coexist.  The :class:`HitState` enum is the
 user-facing view (and the vocabulary of the line-level MCACHE oracle
-the tests keep); every hot path — batch classification, the
-session's probe/admit loops, the cache ride — carries the dense ``int8``
+the tests keep); every hot path — batch classification, the serving
+cache's probe/admit loops, the cache ride — carries the dense ``int8``
 *state codes* :data:`HIT_CODE` / :data:`MAU_CODE` / :data:`MNU_CODE`
 instead, so no Python enum object is ever materialised per vector.
 :func:`codes_to_states` / :func:`states_to_codes` convert at the
@@ -28,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 #: Dense ``int8`` state codes carried by every batch-classification
-#: array (``HitmapSimulation.states``, ``ReuseSession``'s probe-and-admit).
+#: array (``HitmapSimulation.states``, ``SignatureResultCache``'s
+#: probe-and-admit).
 HIT_CODE: int = 0
 MAU_CODE: int = 1
 MNU_CODE: int = 2
@@ -104,10 +105,6 @@ class Hitmap:
         """For a HIT entry, the earlier vector whose result is reused."""
         return self._source[index]
 
-    def is_complete(self) -> bool:
-        """True when every vector has been marked."""
-        return all(state is not None for state in self._states)
-
     # ------------------------------------------------------------------
     def counts(self) -> dict:
         """Counts of each state (and of unmarked entries)."""
@@ -121,15 +118,6 @@ class Hitmap:
         if self.num_vectors == 0:
             return 0.0
         return self.counts()[HitState.HIT] / self.num_vectors
-
-    def states_array(self) -> np.ndarray:
-        """States as an object array (for vectorised consumers)."""
-        return np.array(self._states, dtype=object)
-
-    def sources_array(self) -> np.ndarray:
-        """Reuse sources as an int array; -1 where not a HIT."""
-        return np.array([-1 if s is None else s for s in self._source],
-                        dtype=np.int64)
 
     def __len__(self) -> int:
         return self.num_vectors

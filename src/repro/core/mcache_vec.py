@@ -6,33 +6,34 @@ are tracked separately, and there is **no replacement** — when a set is
 full, new signatures are simply not inserted (their Hitmap entry
 becomes MNU).
 
-:class:`VectorizedMCache` is the *persistent* store behind a serving
-:class:`~repro.core.session.ReuseSession`: the tag / Valid-Tag state of
-the ``(set, way)`` grid as dense numpy arrays, read by one
-non-mutating :meth:`~VectorizedMCache.probe_batch` and written by one
-:meth:`~VectorizedMCache.insert` (plus :meth:`~VectorizedMCache.replace_line`
-for a replacement policy and :meth:`~VectorizedMCache.clear`).  It
-models the signature phase only; the computed results live in the
-session's dense store, keyed by the entry ids this cache hands out.
-The training engine's freshly-cleared-per-layer Hitmap needs no
-persistent state and runs the stateless
-:func:`repro.core.hitmap_sim.simulate_hitmap` instead.
+:class:`VectorizedMCache` is the *persistent* tag store behind the
+serving :class:`~repro.serving.cache.SignatureResultCache`: the tag /
+Valid-Tag state of the ``(set, way)`` grid as dense numpy arrays, read
+by one non-mutating :meth:`~VectorizedMCache.probe_batch` and written
+by one :meth:`~VectorizedMCache.insert` (plus
+:meth:`~VectorizedMCache.replace_line` for a replacement policy and
+:meth:`~VectorizedMCache.clear`).  It models the signature phase only
+and counts nothing; the computed results, and the hit ledger, live in
+the serving cache, keyed by the entry ids this store hands out.
+Training's freshly-cleared-per-layer Hitmap needs no persistent state
+and runs the stateless :class:`~repro.core.session.ReuseSession`
+instead.
 
 The line-level model of the hardware lives with the tests
 (``tests/oracles/mcache.py``); ``tests/test_mcache_differential.py``
-replays randomized traces through it and through the session's
+replays randomized traces through it and through the serving cache's
 probe-and-admit path and asserts equal Hitmap states, entry ids and
-stats counters.
+per-row HIT / MAU / MNU counts.
 
-The session probes a batch's distinct signatures, then inserts the
-absent ones it admits in first-occurrence order, which is a sequential
-replay of the batch:
+The serving cache probes a batch's distinct signatures, then inserts
+the absent ones it admits in first-occurrence order, which is a
+sequential replay of the batch:
 
 * a signature already resident is a HIT;
 * an inserted signature whose set still has a free way claims the
   lowest free way and the next entry id (MAU);
 * an inserted signature whose set is full gets no line — MNU, no
-  replacement (§III-B3, Figure 9) — unless the session's eviction
+  replacement (§III-B3, Figure 9) — unless the cache's eviction
   policy recycles a victim line for it.
 
 Because Valid-Tag bits are only ever cleared by a full :meth:`clear`,
@@ -51,33 +52,10 @@ split, so mixed int64/multi-word traces stay bit-identical to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.hitmap_sim import rank_within_groups, signature_sets
 from repro.core.rpq import coerce_packed, pad_words, signature_words
-
-
-@dataclass
-class MCacheStats:
-    """Access counters for characterisation (Figure 15a)."""
-
-    hits: int = 0
-    mau: int = 0
-    mnu: int = 0
-    # Lines recycled by a replacement policy (persistent serving
-    # sessions only; the paper's no-replacement model never evicts).
-    evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.mau + self.mnu
-
-    def as_fractions(self) -> dict:
-        total = max(self.accesses, 1)
-        return {"HIT": self.hits / total, "MAU": self.mau / total,
-                "MNU": self.mnu / total}
 
 
 class VectorizedMCache:
@@ -94,7 +72,6 @@ class VectorizedMCache:
         self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways
-        self.stats = MCacheStats()
         self._tags = np.zeros((self.num_sets, ways), dtype=np.int64)
         # Multi-word mode: full signature values, one row of words per
         # line, most-significant word first.  ``None`` while every
@@ -109,9 +86,6 @@ class VectorizedMCache:
         self._entry_set = np.empty(0, dtype=np.int64)
         self._entry_way = np.empty(0, dtype=np.int64)
         self._next_entry_id = 0
-        # False while every array is in its cleared state, making the
-        # per-batch ``clear`` of a flash session free.
-        self._dirty = False
 
     # ------------------------------------------------------------------
     # Representation management
@@ -155,7 +129,6 @@ class VectorizedMCache:
 
     def _enter_words_mode(self, num_words: int) -> None:
         """Promote (or widen) the tag store to hold full-value words."""
-        self._dirty = True
         if self._tag_words is None:
             self._tag_words = self._int64_tag_words(num_words)
         else:
@@ -225,7 +198,7 @@ class VectorizedMCache:
         and the claimed lines take the next entry ids in arrival order.
         A signature whose set is already full gets -1 and no line: the
         paper's MNU, or a victim for the caller's replacement policy to
-        recycle, so only the claims count (as ``stats.mau``).
+        recycle.
         """
         sigs = self._normalize(signatures)
         entry_ids = np.full(len(sigs), -1, dtype=np.int64)
@@ -244,7 +217,6 @@ class VectorizedMCache:
         claimed_sets, claimed_ways = sets[claimed], ways[claimed]
         new_ids = self._next_entry_id + np.arange(len(claimed),
                                                   dtype=np.int64)
-        self._dirty = True
         self._store_tags(sigs[claimed], claimed_sets, claimed_ways)
         self._valid_tag[claimed_sets, claimed_ways] = True
         self._line_entry[claimed_sets, claimed_ways] = new_ids
@@ -252,7 +224,6 @@ class VectorizedMCache:
         self._entry_set = np.concatenate([self._entry_set, claimed_sets])
         self._entry_way = np.concatenate([self._entry_way, claimed_ways])
         self._next_entry_id += len(claimed)
-        self.stats.mau += len(claimed)
         entry_ids[claimed] = new_ids
         return entry_ids
 
@@ -262,7 +233,7 @@ class VectorizedMCache:
 
         The replacement-policy hook: the victim's tag is overwritten and
         the new owner inherits the victim's entry id, so ids stay bounded
-        by ``entries`` however many evictions a long-running session
+        by ``entries`` however many evictions a long-running cache
         sees.  Whoever keeps results by entry id must drop the victim's
         result.  Occupancy is unchanged, so the valid-way prefix
         invariant that the batch insert relies on still holds.
@@ -277,14 +248,10 @@ class VectorizedMCache:
         if int(signature_sets(sigs, self.num_sets)[0]) != set_index:
             raise ValueError("signature does not map to the victim's set")
         self._store_tags(sigs, np.array([set_index]), np.array([way]))
-        self.stats.evictions += 1
         return int(self._line_entry[set_index, way])
 
     def clear(self) -> None:
         """Full reset (new channel / new set of input vectors)."""
-        if not self._dirty:
-            return
-        self._dirty = False
         self._valid_tag[:] = False
         self._tag_words = None
         self._line_entry[:] = -1

@@ -28,7 +28,7 @@ from repro.core.adaptation import SignatureLengthScheduler, SimilarityStoppage
 from repro.core.config import MercuryConfig
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.rpq import RPQHasher
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
 from repro.core.signature import SignatureTable
 from repro.core.stats import ReuseStats
 
@@ -80,21 +80,12 @@ class ReuseEngine:
             stoppage_batches=self.config.stoppage_batches,
             pipelined_signatures=self.config.pipelined_signatures)
         self.iterations = 0
-        # The shared probe/insert + cache-ride core, in flash mode: the
-        # signature phase sees a freshly-cleared MCACHE per layer call,
-        # matching the hardware's per-channel flush.  The serving
-        # engines build on the same ReuseSession in persistent mode, so
-        # the two cannot drift.  ``session.mcache`` is the one batch
-        # MCACHE behind every Hitmap — one persistent instance so its
-        # access counters characterise the whole run (Figure 15a).
-        self.session = ReuseSession(
-            SessionPolicy(signature_bits=self.config.signature_bits,
-                          entries=self.config.mcache_entries,
-                          ways=self.config.mcache_ways,
-                          exact_check=False,
-                          rpq_seed=self.config.rpq_seed),
-            hasher=self.hasher, persistent=False)
-        self.mcache = self.session.mcache
+        # The signature phase and cache ride: every layer call sees a
+        # freshly-cleared MCACHE, matching the hardware's per-channel
+        # flush.  ``session.stats`` accumulates the MCACHE access
+        # counters of the whole run (Figure 15a).
+        self.session = ReuseSession(self.config.mcache_entries,
+                                    self.config.mcache_ways)
         # Last Hitmap simulation per (layer, phase), exposed for tests
         # and for the accelerator simulator (call ``.to_hitmap()`` for a
         # full Hitmap object).

@@ -1,53 +1,19 @@
-"""The shared reuse-session core of the training and serving engines.
+"""Training's signature phase: the paper's per-layer MCACHE flush.
 
-Before this module existed the probe/insert + cache-ride logic lived
-twice: once in the training :class:`~repro.core.reuse.ReuseEngine`
-(signatures → Hitmap over a freshly-cleared MCACHE → reuse HIT rows) and
-once in the serving ``SignatureResultCache`` (signatures → persistent
-probe/insert → serve cached rows, admit fresh ones).  The two copies
-had started to drift; :class:`ReuseSession` is now the single
-implementation, instantiated in one of two modes:
+:class:`ReuseSession` is what the training
+:class:`~repro.core.reuse.ReuseEngine` runs between hashing a layer
+call's vectors and multiplying them.  Every :meth:`~ReuseSession.classify`
+call sees a freshly-cleared MCACHE, so similarity is exploited only
+*within* one batch, as the hardware flushes the MCACHE per layer
+(§III-B3).  The session therefore keeps no cache state: classification
+is the stateless group-by of :mod:`repro.core.hitmap_sim`, the ride is
+one GEMM over the batch with every HIT row's input replaced by its
+representative's, and only the run's access counters
+(:class:`MCacheStats`, Figure 15a) and its count of flushes accumulate.
 
-* **flash** (``persistent=False``) — the training semantics: every
-  :meth:`classify` call sees a freshly-cleared MCACHE, so similarity is
-  exploited only *within* one batch (the paper's per-layer flush).  The
-  engine drives the two phases separately — :meth:`classify` builds the
-  Hitmap on the batch MCACHE, :meth:`ride` multiplies the batch with
-  every HIT row's input replaced by its representative's;
-* **persistent** (``persistent=True``) — the serving semantics: cache
-  state survives across :meth:`serve` calls, entries age by micro-batch
-  (:attr:`SessionPolicy.ttl_batches`), hits may be payload-verified
-  (``exact_check``) and insertion is governed by an admission policy.
-
-:meth:`serve` and a replication push (:meth:`admit_external`) share
-one probe-and-admit step: probe the batch's distinct signatures once,
-gate the absent ones, insert the admitted ones into the MCACHE in
-first-occurrence order, and hand each signature whose set is full to
-the eviction policy, if there is one.  A restore makes the same insert.
-
-Persistent sessions also support :meth:`state_dict` /
-:meth:`load_state_dict` so a serving cache can be snapshotted to disk
-and warm-started after a restart; the restore rebuilds the MCACHE by
-re-inserting the resident signatures in entry-id order, which
-reproduces the exact (set, way, entry-id) placement because insertion
-is deterministic first-come.
-
-Admission policies (the ``admission`` axis of :class:`SessionPolicy`):
-
-* ``always`` — every computed signature that finds a free way claims a
-  line, in first-occurrence order, so a full set keeps the first
-  arrivals;
-* ``frequency`` — a signature is only admitted once it has been seen
-  at least ``admission_min_frequency`` times (rows, cumulative across
-  batches); one-shot traffic never pollutes the cache.  The gate's
-  memory is itself bounded (stalest keys are evicted beyond
-  ``4 x entries``), so it cannot grow without limit either;
-* ``size`` — a signature is only admitted while its stored payload
-  (``vector length x 8`` bytes) stays within ``admission_max_bytes``;
-  oversized streams are computed every time.
-
-Non-admitted signatures are counted as *rejected*, exactly like a
-signature whose set was full (the paper's MNU): computed, not stored.
+Serving's persistent, evicting, snapshotting store is a separate
+extension, :class:`repro.serving.cache.SignatureResultCache`; the two
+share the MCACHE geometry rules and nothing else.
 """
 
 from __future__ import annotations
@@ -56,228 +22,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
-from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (GroupedSimulation, HitmapSimulation,
-                                   signature_sets, simulate_hitmap,
+                                   simulate_hitmap,
                                    simulate_hitmap_interleaved)
-from repro.core.mcache_vec import VectorizedMCache
-from repro.core.rpq import RPQHasher, unique_signatures
-
-ADMISSION_POLICIES = ("always", "frequency", "size")
-
-#: Version of the :meth:`ReuseSession.state_dict` layout.  Bump when the
-#: array/meta contract changes; ``load_state_dict`` rejects mismatches.
-#: Version 2 added the ``layout`` key and the eviction metadata arrays.
-STATE_VERSION = 2
-
-
-def _same_bytes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row byte equality of two C-contiguous float64 matrices."""
-    return (left.view(np.uint64) == right.view(np.uint64)).all(axis=1)
-
-
-@dataclass(frozen=True)
-class SessionPolicy:
-    """Knobs of one reuse session — the shared core of ``ServingPolicy``.
-
-    ``entries``/``ways`` give the MCACHE geometry: capacity is enforced
-    the paper's way — no replacement; a signature whose set is full is
-    computed every time (MNU).  ``ttl_batches`` bounds entry age: a hit
-    on an entry inserted more than that many micro-batches ago is
-    *refreshed* — recomputed and rewritten in place with its age reset —
-    so stale traffic cannot pin results forever.  ``0`` means "expire
-    immediately": an entry is only ever served within the micro-batch
-    index that wrote it, so cross-batch reuse is disabled while
-    intra-batch dedup keeps working.  ``None`` means entries never
-    expire.  ``admission`` selects how computed signatures earn a cache
-    line (see the module docstring).
-
-    ``eviction`` selects the replacement policy for persistent
-    sessions: ``none`` keeps the paper's no-replacement semantics
-    (full set = MNU, computed every time), while ``lru``/``lfu``/
-    ``slru`` recycle a victim line instead of rejecting — see
-    :mod:`repro.core.eviction`.
-    """
-
-    # Signature / capacity knobs.
-    signature_bits: int = 32
-    entries: int = 4096
-    ways: int = 16
-    ttl_batches: int | None = None
-    # Collision safety: verify the stored payload has the incoming
-    # one's bytes before serving a hit; mismatches are demoted to
-    # computes.
-    exact_check: bool = True
-    # Insertion gate: "always", "frequency" or "size".
-    admission: str = "always"
-    admission_min_frequency: int = 2
-    admission_max_bytes: int | None = None
-    # Replacement policy: "none" (paper semantics), "lru", "lfu", "slru".
-    eviction: str = "none"
-    rpq_seed: int = 1234
-
-    def __post_init__(self):
-        if self.signature_bits <= 0:
-            raise ValueError("signature_bits must be positive")
-        if self.entries <= 0 or self.ways <= 0:
-            raise ValueError("entries and ways must be positive")
-        if self.entries % self.ways != 0:
-            raise ValueError("entries must be divisible by ways")
-        if self.ttl_batches is not None and self.ttl_batches < 0:
-            raise ValueError("ttl_batches must be >= 0 (0 = expire "
-                             "immediately) or None (never expire)")
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(f"unknown admission {self.admission!r}; "
-                             f"choose from {ADMISSION_POLICIES}")
-        if self.admission_min_frequency <= 0:
-            raise ValueError("admission_min_frequency must be positive")
-        if self.admission_max_bytes is not None \
-                and self.admission_max_bytes <= 0:
-            raise ValueError("admission_max_bytes must be positive "
-                             "(or None)")
-        if self.eviction not in EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction {self.eviction!r}; "
-                             f"choose from {EVICTION_POLICIES}")
-
-    def replace(self, **changes) -> "SessionPolicy":
-        from dataclasses import replace as dc_replace
-        return dc_replace(self, **changes)
-
-    def fingerprint(self) -> dict:
-        """The JSON-safe identity a snapshot must match to be restored."""
-        return {"signature_bits": self.signature_bits,
-                "entries": self.entries, "ways": self.ways,
-                "ttl_batches": self.ttl_batches,
-                "exact_check": self.exact_check,
-                "admission": self.admission,
-                "admission_min_frequency": self.admission_min_frequency,
-                "admission_max_bytes": self.admission_max_bytes,
-                "eviction": self.eviction,
-                "rpq_seed": self.rpq_seed}
 
 
 @dataclass
-class CacheCounters:
-    """Row-level outcome counters of one persistent :class:`ReuseSession`."""
+class MCacheStats:
+    """Access counters for characterisation (Figure 15a)."""
 
-    requests: int = 0          # rows probed
-    cross_hits: int = 0        # rows served from an earlier batch's entry
-    intra_hits: int = 0        # duplicate rows within one batch
-    computed: int = 0          # rows actually multiplied/forwarded
-    inserted: int = 0          # computed rows admitted into the cache
-    rejected: int = 0          # computed rows denied a line (set full
-    #                            MNU, or vetoed by the admission policy)
-    expired: int = 0           # hits demoted by TTL (entry refreshed)
-    collisions: int = 0        # exact-check demotions (signature aliasing)
-    evicted: int = 0           # lines recycled by the replacement policy
-    replicated: int = 0        # rows pushed in by hot-key replication
+    hits: int = 0
+    mau: int = 0
+    mnu: int = 0
 
     @property
-    def hits(self) -> int:
-        return self.cross_hits + self.intra_hits
+    def accesses(self) -> int:
+        return self.hits + self.mau + self.mnu
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-    def to_dict(self) -> dict:
-        return dict(vars(self), hit_rate=self.hit_rate)
-
-    def __sub__(self, other: "CacheCounters") -> "CacheCounters":
-        """The counts recorded since ``other`` (an earlier reading)."""
-        return CacheCounters(**{name: value - getattr(other, name)
-                                for name, value in vars(self).items()})
-
-    def merge(self, other: "CacheCounters") -> "CacheCounters":
-        for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
-        return self
-
-    @classmethod
-    def aggregate(cls, counters) -> "CacheCounters":
-        total = cls()
-        for item in counters:
-            total.merge(item)
-        return total
-
-
-@dataclass
-class ServeOutcome:
-    """Reuse decisions of one :meth:`ReuseSession.serve` call."""
-
-    rows: int = 0
-    unique: int = 0
-    cross_hit_rows: int = 0
-    intra_hit_rows: int = 0
-    aliased_rows: int = 0
-    reused_unique: int = 0
-    computed_unique: int = 0
-    inserted_unique: int = 0
-    rejected_unique: int = 0
-
-    @property
-    def hit_rows(self) -> int:
-        return self.cross_hit_rows + self.intra_hit_rows
+    def as_fractions(self) -> dict:
+        total = max(self.accesses, 1)
+        return {"HIT": self.hits / total, "MAU": self.mau / total,
+                "MNU": self.mnu / total}
 
 
 class ReuseSession:
-    """One signature→result reuse step, flash-clear or persistent.
+    """The signature phase and cache ride of one training engine.
 
-    One instance serves one stream of equal-length vectors (a request
-    payload shape, or one layer's input vectors).  A flash session
-    classifies with the stateless signature-phase core; a persistent
-    one probes and inserts into the persistent store
-    :class:`~repro.core.mcache_vec.VectorizedMCache`
-    (``probe_batch``/``insert``), so capacity behaves exactly like the
-    hardware structure: set-associative, no replacement unless an
-    eviction policy is configured.  Results live in a dense store
-    indexed by MCACHE entry id.
+    ``entries``/``ways`` give the MCACHE geometry each classification
+    replays: set-associative with no replacement, so a signature whose
+    set is full at its first occurrence is computed every time (MNU).
     """
 
-    def __init__(self, policy: SessionPolicy, hasher: RPQHasher | None = None,
-                 *, persistent: bool = True):
-        self.policy = policy
-        self.hasher = hasher or RPQHasher(seed=policy.rpq_seed)
-        self.persistent = persistent
-        self.mcache = VectorizedMCache(entries=policy.entries,
-                                       ways=policy.ways)
-        self.num_sets = self.mcache.num_sets
-        if policy.eviction != "none" and not persistent:
-            raise ValueError("eviction policies require a persistent "
-                             "session (flash sessions clear per batch)")
-        self._evictor = build_eviction_state(policy.eviction,
-                                             self.num_sets, policy.ways)
-        self.counters = CacheCounters()
-        # Lifetime count of cache resets: flash-mode per-call clears in
-        # training, controller-triggered flushes in serving.  Kept off
-        # CacheCounters on purpose — the counter payloads (and the
-        # golden files pinning them) stay unchanged.
+    def __init__(self, entries: int, ways: int):
+        if entries <= 0 or ways <= 0:
+            raise ValueError("entries and ways must be positive")
+        if entries % ways != 0:
+            raise ValueError("entries must be divisible by ways")
+        self.ways = ways
+        self.num_sets = entries // ways
+        self.stats = MCacheStats()
+        # Lifetime count of MCACHE flushes: one per classified batch
+        # (one per group of a grouped classification).
         self.clears = 0
-        # entry id -> micro-batch index of (re)insertion, densely grown
-        # alongside the MCACHE's entry ids.
-        self._entry_batch = np.empty(0, dtype=np.int64)
-        # signature key -> (cumulative row count, last-seen batch): the
-        # frequency admission gate's memory for not-yet-admitted
-        # signatures.  Bounded — one-shot traffic must not grow it
-        # forever in a long-running server — by evicting the stalest
-        # keys once it exceeds ``_seen_capacity`` (deterministic, so
-        # sweep rows stay reproducible).
-        self._seen: dict = {}
-        self._seen_capacity = max(4 * policy.entries, 1024)
-        # Dense result store, indexed by MCACHE entry id (ids are
-        # bounded by ``entries``: a recycled line keeps its id).
-        # ``_store_rows`` holds the cached result rows,
-        # ``_store_payloads`` the exact-check input payloads; both are
-        # allocated on first write because the row width is only known
-        # then (one session serves one stream of equal-length vectors).
-        self._store_valid = np.empty(0, dtype=bool)
-        self._store_rows: np.ndarray | None = None
-        self._store_payloads: np.ndarray | None = None
 
-    # ------------------------------------------------------------------
-    # Flash phase — the training engine's per-layer Hitmap
-    # ------------------------------------------------------------------
     def classify(self, signatures) -> HitmapSimulation:
         """Simulate the MCACHE signature phase for one batch (Figure 9).
 
@@ -287,7 +74,7 @@ class ReuseSession:
         and no entry ids, only the access counters accumulate.
         """
         simulation = simulate_hitmap(signatures, num_sets=self.num_sets,
-                                     ways=self.policy.ways)
+                                     ways=self.ways)
         self._count_flash(simulation, clears=1)
         return simulation
 
@@ -306,19 +93,17 @@ class ReuseSession:
         ways, across groups, and each counts as one clear.
         """
         simulations = simulate_hitmap_interleaved(
-            signatures, groups, num_sets=self.num_sets,
-            ways=self.policy.ways, signature_bits=signature_bits)
+            signatures, groups, num_sets=self.num_sets, ways=self.ways,
+            signature_bits=signature_bits)
         self._count_flash(simulations, clears=groups)
         return simulations
 
     def _count_flash(self, simulation, clears: int) -> None:
-        """Record ``clears`` fresh-cache replays in the MCACHE's counters."""
+        """Record ``clears`` fresh-cache replays in the access counters."""
         self.clears += clears
-        self.mcache.clear()
-        stats = self.mcache.stats
-        stats.hits += simulation.hits
-        stats.mau += simulation.mau
-        stats.mnu += simulation.mnu
+        self.stats.hits += simulation.hits
+        self.stats.mau += simulation.mau
+        self.stats.mnu += simulation.mnu
 
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
@@ -361,561 +146,3 @@ class ReuseSession:
         segments = vectors.reshape(len(simulations.representative), -1)
         return segments.take(simulations.representative, axis=0).reshape(
             vectors.shape) @ weights
-
-    # ------------------------------------------------------------------
-    # Persistent phase — the serving caches
-    # ------------------------------------------------------------------
-    def _grow_entry_batches(self, batch_index: int) -> None:
-        missing = self.mcache._next_entry_id - len(self._entry_batch)
-        if missing > 0:
-            self._entry_batch = np.concatenate(
-                [self._entry_batch,
-                 np.full(missing, batch_index, dtype=np.int64)])
-            self._store_valid = np.concatenate(
-                [self._store_valid, np.zeros(missing, dtype=bool)])
-            capacity = len(self._entry_batch)
-            for name in ("_store_rows", "_store_payloads"):
-                store = getattr(self, name)
-                if store is not None and len(store) < capacity:
-                    grown = np.empty((min(max(capacity, 2 * len(store)),
-                                          self.policy.entries),
-                                      store.shape[1]), dtype=np.float64)
-                    grown[:len(store)] = store
-                    setattr(self, name, grown)
-
-    def _ensure_store(self, row_width: int,
-                      payload_width: int | None) -> None:
-        """Allocate (or width-check) the dense result store."""
-        if self._store_rows is None:
-            capacity = max(len(self._entry_batch), 1)
-            self._store_rows = np.empty((capacity, row_width),
-                                        dtype=np.float64)
-            if payload_width is not None:
-                self._store_payloads = np.empty((capacity, payload_width),
-                                                dtype=np.float64)
-            return
-        if self._store_rows.shape[1] != row_width or (
-                payload_width is not None
-                and self._store_payloads.shape[1] != payload_width):
-            raise ValueError("result width changed mid-stream; one "
-                             "session serves one stream of equal-length "
-                             "vectors")
-
-    def _store_write(self, entry_ids: np.ndarray, rows: np.ndarray,
-                     payloads: np.ndarray | None) -> None:
-        """Admit computed rows (and exact-check payloads) by entry id."""
-        self._ensure_store(rows.shape[1],
-                           None if payloads is None else payloads.shape[1])
-        self._store_rows[entry_ids] = rows
-        if payloads is not None:
-            self._store_payloads[entry_ids] = payloads
-        self._store_valid[entry_ids] = True
-
-    @staticmethod
-    def _signature_key(value):
-        """A hashable identity for one signature (int64 or words row)."""
-        if isinstance(value, np.ndarray):
-            return value.tobytes()
-        return int(value)
-
-    def _prune_seen(self) -> None:
-        """Evict the stalest frequency-gate entries beyond capacity.
-
-        Selection order matches a stable sort by last-seen batch (ties
-        fall back to insertion order) — deterministic for deterministic
-        traffic — but runs as an O(n) ``argpartition`` for the stalest
-        k instead of sorting the whole gate on every prune.
-        """
-        excess = len(self._seen) - self._seen_capacity
-        if excess <= 0:
-            return
-        keys = list(self._seen)
-        batches = np.fromiter((self._seen[key][1] for key in keys),
-                              dtype=np.int64, count=len(keys))
-        threshold = int(
-            batches[np.argpartition(batches, excess - 1)[:excess]].max())
-        below = np.flatnonzero(batches < threshold)
-        for index in below:
-            del self._seen[keys[index]]
-        # Ties at the threshold batch evict in insertion order (the
-        # ascending key index), exactly the stable sort's tie-break.
-        for index in np.flatnonzero(batches == threshold)[
-                :excess - len(below)]:
-            del self._seen[keys[index]]
-
-    def _admitted_absents(self, uniques, absent, counts,
-                          payload_bytes: int,
-                          batch_index: int) -> np.ndarray:
-        """Which absent unique positions may claim a line this batch."""
-        if self.policy.admission == "always":
-            return absent
-        if self.policy.admission == "size":
-            return absent if (
-                self.policy.admission_max_bytes is None
-                or payload_bytes <= self.policy.admission_max_bytes) \
-                else absent[:0]
-        # frequency
-        wants = []
-        for position in absent:
-            key = self._signature_key(uniques[position])
-            seen = self._seen.get(key, (0, 0))[0] + int(counts[position])
-            if seen >= self.policy.admission_min_frequency:
-                self._seen.pop(key, None)
-                wants.append(position)
-            else:
-                self._seen[key] = (seen, batch_index)
-        self._prune_seen()
-        return np.asarray(wants, dtype=np.int64)
-
-    def _probe_and_admit(self, uniques, first_index, inverse,
-                         payload_bytes: int, batch_index: int,
-                         gated: bool = True
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Probe residents and insert admitted absents.
-
-        Returns ``(states, entry_ids, displaced)`` per unique signature:
-        HIT (``entry_ids`` names its line) for a resident; for an absent
-        signature that the admission policy lets in (every one unless
-        ``gated``), MAU on the line it claims, or MNU with id -1 when
-        its set is full.  Admitted signatures claim lines in
-        first-occurrence order whatever the policy, which equals a
-        sequential replay of the batch.
-
-        With an eviction policy, residents first *touch* their line's
-        recency/frequency state in first-occurrence order, and an
-        admitted signature whose set is full recycles the policy's
-        victim line (:meth:`VectorizedMCache.replace_line`) instead of
-        being rejected: MAU on the victim's line.  Within a set every
-        free-way claim precedes every recycle, so one batch insert
-        followed by the recycles in arrival order is the per-signature
-        replay.  Frequencies count rows, not batches, so a batch with
-        five rows of one signature weighs five.
-
-        A recycled line keeps its entry id, so one id can name several
-        uniques of this batch: a resident whose line was recycled, or an
-        earlier admit whose fresh line was recycled again.  Only the
-        last claimant owns the line; ``displaced`` marks the others so
-        :meth:`serve` never stores their rows under the new owner's id.
-        """
-        m = self.mcache
-        evictor = self._evictor
-        present, entry_ids = m.probe_batch(uniques)
-        states = np.full(len(uniques), MNU_CODE, dtype=np.int8)
-        states[present] = HIT_CODE
-        counts = np.bincount(inverse, minlength=len(uniques))
-        displaced = np.zeros(len(uniques), dtype=bool)
-
-        if evictor is not None:
-            residents = np.flatnonzero(present)
-            # entry id -> the unique position currently owning that line.
-            owner = dict(zip(entry_ids[residents].tolist(),
-                             residents.tolist()))
-            for position in residents[np.argsort(first_index[residents],
-                                                 kind="stable")]:
-                entry = int(entry_ids[position])
-                evictor.touch(int(m._entry_set[entry]),
-                              int(m._entry_way[entry]),
-                              count=int(counts[position]))
-
-        absent = np.flatnonzero(~present)
-        admitted = self._admitted_absents(
-            uniques, absent, counts, payload_bytes, batch_index) \
-            if gated else absent
-        if not len(admitted):
-            return states, entry_ids, displaced
-        arrival = admitted[np.argsort(first_index[admitted], kind="stable")]
-        claimed_ids = m.insert(uniques[arrival])
-        entry_ids[arrival] = claimed_ids
-        if evictor is None:
-            claimed = claimed_ids >= 0
-            states[arrival[claimed]] = MAU_CODE
-            m.stats.mnu += len(arrival) - int(claimed.sum())
-            return states, entry_ids, displaced
-
-        states[arrival] = MAU_CODE
-        arrival_sets = signature_sets(uniques[arrival], m.num_sets)
-        for position, set_index, entry in zip(
-                arrival.tolist(), arrival_sets.tolist(),
-                claimed_ids.tolist()):
-            if entry >= 0:
-                evictor.insert(set_index, int(m._entry_way[entry]),
-                               count=int(counts[position]))
-            else:
-                entry = self._recycle(set_index, uniques[position],
-                                      int(counts[position]))
-                entry_ids[position] = entry
-                if entry in owner:
-                    displaced[owner[entry]] = True
-            owner[entry] = position
-        return states, entry_ids, displaced
-
-    def _recycle(self, set_index: int, signature, count: int = 1) -> int:
-        """Hand the policy's victim line in ``set_index`` to ``signature``;
-        returns the line's entry id, which the new owner inherits."""
-        way = self._evictor.victim(set_index)
-        entry = self.mcache.replace_line(set_index, way, signature)
-        self._evictor.replace(set_index, way, count=count)
-        self.counters.evicted += 1
-        return entry
-
-    def serve(self, vectors: np.ndarray, compute, batch_index: int
-              ) -> tuple[np.ndarray, ServeOutcome]:
-        """Return one result row per input row, reusing where possible.
-
-        ``compute(first_indices)`` receives the row indices (into
-        ``vectors``) of the unique inputs that need computing and must
-        return one result row per index, in order.  Cached rows are
-        served without calling it; duplicates within the batch share
-        one computation.  Returns ``(rows, outcome)`` where ``outcome``
-        details this call's reuse decisions.  In flash mode the session
-        is cleared first, so only intra-batch reuse survives.
-        """
-        if not self.persistent:
-            self.clear()
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("serve expects 2D (rows, features) vectors")
-        num_rows = len(vectors)
-        counters = self.counters
-        counters.requests += num_rows
-        if num_rows == 0:
-            return np.empty((0, 0)), ServeOutcome()
-
-        signatures = self.hasher.signatures(vectors,
-                                            self.policy.signature_bits)
-        uniques, first_index, inverse = unique_signatures(signatures)
-        num_unique = len(uniques)
-        states, entry_ids, displaced = self._probe_and_admit(
-            uniques, first_index, inverse, vectors.shape[1] * 8,
-            batch_index)
-        self._grow_entry_batches(batch_index)
-
-        # Intra-batch aliasing: with ``exact_check`` a row may only
-        # share its signature group's result if it has the *bytes* of
-        # the group's first occurrence — a colliding (similar-but-
-        # different) row is computed on its own instead.  Bytes, not
-        # ``==``: NaN never equals itself, yet identical NaN payloads
-        # have identical results.  Without the check, signature trust
-        # applies within the batch exactly as it does across batches:
-        # that is MERCURY's approximate-reuse semantics.
-        if self.policy.exact_check:
-            aliased = ~_same_bytes(vectors, vectors[first_index[inverse]])
-            counters.collisions += int(aliased.sum())
-        else:
-            aliased = np.zeros(num_rows, dtype=bool)
-
-        resident = states == HIT_CODE              # existed before batch
-        inserted = states == MAU_CODE              # claimed a line now
-        rejected = states == MNU_CODE              # set full, no entry
-
-        # Which resident entries may serve their stored result?
-        reusable = resident.copy()
-        refresh = np.zeros(num_unique, dtype=bool)
-        if resident.any():
-            res_idx = np.flatnonzero(resident)
-            res_entries = entry_ids[res_idx]
-            valid = self._store_valid[res_entries].copy()
-            if self.policy.ttl_batches is not None:
-                age = batch_index - self._entry_batch[res_entries]
-                expired = age > self.policy.ttl_batches
-                counters.expired += int(expired.sum())
-                valid &= ~expired
-            stale = res_idx[~valid]
-            reusable[stale] = False
-            refresh[stale] = True
-            if self.policy.exact_check and valid.any():
-                live = res_idx[valid]
-                match = _same_bytes(self._store_payloads[entry_ids[live]],
-                                    vectors[first_index[live]])
-                collided = live[~match]
-                counters.collisions += len(collided)
-                reusable[collided] = False
-
-        # A recycled line keeps its entry id, so the victim's row stays
-        # in the store until the new owner's row replaces it below; if
-        # ``compute`` raises first, it must not be served for the new
-        # owner.  (A resident displaced by a recycle was judged above
-        # and reads its row below, before the new owner's row lands.)
-        self._store_valid[entry_ids[inserted]] = False
-
-        needs_compute = ~reusable
-        aliased_rows = np.flatnonzero(aliased)
-        group_rows = first_index[needs_compute]
-        compute_rows = np.concatenate([group_rows, aliased_rows]) \
-            if len(aliased_rows) else group_rows
-        computed = None
-        if len(compute_rows):
-            computed = np.asarray(compute(compute_rows), dtype=np.float64)
-            if computed.ndim != 2 or len(computed) != len(compute_rows):
-                raise ValueError("compute must return one row per index")
-
-        # Assemble per-unique results: reused rows from the store,
-        # computed rows from the caller.
-        width = computed.shape[1] if computed is not None else \
-            self._stored_width()
-        unique_rows = np.empty((num_unique, width), dtype=np.float64)
-        if reusable.any():
-            reuse_idx = np.flatnonzero(reusable)
-            unique_rows[reuse_idx] = self._store_rows[entry_ids[reuse_idx]]
-        if computed is not None:
-            unique_rows[needs_compute] = computed[:len(group_rows)]
-
-        # Admit fresh computations: newly claimed lines and refreshed
-        # (expired / data-invalidated) residents.  Collisions keep the
-        # original owner's payload (first-writer-wins); rejected
-        # signatures have no line to write, and neither do uniques
-        # whose line was recycled later in this batch.
-        admit = np.flatnonzero((inserted | refresh) & ~displaced)
-        if len(admit):
-            admit_ids = entry_ids[admit]
-            self._store_write(
-                admit_ids, unique_rows[admit],
-                vectors[first_index[admit]] if self.policy.exact_check
-                else None)
-            self._entry_batch[admit_ids] = batch_index
-
-        results = unique_rows[inverse]
-        if len(aliased_rows):
-            results[aliased_rows] = computed[len(group_rows):]
-
-        # Row-level accounting (aliased rows are computes, not hits).
-        is_first = np.zeros(num_rows, dtype=bool)
-        is_first[first_index] = True
-        row_cross = reusable[inverse] & ~aliased
-        row_intra = needs_compute[inverse] & ~is_first & ~aliased
-        outcome = ServeOutcome(
-            rows=num_rows,
-            unique=num_unique,
-            cross_hit_rows=int(row_cross.sum()),
-            intra_hit_rows=int(row_intra.sum()),
-            aliased_rows=int(aliased.sum()),
-            reused_unique=int(reusable.sum()),
-            computed_unique=int(needs_compute.sum()),
-            inserted_unique=int(inserted.sum()),
-            rejected_unique=int(rejected.sum()))
-        counters.cross_hits += outcome.cross_hit_rows
-        counters.intra_hits += outcome.intra_hit_rows
-        counters.computed += outcome.computed_unique + outcome.aliased_rows
-        counters.inserted += outcome.inserted_unique
-        counters.rejected += outcome.rejected_unique
-
-        return results, outcome
-
-    def _stored_width(self) -> int:
-        return 0 if self._store_rows is None else self._store_rows.shape[1]
-
-    def admit_external(self, vector, row, batch_index: int) -> bool:
-        """Insert-or-refresh one externally computed ``(vector, row)``.
-
-        The hot-key replication push: another shard already computed
-        ``row`` for ``vector`` and replicates the pair here so a future
-        probe hits locally.  A resident signature is refreshed in place
-        (data overwritten, age stamp reset to ``batch_index`` — so the
-        TTL invalidation rule applies to replicas exactly as to locally
-        computed entries); an absent one claims a line through the
-        session's own capacity rules, evicting a victim if a
-        replacement policy is configured.  Pushes bypass the admission
-        gate (the pusher already knows the key is hot) but never bypass
-        capacity: returns ``False`` when a no-replacement session has
-        no free way.  Not counted as a request — only the
-        ``replicated`` counter moves.
-        """
-        if not self.persistent:
-            raise RuntimeError("admit_external requires a persistent "
-                               "session")
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        row = np.asarray(row, dtype=np.float64)
-        signatures = self.hasher.signatures(vector,
-                                            self.policy.signature_bits)
-        only = np.zeros(1, dtype=np.int64)
-        states, entry_ids, _ = self._probe_and_admit(
-            signatures, only, only, vector.shape[1] * 8, batch_index,
-            gated=False)
-        if states[0] == MNU_CODE:
-            return False
-        entry = int(entry_ids[0])
-        self._grow_entry_batches(batch_index)
-        self._store_write(np.array([entry]), row.reshape(1, -1),
-                          vector if self.policy.exact_check else None)
-        self._entry_batch[entry] = batch_index
-        self.counters.replicated += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (persistent sessions)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> tuple[dict, dict]:
-        """Serialize the session as ``(meta, arrays)``.
-
-        ``meta`` is JSON-safe (mode, layout, counters, policy
-        fingerprint); ``arrays`` holds plain numpy arrays fit for
-        ``np.savez`` without pickling: the resident signatures, their
-        insertion batches, the valid-data mask and the stored
-        payload/result matrices (dense — one stream has one vector
-        length, so widths are uniform).
-
-        Two layouts.  ``entry-order`` (no replacement) lists every
-        entry id ever issued — dense ids re-insert to identical
-        placement.  ``line-order`` (eviction active) lists only *live*
-        lines in canonical ``(set, way)`` order — a recycled line's id
-        says nothing about when it was claimed — plus the replacement
-        policy's recency/frequency/segment arrays, so the restored
-        session evicts exactly as the donor would have.  Ids renumber
-        densely on restore, which is behaviourally invisible (probes
-        resolve ids through the line map) and makes a re-snapshot of
-        the restored session byte-identical.
-        """
-        m = self.mcache
-        if self._evictor is not None:
-            sets, ways = np.nonzero(m._valid_tag)  # (set, way) lexicographic
-            sets = sets.astype(np.int64)
-            ways = ways.astype(np.int64)
-            entry_batch = self._entry_batch[m._line_entry[sets, ways]]
-            layout = "line-order"
-        else:
-            count = m._next_entry_id
-            sets, ways = m._entry_set[:count], m._entry_way[:count]
-            entry_batch = self._entry_batch[:count]
-            layout = "entry-order"
-        if m._tag_words is not None:
-            signatures = m._tag_words[sets, ways].copy()
-            mode = "words"
-        else:
-            signatures = m._tags[sets, ways] * m.num_sets + sets
-            mode = "int64"
-        entry_ids = m._line_entry[sets, ways]
-        has_data = self._store_valid[entry_ids] \
-            if len(self._store_valid) else np.zeros(len(sets), dtype=bool)
-        data_ids = entry_ids[has_data]
-        rows = self._store_rows[data_ids] if len(data_ids) \
-            else np.empty((0, 0))
-        if self.policy.exact_check and len(data_ids):
-            payloads = self._store_payloads[data_ids]
-        else:
-            payloads = np.empty((0, 0))
-
-        seen_keys = sorted(self._seen)
-        arrays = {
-            "signatures": signatures,
-            "entry_batch": np.asarray(entry_batch, dtype=np.int64).copy(),
-            "has_data": has_data,
-            "payloads": payloads,
-            "rows": rows,
-            "seen_counts": np.array([self._seen[key][0]
-                                     for key in seen_keys],
-                                    dtype=np.int64),
-            "seen_batches": np.array([self._seen[key][1]
-                                      for key in seen_keys],
-                                     dtype=np.int64),
-        }
-        if self.policy.admission == "frequency" and seen_keys:
-            if mode == "words":
-                arrays["seen_keys"] = np.stack(
-                    [np.frombuffer(key, dtype=np.uint64)
-                     for key in seen_keys])
-            else:
-                arrays["seen_keys"] = np.array(seen_keys, dtype=np.int64)
-        else:
-            arrays["seen_keys"] = np.empty(0, dtype=np.int64)
-        if self._evictor is not None:
-            arrays.update(self._evictor.state_arrays())
-        meta = {
-            "state_version": STATE_VERSION,
-            "mode": mode,
-            "layout": layout,
-            "entries": int(len(signatures)),
-            "counters": {name: int(value)
-                         for name, value in vars(self.counters).items()},
-            "mcache_stats": {name: int(value)
-                             for name, value in vars(m.stats).items()},
-            "policy": self.policy.fingerprint(),
-        }
-        return meta, arrays
-
-    def load_state_dict(self, meta: dict, arrays: dict) -> None:
-        """Rebuild the session from a :meth:`state_dict` payload.
-
-        The restored session is state-identical to the donor: same
-        (set, way, entry-id) placement, same stored data, same ages,
-        same counters — so it reproduces the donor's hit behaviour on
-        any subsequent traffic.
-        """
-        if meta.get("state_version") != STATE_VERSION:
-            raise ValueError(
-                f"snapshot state_version {meta.get('state_version')!r} "
-                f"does not match supported {STATE_VERSION}")
-        if meta["policy"] != self.policy.fingerprint():
-            raise ValueError("snapshot was taken under a different policy; "
-                             "refusing to restore")
-        expected_layout = "line-order" if self._evictor is not None \
-            else "entry-order"
-        if meta.get("layout") != expected_layout:
-            # The policy fingerprint (which includes ``eviction``)
-            # should make this unreachable; catch hand-edited or
-            # corrupt payloads loudly rather than misinterpret ids.
-            raise ValueError(
-                f"snapshot layout {meta.get('layout')!r} does not match "
-                f"the {expected_layout!r} layout of this policy")
-        self.clear()
-        signatures = np.asarray(arrays["signatures"])
-        self._entry_batch = np.asarray(arrays["entry_batch"],
-                                       dtype=np.int64).copy()
-        self._store_valid = np.zeros(len(self._entry_batch), dtype=bool)
-        if len(signatures):
-            # Every signature must claim the next line and probe back to
-            # it: a duplicate resolves to its first copy's id, and an
-            # overfull set leaves a signature without a line.
-            entry_ids = self.mcache.insert(signatures)
-            if not np.array_equal(entry_ids, np.arange(len(signatures))) \
-                    or not np.array_equal(
-                        self.mcache.probe_batch(signatures)[1], entry_ids):
-                raise ValueError("snapshot signatures did not rebuild "
-                                 "cleanly (corrupt or wrong geometry)")
-            has_data = np.asarray(arrays["has_data"], dtype=bool)
-            data_ids = entry_ids[has_data]
-            if len(data_ids):
-                rows = np.asarray(arrays["rows"], dtype=np.float64)
-                self._store_write(
-                    data_ids, rows,
-                    np.asarray(arrays["payloads"], dtype=np.float64)
-                    if self.policy.exact_check else None)
-        seen_keys = np.asarray(arrays.get("seen_keys",
-                                          np.empty(0, dtype=np.int64)))
-        seen_counts = np.asarray(arrays.get("seen_counts",
-                                            np.empty(0, dtype=np.int64)))
-        seen_batches = np.asarray(arrays.get("seen_batches",
-                                             np.empty(0, dtype=np.int64)))
-        self._seen = {}
-        for position in range(len(seen_counts)):
-            key = seen_keys[position]
-            key = key.tobytes() if key.ndim else int(key)
-            self._seen[key] = (int(seen_counts[position]),
-                               int(seen_batches[position]))
-        for name, value in meta["counters"].items():
-            setattr(self.counters, name, int(value))
-        for name, value in meta["mcache_stats"].items():
-            setattr(self.mcache.stats, name, int(value))
-        if self._evictor is not None:
-            if "ev_rank" not in arrays:
-                raise ValueError("snapshot is missing the eviction "
-                                 "metadata arrays")
-            ranks = np.asarray(arrays["ev_rank"], dtype=np.int64)
-            if not np.array_equal(ranks >= 0, self.mcache._valid_tag):
-                raise ValueError("snapshot eviction metadata does not "
-                                 "cover the resident lines")
-            self._evictor.load_state_arrays(arrays)
-
-    # ------------------------------------------------------------------
-    def occupancy(self) -> int:
-        return self.mcache.occupancy()
-
-    def clear(self) -> None:
-        self.clears += 1
-        self.mcache.clear()
-        self._entry_batch = np.empty(0, dtype=np.int64)
-        self._seen = {}
-        self._store_valid = np.empty(0, dtype=bool)
-        self._store_rows = None
-        self._store_payloads = None
-        if self._evictor is not None:
-            self._evictor.clear()

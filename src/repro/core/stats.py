@@ -57,10 +57,6 @@ class LayerReuseStats:
         return self.hits * self.vector_length * self.num_filters
 
     @property
-    def executed_macs(self) -> int:
-        return self.computed_vectors * self.vector_length * self.num_filters
-
-    @property
     def baseline_macs(self) -> int:
         return self.total_vectors * self.vector_length * self.num_filters
 

@@ -23,11 +23,6 @@ _VGG_CONFIGS = {
 }
 
 
-def conv_layer_count(variant: str) -> int:
-    """Number of convolution layers in a VGG variant."""
-    return sum(1 for item in _VGG_CONFIGS[variant] if item != "P")
-
-
 def build_vgg(variant: str, num_classes: int = 8, in_channels: int = 3,
               seed: int = 0) -> Sequential:
     """Build one of the three VGG variants."""

@@ -17,7 +17,7 @@ from repro.nn.layers.norm import BatchNorm2D, LayerNorm
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.attention import SelfAttention, MultiHeadSelfAttention
+from repro.nn.layers.attention import MultiHeadSelfAttention
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD, Adam
 
@@ -36,7 +36,6 @@ __all__ = [
     "Dropout",
     "Flatten",
     "Embedding",
-    "SelfAttention",
     "MultiHeadSelfAttention",
     "CrossEntropyLoss",
     "SGD",

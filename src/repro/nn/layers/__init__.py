@@ -8,7 +8,7 @@ from repro.nn.layers.norm import BatchNorm2D, LayerNorm
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.attention import SelfAttention, MultiHeadSelfAttention
+from repro.nn.layers.attention import MultiHeadSelfAttention
 
 __all__ = [
     "Conv2D",
@@ -22,6 +22,5 @@ __all__ = [
     "Dropout",
     "Flatten",
     "Embedding",
-    "SelfAttention",
     "MultiHeadSelfAttention",
 ]

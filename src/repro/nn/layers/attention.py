@@ -1,19 +1,13 @@
-"""Attention layers.
+"""The attention layer of the model zoo's transformer.
 
-The paper (§III-C4) describes the attention computation it accelerates
-as ``W = X X^T`` followed by ``Y = W X`` — a non-parametric weighted
-average over the sequence.  :class:`SelfAttention` implements exactly
-that formulation and routes both matrix products through the compute
-engine (the rows of ``X`` are the input vectors whose similarity is
-exploited, just like a fully-connected layer).
-
-:class:`MultiHeadSelfAttention` is the standard parametric variant used
-inside the transformer model of the model zoo.  Only its Q/K/V and
-output projections go through the engine: they are Linear layers, so
-they benefit from reuse like any other.  Its score and context products
-are plain numpy products, one ``np.matmul`` over the ``(batch, heads,
-seq, ·)`` stacks each, with transposed operands taken as
-``swapaxes`` views; every ``(b, h)`` pair is its own GEMM, so a
+:class:`MultiHeadSelfAttention` is the standard parametric attention
+(the paper's §III-C4 describes the non-parametric ``Y = (X X^T) X``
+core it accelerates; no model here builds that variant).  Only its
+Q/K/V and output projections go through the engine: they are Linear
+layers, so they benefit from reuse like any other.  Its score and
+context products are plain numpy products, one ``np.matmul`` over the
+``(batch, heads, seq, ·)`` stacks each, with transposed operands taken
+as ``swapaxes`` views; every ``(b, h)`` pair is its own GEMM, so a
 sample's attention core does not depend on how many samples share the
 batch.
 """
@@ -25,56 +19,6 @@ import numpy as np
 from repro.nn.layers.activations import softmax
 from repro.nn.layers.linear import Linear
 from repro.nn.module import Module
-
-
-class SelfAttention(Module):
-    """The paper's simplified attention: ``Y = (X X^T) X`` per sequence."""
-
-    def __init__(self, scale: bool = True):
-        super().__init__()
-        self.scale = scale
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError("SelfAttention expects (batch, seq, features)")
-        batch, seq, features = x.shape
-        scale = 1.0 / np.sqrt(features) if self.scale else 1.0
-
-        outputs = np.empty_like(x)
-        weights = np.empty((batch, seq, seq), dtype=x.dtype)
-        for b in range(batch):
-            xb = x[b]
-            if self.engine is not None:
-                scores = self.engine.matmul(xb, xb.T, layer=self.layer_name,
-                                            phase="forward")
-            else:
-                scores = xb @ xb.T
-            scores = scores * scale
-            if self.engine is not None:
-                yb = self.engine.matmul(scores, xb, layer=self.layer_name,
-                                        phase="forward")
-            else:
-                yb = scores @ xb
-            weights[b] = scores
-            outputs[b] = yb
-
-        self._cache = (x, weights, scale)
-        return outputs
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x, weights, scale = self._cache
-        batch, seq, features = x.shape
-        grad_input = np.zeros_like(x)
-        for b in range(batch):
-            xb, wb, gb = x[b], weights[b], grad_output[b]
-            # Y = W X with W = scale * X X^T
-            grad_w = gb @ xb.T
-            grad_x_from_y = wb.T @ gb
-            # dW/dX contribution: W = scale * X X^T
-            grad_x_from_w = scale * (grad_w + grad_w.T) @ xb
-            grad_input[b] = grad_x_from_y + grad_x_from_w
-        return grad_input
 
 
 class MultiHeadSelfAttention(Module):

@@ -123,9 +123,6 @@ class Module:
             m.engine = engine
         return self
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}()"
 

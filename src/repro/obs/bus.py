@@ -110,10 +110,6 @@ class EventBus:
         self._subscriptions.append(subscription)
         return subscription
 
-    def unsubscribe(self, subscription: Subscription) -> None:
-        self._subscriptions = [existing for existing in self._subscriptions
-                               if existing is not subscription]
-
     # -- producer side --------------------------------------------------
     def emit(self, kind: str, source: str = "", **payload) -> None:
         """Publish one event to every matching subscriber (never blocks)."""

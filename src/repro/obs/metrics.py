@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 #: Default geometric bucket growth: ~9.6%-wide buckets, so quantiles
 #: read from the histogram are within <10% relative error of the exact
 #: stream quantile — at 50 k samples as at 50 M.
@@ -38,7 +36,7 @@ DEFAULT_GROWTH = 2.0 ** (1.0 / 7.5)
 # ----------------------------------------------------------------------
 #: name -> (type, help).  ``phase`` labels distinguish the producers:
 #: ``phase="serving"`` (request/vector caches) vs ``phase="training"``
-#: (the flash-mode engine) — same names, one vocabulary.
+#: (the per-layer-flushed reuse engine) — same names, one vocabulary.
 METRIC_NAMES = {
     "repro_reuse_requests_total":
         ("counter", "Rows offered to a reuse cache"),
@@ -65,8 +63,8 @@ METRIC_NAMES = {
     "repro_reuse_hit_rate":
         ("gauge", "Lifetime hit fraction of the reuse caches"),
     "repro_reuse_flash_clears_total":
-        ("counter", "Session clears (flash-mode batch resets and "
-                    "controller-triggered cache flushes)"),
+        ("counter", "MCACHE clears (training's per-layer flushes and "
+                    "controller-triggered serving cache flushes)"),
     "repro_reuse_signature_bits":
         ("gauge", "Active RPQ signature length"),
     "repro_serving_requests_total":
@@ -159,10 +157,6 @@ class LogHistogram:
             return
         index = self.bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def record_many(self, values) -> None:
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.record(float(value))
 
     # -- merging --------------------------------------------------------
     def merge(self, other: "LogHistogram") -> "LogHistogram":

@@ -8,9 +8,10 @@ signature machinery pays off *across* requests.  This package provides
 * :class:`~repro.serving.engine.ServingPolicy` — admission/eviction
   knobs (capacity geometry, TTL by batch age, per-layer enable, exact
   collision checking) shared by both cache granularities;
-* :class:`~repro.serving.engine.SignatureResultCache` — a persistent
+* :class:`~repro.serving.cache.SignatureResultCache` — a persistent
   signature→result store over :class:`~repro.core.mcache_vec.VectorizedMCache`
-  whose state survives across batches;
+  whose state survives across batches, with one hit ledger,
+  :class:`~repro.serving.cache.CacheCounters`;
 * :class:`~repro.serving.engine.ServingReuseEngine` — the per-layer
   vector-granularity reuse engine a :class:`~repro.nn.module.Module`
   attaches like the training engine;
@@ -34,19 +35,17 @@ signature machinery pays off *across* requests.  This package provides
 * :mod:`~repro.serving.loadgen` — deterministic traffic generators
   (uniform, bursty, hot-key/Zipfian).
 
-Both cache granularities are persistent-mode instances of the shared
-:class:`repro.core.session.ReuseSession` — the same probe/insert +
-cache-ride core the training engine drives in flash mode.
+Both cache granularities are :class:`SignatureResultCache` instances.
+They share no code with training's stateless signature phase
+(:class:`repro.core.session.ReuseSession`), and nothing under
+:mod:`repro.core`, :mod:`repro.training` or :mod:`repro.nn` imports
+this package.
 """
 
 from repro.serving.batcher import BatcherConfig, MicroBatcher
-from repro.serving.engine import (
-    CacheCounters,
-    ServeOutcome,
-    ServingPolicy,
-    ServingReuseEngine,
-    SignatureResultCache,
-)
+from repro.serving.cache import (CacheCounters, ServeOutcome,
+                                 SignatureResultCache)
+from repro.serving.engine import ServingPolicy, ServingReuseEngine
 from repro.serving.loadgen import (
     TRAFFIC_PATTERNS,
     Request,

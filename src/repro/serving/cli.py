@@ -56,7 +56,7 @@ import numpy as np
 from repro.analysis.serving_sweep import (CACHE_POLICIES, ServingPoint,
                                           serving_pieces)
 from repro.core.eviction import EVICTION_POLICIES
-from repro.core.session import ADMISSION_POLICIES
+from repro.serving.cache import ADMISSION_POLICIES
 from repro.models.registry import MODEL_NAMES
 from repro.serving.loadgen import TRAFFIC_PATTERNS, trace_summary
 

@@ -5,14 +5,13 @@ MCACHE for every layer call, so similarity is only exploited *within* a
 batch.  Serving traffic is the opposite regime — many requests repeat
 (hot keys, retries, shared prefixes) — so here the
 signature-indexed result cache is *persistent*: its tags, data and
-access counters survive across micro-batches, and admission/eviction is
+counters survive across micro-batches, and admission/eviction is
 governed by an explicit :class:`ServingPolicy`.
 
-Both regimes share one probe/insert + cache-ride implementation,
-:class:`repro.core.session.ReuseSession` — training instantiates it in
-flash mode, serving in persistent mode — so the two engines cannot
-drift.  :class:`SignatureResultCache` is the serving-facing persistent
-session; two granularities build on it:
+The two regimes share no logic.  Training runs the stateless signature
+phase of :class:`repro.core.session.ReuseSession`; serving runs the
+persistent store :class:`repro.serving.cache.SignatureResultCache`,
+which this module configures.  Two granularities build on it:
 
 * **request** — the whole input is one vector; a hit serves the cached
   network output without touching the model.  With ``exact_check`` the
@@ -43,38 +42,64 @@ request-granularity exact configuration with per-request compute.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
+from repro.core.eviction import EVICTION_POLICIES
 from repro.core.rpq import RPQHasher
-from repro.core.session import (ADMISSION_POLICIES, CacheCounters,
-                                ReuseSession, ServeOutcome, SessionPolicy)
 from repro.core.stats import ReuseStats
+from repro.serving.cache import (ADMISSION_POLICIES, CacheCounters,
+                                 SignatureResultCache)
 
 __all__ = [
-    "ADMISSION_POLICIES",
-    "CacheCounters",
-    "ServeOutcome",
     "ServingPolicy",
     "ServingReuseEngine",
-    "SignatureResultCache",
 ]
 
 
 @dataclass(frozen=True)
-class ServingPolicy(SessionPolicy):
-    """Admission/eviction policy of the serving caches.
+class ServingPolicy:
+    """Knobs of the serving caches.
 
-    Extends the shared :class:`~repro.core.session.SessionPolicy` (the
-    capacity geometry, TTL, exact-check and admission knobs every
-    :class:`~repro.core.session.ReuseSession` understands) with the
-    serving-only axes: which cache granularities are active, which
-    layers the vector cache covers, and how misses are computed.
+    ``entries``/``ways`` give each cache's MCACHE geometry: capacity is
+    enforced the paper's way — no replacement; a signature whose set is
+    full is computed every time (MNU).  ``ttl_batches`` bounds entry
+    age: a hit on an entry inserted more than that many micro-batches
+    ago is *refreshed* — recomputed and rewritten in place with its age
+    reset — so stale traffic cannot pin results forever.  ``0`` means
+    "expire immediately": an entry is only ever served within the
+    micro-batch index that wrote it, so cross-batch reuse is disabled
+    while intra-batch dedup keeps working.  ``None`` means entries never
+    expire.  ``admission`` selects how computed signatures earn a cache
+    line (see :mod:`repro.serving.cache`).  ``eviction`` selects the
+    replacement policy: ``none`` keeps the paper's no-replacement
+    semantics, while ``lru``/``lfu``/``slru`` recycle a victim line
+    instead of rejecting — see :mod:`repro.core.eviction`.
+
+    The serving-only axes say which cache granularities are active,
+    which layers the vector cache covers, and how misses are computed.
     ``layers`` restricts vector-granularity reuse to layers whose name
     contains one of the given substrings (``None`` = every routed
     layer).
     """
 
+    # Signature / capacity knobs.
+    signature_bits: int = 32
+    entries: int = 4096
+    ways: int = 16
+    ttl_batches: int | None = None
+    # Collision safety: verify the stored payload has the incoming
+    # one's bytes before serving a hit; mismatches are demoted to
+    # computes.
+    exact_check: bool = True
+    # Insertion gate: "always", "frequency" or "size".
+    admission: str = "always"
+    admission_min_frequency: int = 2
+    admission_max_bytes: int | None = None
+    # Replacement policy: "none" (paper semantics), "lru", "lfu", "slru".
+    eviction: str = "none"
+    rpq_seed: int = 1234
     # Which caches are active.
     request_cache: bool = True
     vector_cache: bool = False
@@ -94,7 +119,27 @@ class ServingPolicy(SessionPolicy):
     replicate_min_count: int = 3
 
     def __post_init__(self):
-        super().__post_init__()
+        if self.signature_bits <= 0:
+            raise ValueError("signature_bits must be positive")
+        if self.entries <= 0 or self.ways <= 0:
+            raise ValueError("entries and ways must be positive")
+        if self.entries % self.ways != 0:
+            raise ValueError("entries must be divisible by ways")
+        if self.ttl_batches is not None and self.ttl_batches < 0:
+            raise ValueError("ttl_batches must be >= 0 (0 = expire "
+                             "immediately) or None (never expire)")
+        if self.admission not in ADMISSION_POLICIES:
+            raise ValueError(f"unknown admission {self.admission!r}; "
+                             f"choose from {ADMISSION_POLICIES}")
+        if self.admission_min_frequency <= 0:
+            raise ValueError("admission_min_frequency must be positive")
+        if self.admission_max_bytes is not None \
+                and self.admission_max_bytes <= 0:
+            raise ValueError("admission_max_bytes must be positive "
+                             "(or None)")
+        if self.eviction not in EVICTION_POLICIES:
+            raise ValueError(f"unknown eviction {self.eviction!r}; "
+                             f"choose from {EVICTION_POLICIES}")
         if self.compute not in ("batched", "per_request"):
             raise ValueError(f"unknown compute mode {self.compute!r}")
         if self.replicate_top < 0:
@@ -105,20 +150,20 @@ class ServingPolicy(SessionPolicy):
             raise ValueError("hot-key replication replicates request-"
                              "cache rows; enable request_cache")
 
+    def replace(self, **changes) -> "ServingPolicy":
+        return dc_replace(self, **changes)
 
-class SignatureResultCache(ReuseSession):
-    """Persistent signature→result store shared across micro-batches.
-
-    The serving-facing face of :class:`~repro.core.session.ReuseSession`
-    in persistent mode: one instance serves one stream of equal-length
-    vectors (a request payload shape, or one layer's input vectors),
-    its state survives across batches, and capacity behaves exactly
-    like the hardware structure — set-associative, no replacement.
-    """
-
-    def __init__(self, policy: ServingPolicy,
-                 hasher: RPQHasher | None = None):
-        super().__init__(policy, hasher=hasher, persistent=True)
+    def fingerprint(self) -> dict:
+        """The JSON-safe identity a snapshot must match to be restored."""
+        return {"signature_bits": self.signature_bits,
+                "entries": self.entries, "ways": self.ways,
+                "ttl_batches": self.ttl_batches,
+                "exact_check": self.exact_check,
+                "admission": self.admission,
+                "admission_min_frequency": self.admission_min_frequency,
+                "admission_max_bytes": self.admission_max_bytes,
+                "eviction": self.eviction,
+                "rpq_seed": self.rpq_seed}
 
 
 class ServingReuseEngine:

@@ -5,7 +5,7 @@ independent workers but executes them serially under one GIL — its
 ``simulated_makespan_s`` *predicts* the scale-out win.  This module
 measures it: :class:`ParallelInferenceServer` runs each shard as a real
 worker process (``multiprocessing``, spawn context — import-safe on
-every platform) owning its own :class:`~repro.core.session.ReuseSession`
+every platform) owning its own :class:`~repro.serving.cache.SignatureResultCache`
 caches, vector engine and batch executor, behind the same
 consistent-hash router.  The replication move mirrors the paper's
 hardware scale-out of the compute/reuse unit.
@@ -46,10 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.session import CacheCounters
 from repro.obs import Telemetry
 from repro.obs.bus import Event
 from repro.serving.batcher import BatcherConfig
+from repro.serving.cache import CacheCounters
 from repro.serving.engine import ServingPolicy
 from repro.serving.loadgen import Request
 from repro.serving.server import (SNAPSHOT_MANIFEST, InferenceServer,

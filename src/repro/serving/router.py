@@ -168,9 +168,6 @@ class HotKeyTracker:
     def is_replicated(self, key: bytes) -> bool:
         return key in self._replicated
 
-    def replicated_keys(self) -> list[bytes]:
-        return list(self._replicated)
-
     def spread(self, key: bytes, home: int, shards: int) -> int:
         """Next round-robin shard for a replicated ``key``.
 

@@ -2,7 +2,7 @@
 
 :class:`InferenceServer` is a routing front end over ``shards`` worker
 shards.  Each shard owns a full copy of the serving machinery — its own
-request-granularity :class:`~repro.serving.engine.SignatureResultCache`,
+request-granularity :class:`~repro.serving.cache.SignatureResultCache`,
 its own per-layer :class:`~repro.serving.engine.ServingReuseEngine` and
 its own :class:`~repro.serving.batcher.MicroBatcher` — and requests are
 routed to shards by deterministic signature hashing on a consistent
@@ -59,10 +59,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.rpq import RPQHasher
-from repro.core.session import CacheCounters
 from repro.core.stats import LayerReuseStats, ReuseStats
 from repro.serving.batcher import (BatcherConfig, BatcherTelemetry,
                                    MicroBatcher)
+from repro.serving.cache import CacheCounters
 from repro.serving.engine import (ServingPolicy, ServingReuseEngine,
                                   SignatureResultCache)
 from repro.serving.loadgen import Request
@@ -70,11 +70,12 @@ from repro.serving.router import (ConsistentHashRing, HotKeyTracker,
                                   signature_key)
 
 SNAPSHOT_FORMAT = "repro-serving-snapshot"
-# Version 2: the session state layout gained the eviction metadata
-# (repro.core.session.STATE_VERSION 2).  Version 3: each shard's
+# Version 2: the cache state layout gained the eviction metadata
+# (repro.serving.cache.STATE_VERSION 2).  Version 3: each shard's
 # per-layer reuse statistics ride along, so a restored server reports
 # the same ``layer_stats`` as its donor.
-SNAPSHOT_VERSION = 3
+# Version 4: cache state version 3, without the ``mcache_stats`` meta.
+SNAPSHOT_VERSION = 4
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_ARRAYS = "state.npz"
 # Largest ``POST /infer`` body the HTTP front end reads; a longer
@@ -511,7 +512,7 @@ class InferenceServer:
                     admission=decision["admission"])
         elif action == "signature_bits":
             # New signature length invalidates every stored signature:
-            # swap the policy and clear (the session hashes with
+            # swap the policy and clear (the cache hashes with
             # ``policy.signature_bits`` per call, so the next batch
             # probes at the new length).  Routing keeps the original
             # bits — it only distributes load.

@@ -16,9 +16,9 @@ Oracle                                        Production function it checks
                                               (``probe_batch``, ``insert``), via ``run_differential``
 ``differential.scalar_reference_simulation``  ``ReuseSession.classify`` / ``classify_groups``,
                                               ``hitmap_sim.simulate_hitmap(_interleaved)``
-``differential.run_differential``             ``ReuseSession._probe_and_admit`` (the one
+``differential.run_differential``             ``SignatureResultCache._probe_and_admit`` (the one
 (``differential.probe_and_admit_rows``)       persistent probe-and-admit step) over chunked traces
-``differential.run_serve_differential``       ``ReuseSession.serve`` (the dense result store)
+``differential.run_serve_differential``       ``SignatureResultCache.serve`` (the dense result store)
                                               against the line-level data phase
 ``engine.per_call_matmul_groups``             ``ReuseEngine.matmul_groups`` and its
 (``engine.per_call_engine``,                  substituted-input ``ReuseSession.ride_groups``

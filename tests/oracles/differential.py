@@ -10,11 +10,11 @@ and through production code:
   :meth:`ReuseSession.classify <repro.core.session.ReuseSession.classify>`
   and :func:`~repro.core.hitmap_sim.simulate_hitmap`;
 * :func:`run_differential` — replay a trace in (possibly ragged) chunks
-  against a persistent line-level cache and a persistent session's
+  against a persistent line-level cache and a serving cache's
   probe-and-admit step (:func:`probe_and_admit_rows`) and list every
   probe whose state or entry id differs;
-* :func:`run_serve_differential` — replay a trace through a persistent
-  :class:`~repro.core.session.ReuseSession` and through the line-level
+* :func:`run_serve_differential` — replay a trace through a
+  :class:`~repro.serving.cache.SignatureResultCache` and through the line-level
   model's data phase (VD bits, write/read, flash invalidation) and list
   every row whose served result differs.
 """
@@ -29,7 +29,8 @@ from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, HitState, MAU_CODE,
                                STATE_TO_CODE)
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.rpq import unique_signatures
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.serving.cache import SignatureResultCache
+from repro.serving.engine import ServingPolicy
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import signatures_to_ints
 
@@ -100,18 +101,18 @@ def _chunks(num_probes: int, chunk_sizes):
         chunk_index += 1
 
 
-def probe_and_admit_rows(session: ReuseSession,
+def probe_and_admit_rows(cache: SignatureResultCache,
                          signatures) -> tuple[np.ndarray, np.ndarray]:
-    """One batch through a persistent session's probe-and-admit step,
-    as per-row ``(state codes, entry ids)``.
+    """One batch through a serving cache's probe-and-admit step, as
+    per-row ``(state codes, entry ids)``.
 
-    The session probes and admits each distinct signature once; a
+    The cache probes and admits each distinct signature once; a
     sequential replay sees every row, so each unique's outcome is
     expanded to its rows, and a MAU unique is MAU on its first row and
     a HIT on every later one.
     """
     uniques, first_index, inverse = unique_signatures(signatures)
-    states, entry_ids, _ = session._probe_and_admit(
+    states, entry_ids, _ = cache._probe_and_admit(
         uniques, first_index, inverse, payload_bytes=0, batch_index=0)
     codes = states[inverse]
     later = np.ones(len(codes), dtype=bool)
@@ -125,27 +126,25 @@ def run_differential(signatures, entries: int, ways: int,
     """Replay a trace through both MCACHE models and diff every probe.
 
     The trace is replayed in order *without* clearing between chunks:
-    each chunk is one batch through a persistent session's
-    probe-and-admit step (:func:`probe_and_admit_rows`), the serving
-    path (the reuse engine's fresh-cache path is covered by comparing
-    ``classify`` outputs directly).  ``chunk_sizes`` are the batch
-    sizes; the line-level model always steps one probe at a time.
-    Defaults to one single batch.  Besides states, entry ids and
-    occupancy, the per-row HIT / MAU / MNU counts must equal the
-    line-level model's counters, and the batch cache must count one
-    MAU per claimed line.
+    each chunk is one batch through a serving cache's probe-and-admit
+    step (:func:`probe_and_admit_rows`) (the reuse engine's fresh-cache
+    path is covered by comparing ``classify`` outputs directly).
+    ``chunk_sizes`` are the batch sizes; the line-level model always
+    steps one probe at a time.  Defaults to one single batch.  Besides
+    states, entry ids and occupancy, the per-row HIT / MAU / MNU counts
+    must equal the line-level model's counters.
     """
     signatures = np.atleast_1d(np.asarray(signatures))
     scalar_values = signatures_to_ints(signatures)
     scalar = MCache(entries=entries, ways=ways)
-    session = ReuseSession(SessionPolicy(entries=entries, ways=ways),
-                           persistent=True)
+    cache = SignatureResultCache(ServingPolicy(entries=entries,
+                                                 ways=ways))
     report = DifferentialReport(probes=len(scalar_values), chunks=0)
     row_counts = np.zeros(3, dtype=np.int64)
 
     for start, stop in _chunks(len(scalar_values), chunk_sizes):
         vec_states, vec_entries = probe_and_admit_rows(
-            session, signatures[start:stop])
+            cache, signatures[start:stop])
         row_counts += np.bincount(vec_states, minlength=3)
         for offset, index in enumerate(range(start, stop)):
             state, entry_id = scalar.lookup_or_insert(
@@ -159,20 +158,18 @@ def run_differential(signatures, entries: int, ways: int,
                                    int(vec_entries[offset]))})
         report.chunks += 1
 
-    if scalar.occupancy() != session.occupancy():
+    if scalar.occupancy() != cache.occupancy():
         report.mismatches.append({"field": "occupancy",
                                   "scalar": scalar.occupancy(),
-                                  "vectorized": session.occupancy()})
+                                  "vectorized": cache.occupancy()})
     report.scalar_stats = {"hits": scalar.stats.hits, "mau": scalar.stats.mau,
                            "mnu": scalar.stats.mnu}
     report.vectorized_stats = dict(zip(("hits", "mau", "mnu"),
                                        row_counts.tolist()))
-    if report.scalar_stats != report.vectorized_stats \
-            or session.mcache.stats.mau != scalar.stats.mau:
+    if report.scalar_stats != report.vectorized_stats:
         report.mismatches.append({"field": "stats",
                                   "scalar": report.scalar_stats,
-                                  "vectorized": report.vectorized_stats,
-                                  "mcache_mau": session.mcache.stats.mau})
+                                  "vectorized": report.vectorized_stats})
     return report
 
 
@@ -190,37 +187,38 @@ def run_serve_differential(signatures, entries: int, ways: int,
                            versions: int = 1, chunk_sizes=None,
                            flash_invalidate: bool = False
                            ) -> DifferentialReport:
-    """Diff a persistent session's served rows against the data phase.
+    """Diff a serving cache's served rows against the data phase.
 
     Row ``p`` of the trace is the vector ``[p]`` with signature
     ``signatures[p]``; computing it yields ``p``.  So every served value
-    names the row whose computation it reuses, and the session agrees
+    names the row whose computation it reuses, and the cache agrees
     with the line-level model exactly when both reuse the same rows.
     The line-level model is probed once per distinct signature of a
-    batch, in first-occurrence order (the session's insertion order),
+    batch, in first-occurrence order (the cache's insertion order),
     and runs the paper's data phase: a MAU writes its result (VD bit
     set), a HIT with valid data reads it, a HIT without valid data
     recomputes and rewrites, and an MNU computes without storing — once
-    per batch, since the session computes one row per unique signature.  ``flash_invalidate`` clears every VD bit after
-    each chunk (the synchronous design's filter switch), which is the
-    session's ``ttl_batches=0``.  The session keeps one result per line,
-    i.e. data version 0 of a ``versions``-slot line.
+    per batch, since the cache computes one row per unique signature.
+    ``flash_invalidate`` clears every VD bit after each chunk (the
+    synchronous design's filter switch), which is the cache's
+    ``ttl_batches=0``.  The cache keeps one result per line, i.e. data
+    version 0 of a ``versions``-slot line.
     """
     trace = np.atleast_1d(np.asarray(signatures))
     scalar_values = signatures_to_ints(trace)
     scalar = MCache(entries=entries, ways=ways, versions=versions)
-    session = ReuseSession(
-        SessionPolicy(entries=entries, ways=ways, exact_check=False,
+    cache = SignatureResultCache(
+        ServingPolicy(entries=entries, ways=ways, exact_check=False,
                       ttl_batches=0 if flash_invalidate else None),
-        hasher=_TraceHasher(trace), persistent=True)
+        hasher=_TraceHasher(trace))
     report = DifferentialReport(probes=len(trace), chunks=0)
     computed = 0
 
     for batch, (start, stop) in enumerate(_chunks(len(trace), chunk_sizes)):
         rows = np.arange(start, stop, dtype=np.float64)[:, None]
-        served, _ = session.serve(rows, lambda picks, v=rows: v[picks],
+        served, _ = cache.serve(rows, lambda picks, v=rows: v[picks],
                                   batch)
-        # The session probes each distinct signature of a batch once,
+        # The cache probes each distinct signature of a batch once,
         # in first-occurrence order.
         probed = {signature: scalar.lookup_or_insert(signature)
                   for signature in dict.fromkeys(scalar_values[start:stop])}
@@ -238,20 +236,20 @@ def run_serve_differential(signatures, entries: int, ways: int,
             if served[offset, 0] != expected:
                 report.mismatches.append({
                     "probe": index, "signature": signature,
-                    "scalar": expected, "session": float(served[offset, 0])})
+                    "scalar": expected, "cache": float(served[offset, 0])})
         computed += len(computed_here)
         report.chunks += 1
         if flash_invalidate:
             scalar.invalidate_data()
 
-    counters = session.counters
+    counters = cache.counters
     report.scalar_stats = {"computed": computed, "inserted": scalar.stats.mau,
                            "occupancy": scalar.occupancy()}
     report.vectorized_stats = {"computed": counters.computed,
                                "inserted": counters.inserted,
-                               "occupancy": session.occupancy()}
+                               "occupancy": cache.occupancy()}
     if report.scalar_stats != report.vectorized_stats:
         report.mismatches.append({"field": "stats",
                                   "scalar": report.scalar_stats,
-                                  "session": report.vectorized_stats})
+                                  "cache": report.vectorized_stats})
     return report

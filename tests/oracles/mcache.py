@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.hitmap import HitState
-from repro.core.mcache_vec import MCacheStats
+from repro.core.session import MCacheStats
 
 
 @dataclass

@@ -11,7 +11,6 @@ from repro.accelerator import (BaselineAccelerator, CycleCostModel, FPGAModel,
                                WeightStationary, make_dataflow,
                                pipelined_signature_cycles,
                                unpipelined_signature_cycles)
-from repro.accelerator.dataflow import available_dataflows
 from repro.accelerator.mercury_sim import replace_detection_off
 from repro.accelerator.workloads import (ARCHITECTURES, build_workload,
                                          workload_to_stats)
@@ -101,10 +100,13 @@ def test_pe_config_validation():
 # Dataflows
 # ----------------------------------------------------------------------
 def test_dataflow_factory_and_names():
-    assert set(available_dataflows()) == {"row_stationary", "weight_stationary",
-                                          "input_stationary"}
-    assert isinstance(make_dataflow("row_stationary"), RowStationary)
-    with pytest.raises(ValueError):
+    expected = {"row_stationary": RowStationary,
+                "weight_stationary": WeightStationary,
+                "input_stationary": InputStationary}
+    for name, kind in expected.items():
+        assert isinstance(make_dataflow(name), kind)
+    # The error names every supported dataflow.
+    with pytest.raises(ValueError, match=str(sorted(expected))[1:-1]):
         make_dataflow("spiral")
 
 

@@ -49,7 +49,7 @@ def test_bloom_filter_membership():
     assert not bloom.contains(b"hello")
     bloom.add(b"hello")
     assert bloom.contains(b"hello")
-    assert 0 < bloom.fill_ratio() < 1
+    assert 0 < bloom.bits.mean() < 1
 
 
 def test_bloom_filter_saturation_causes_false_positives():

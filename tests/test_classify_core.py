@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_interleaved
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
 from tests.oracles.differential import scalar_reference_simulation
 from tests.oracles.signatures import ints_to_words
 
@@ -103,15 +103,13 @@ def test_interleaved_groups_match_the_line_level_replay(
             grouped.unique_signatures) == totals
     assert list(grouped) == grouped[:] == [grouped[g] for g in range(groups)]
 
-    # Through a flash session: counters accumulate, one clear per group.
-    session = ReuseSession(
-        SessionPolicy(signature_bits=bits, entries=num_sets * ways,
-                      ways=ways, exact_check=False), persistent=False)
+    # Through the session: counters accumulate, one clear per group.
+    session = ReuseSession(num_sets * ways, ways)
     assert session.num_sets == num_sets
     classified = session.classify_groups(signatures, groups, bits)
     for got, want in zip(classified, wants, strict=True):
         _assert_matches(got, want)
-    stats = session.mcache.stats
+    stats = session.stats
     assert (stats.hits, stats.mau, stats.mnu) == totals[:3]
     assert session.clears == groups
     if groups == 1:

@@ -36,19 +36,20 @@ from repro.core.hitmap_sim import (simulate_hitmap,
                                    simulate_hitmap_interleaved)
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import unique_signatures
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
 from repro.nn.layers.conv import Conv2D
+from repro.serving.cache import SignatureResultCache
+from repro.serving.engine import ServingPolicy
 from tests.oracles.engine import per_call_engine, substitute_segments
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import ints_to_words, words_to_ints
 
 
-def _classifiers(policy: SessionPolicy):
+def _classifiers(entries: int, ways: int):
     """The production session and the stateless group-by it wraps."""
-    session = ReuseSession(policy, persistent=False)
-    num_sets = policy.entries // policy.ways
+    session = ReuseSession(entries, ways)
     return (session.classify,
-            lambda trace: simulate_hitmap(trace, num_sets, policy.ways))
+            lambda trace: simulate_hitmap(trace, entries // ways, ways))
 
 
 def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
@@ -75,8 +76,7 @@ class TestCodedClassification:
         rng = np.random.default_rng(seed)
         trace = rng.choice(rng.integers(0, 1 << 20, size=pool), size=num)
         expected = _enum_oracle_codes(trace, entries, ways)
-        policy = SessionPolicy(entries=entries, ways=ways)
-        for classify in _classifiers(policy):
+        for classify in _classifiers(entries, ways):
             sim = classify(trace)
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
@@ -92,8 +92,7 @@ class TestCodedClassification:
         words = ints_to_words(np.array(values, dtype=object), num_words=2)
         expected = _enum_oracle_codes(
             np.array(values, dtype=object), entries=16, ways=4)
-        policy = SessionPolicy(entries=16, ways=4)
-        for classify in _classifiers(policy):
+        for classify in _classifiers(entries=16, ways=4):
             sim = classify(words)
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
@@ -106,7 +105,7 @@ class TestCodedClassification:
         assert (HIT_CODE, MAU_CODE, MNU_CODE) == (0, 1, 2)
         assert list(sim.states) == [MAU_CODE, HIT_CODE, MNU_CODE]
         hitmap = sim.to_hitmap()
-        assert [s.code for s in hitmap.states_array()] \
+        assert [hitmap.get(i).code for i in range(len(hitmap))] \
             == list(sim.states)
 
 
@@ -119,10 +118,10 @@ class TestProbePathCodes:
     def test_frequency_admission_matches_scalar_mirror(self, seed,
                                                        min_frequency):
         """The frequency gate's codes equal a scalar enum mirror replay."""
-        policy = SessionPolicy(entries=8, ways=2, signature_bits=16,
+        policy = ServingPolicy(entries=8, ways=2, signature_bits=16,
                                admission="frequency",
                                admission_min_frequency=min_frequency)
-        session = ReuseSession(policy, persistent=True)
+        session = SignatureResultCache(policy)
         mirror = MCache(entries=8, ways=2)
         resident: set[int] = set()
         seen: dict[int, int] = {}
@@ -159,9 +158,9 @@ class TestProbePathCodes:
 
     def test_eviction_probe_never_rejects(self, rng):
         """With a replacement policy no probe outcome is ever MNU."""
-        policy = SessionPolicy(entries=8, ways=2, signature_bits=16,
+        policy = ServingPolicy(entries=8, ways=2, signature_bits=16,
                                eviction="lru")
-        session = ReuseSession(policy, persistent=True)
+        session = SignatureResultCache(policy)
         for batch_index in range(8):
             signatures = rng.integers(0, 200, size=25)
             uniques, first_index, inverse = unique_signatures(signatures)
@@ -175,9 +174,9 @@ class TestProbePathCodes:
 
     def test_eviction_serve_stays_exact(self, rng):
         """End-to-end serve parity while lines are being recycled."""
-        policy = SessionPolicy(entries=8, ways=2, signature_bits=14,
+        policy = ServingPolicy(entries=8, ways=2, signature_bits=14,
                                eviction="lru")
-        session = ReuseSession(policy, persistent=True)
+        session = SignatureResultCache(policy)
         weights = rng.normal(size=(6, 4))
         pool = rng.normal(size=(64, 6))
         for batch_index in range(10):
@@ -312,8 +311,7 @@ class TestFusedRide:
             conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
             conv.engine = engine
             outputs[fused] = conv.forward(x)
-            stats = engine.mcache.stats
-            outputs[fused, "stats"] = (stats.hits, stats.mau, stats.mnu)
+            outputs[fused, "stats"] = engine.session.stats
         np.testing.assert_array_equal(outputs[False], outputs[True])
         assert outputs[False, "stats"] == outputs[True, "stats"]
 
@@ -344,10 +342,9 @@ class TestWordsToInts:
 # ---------------------------------------------------------------------------
 class TestPruneSeen:
     @staticmethod
-    def _session() -> ReuseSession:
-        return ReuseSession(SessionPolicy(entries=8, ways=2,
-                                          admission="frequency"),
-                            persistent=True)
+    def _session() -> SignatureResultCache:
+        return SignatureResultCache(ServingPolicy(entries=8, ways=2,
+                                                  admission="frequency"))
 
     @staticmethod
     def _reference_survivors(seen: dict, capacity: int) -> list:

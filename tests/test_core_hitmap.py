@@ -22,7 +22,7 @@ def test_hitmap_set_get():
     hitmap.set(2, HitState.MNU)
     assert hitmap.get(1) is HitState.HIT
     assert hitmap.source(1) == 0
-    assert hitmap.is_complete()
+    assert hitmap.counts()[None] == 0
 
 
 def test_hitmap_hit_requires_earlier_source():
@@ -56,8 +56,9 @@ def test_hitmap_arrays():
     hitmap = Hitmap(2)
     hitmap.set(0, HitState.MAU)
     hitmap.set(1, HitState.HIT, source=0)
-    assert list(hitmap.sources_array()) == [-1, 0]
-    assert hitmap.states_array()[1] is HitState.HIT
+    assert [hitmap.source(i) for i in range(len(hitmap))] == [None, 0]
+    assert [hitmap.get(i) for i in range(len(hitmap))] == \
+        [HitState.MAU, HitState.HIT]
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
-from repro.core.session import ReuseSession, SessionPolicy
 from repro.serving import ServingPolicy, SignatureResultCache
 from tests.oracles.eviction import build_reference_eviction_state
 
@@ -42,7 +41,7 @@ def eviction_traces(draw):
     Each op is ("touch", set, way, count) on a linked way or
     ("fill", set, count) which inserts into the next free way when one
     exists and otherwise takes a victim and replaces it — exactly the
-    two paths :meth:`ReuseSession._probe_and_admit` drives under a
+    two paths :meth:`SignatureResultCache._probe_and_admit` drives under a
     replacement policy.
     """
     policy = draw(st.sampled_from(REPLACEMENT))
@@ -287,9 +286,9 @@ def test_evictions_do_not_grow_the_result_store(eviction):
     """A recycled line keeps its entry id, so thousands of evictions
     leave every per-entry store array at most ``entries`` rows long."""
     entries = 16
-    policy = SessionPolicy(entries=entries, ways=entries,
+    policy = ServingPolicy(entries=entries, ways=entries,
                            signature_bits=20, eviction=eviction)
-    session = ReuseSession(policy)
+    session = SignatureResultCache(policy)
     rng = np.random.default_rng(0)
     pool = rng.normal(size=(512, 64))
     weights = rng.normal(size=(64, 3))
@@ -311,9 +310,9 @@ def test_evictions_do_not_grow_the_result_store(eviction):
 def test_line_changing_hands_twice_in_a_batch_stores_the_last_owner():
     """One line recycled twice within a batch: the stored row, payload
     and age belong to the signature finally tagged on it."""
-    policy = SessionPolicy(entries=1, ways=1, signature_bits=16,
+    policy = ServingPolicy(entries=1, ways=1, signature_bits=16,
                            eviction="lru")
-    session = ReuseSession(policy)
+    session = SignatureResultCache(policy)
     rng = np.random.default_rng(3)
     pool = rng.normal(size=(3, 5))
     weights = rng.normal(size=(5, 2))

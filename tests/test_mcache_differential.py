@@ -2,8 +2,9 @@
 
 The line-level :class:`~tests.oracles.mcache.MCache` is the reference
 model; every test replays a trace through it and through a flash
-:class:`~repro.core.session.ReuseSession` (``classify``), a persistent
-one (its probe-and-admit step, or ``serve``) or a ``ReuseEngine`` and
+:class:`~repro.core.session.ReuseSession` (``classify``), a serving
+:class:`~repro.serving.cache.SignatureResultCache` (its probe-and-admit
+step, or ``serve``) or a ``ReuseEngine`` and
 requires bit-identical Hitmap states, representatives, entry ids, stats
 counters and served results.
 """
@@ -17,7 +18,7 @@ from repro.core.config import MercuryConfig
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import RPQHasher
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
 from repro.nn.im2col import im2col
 from tests.oracles.differential import (run_differential,
                                         run_serve_differential,
@@ -29,9 +30,8 @@ GEOMETRIES = [(8, 1, 1), (8, 2, 1), (16, 4, 2), (64, 16, 1), (4, 4, 3)]
 
 
 def classify(trace, entries: int, ways: int):
-    """The training engine's Hitmap: a flash session's classify."""
-    return ReuseSession(SessionPolicy(entries=entries, ways=ways),
-                        persistent=False).classify(trace)
+    """The training engine's Hitmap: the signature phase's classify."""
+    return ReuseSession(entries, ways).classify(trace)
 
 
 def assert_simulations_equal(a, b):
@@ -82,7 +82,7 @@ def test_persistent_chunked_replay_property(signatures, chunks, geometry):
 
 
 # ----------------------------------------------------------------------
-# Data phase: the session's result store vs the line-level VD bits
+# Data phase: the serving cache's result store vs the line-level VD bits
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("entries,ways,versions", GEOMETRIES)
 def test_data_phase_differential(entries, ways, versions, make_trace):
@@ -188,7 +188,7 @@ def test_vectorized_backend_accumulates_mcache_stats(rng):
     vectors = _clustered_vectors(rng)
     weights = rng.normal(size=(vectors.shape[1], 4))
     engine.matmul(vectors, weights, layer="conv", phase="forward")
-    stats = engine.mcache.stats
+    stats = engine.session.stats
     assert stats.accesses == len(vectors)
     record = engine.stats.get("conv", "forward")
     assert (stats.hits, stats.mau, stats.mnu) == \

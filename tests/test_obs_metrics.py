@@ -32,6 +32,11 @@ positive_values = st.floats(min_value=1e-6, max_value=1e6,
                             allow_nan=False, allow_infinity=False)
 
 
+def _record_all(histogram: LogHistogram, values) -> None:
+    for value in values:
+        histogram.record(float(value))
+
+
 def _relative_error(estimate: float, exact: float) -> float:
     return abs(estimate - exact) / exact
 
@@ -53,7 +58,7 @@ class TestLogHistogram:
 
     def test_non_positive_values_land_in_the_zero_bucket(self):
         histogram = LogHistogram()
-        histogram.record_many([0.0, -1.0, 2.0, 4.0])
+        _record_all(histogram, [0.0, -1.0, 2.0, 4.0])
         assert histogram.zeros == 2
         assert histogram.count == 4
         assert histogram.percentile(25) == 0.0  # rank 1 → zero bucket
@@ -72,7 +77,7 @@ class TestLogHistogram:
 
     def test_round_trips_through_dict(self):
         histogram = LogHistogram()
-        histogram.record_many([0.0, 0.5, 1.0, 2.0, 1000.0])
+        _record_all(histogram, [0.0, 0.5, 1.0, 2.0, 1000.0])
         clone = LogHistogram.from_dict(histogram.to_dict())
         assert clone == histogram
         assert clone.total == histogram.total
@@ -106,7 +111,7 @@ class TestLogHistogram:
         rng = np.random.default_rng(11)
         stream = rng.lognormal(mean=-6.0, sigma=1.0, size=50_000)
         single = LogHistogram()
-        single.record_many(stream)
+        _record_all(single, stream)
         shards = [LogHistogram() for _ in range(4)]
         for index, value in enumerate(stream):
             shards[index % 4].record(value)
@@ -119,9 +124,9 @@ class TestLogHistogram:
        st.lists(positive_values, max_size=60))
 def test_merge_is_commutative(left_values, right_values):
     left = LogHistogram()
-    left.record_many(left_values)
+    _record_all(left, left_values)
     right = LogHistogram()
-    right.record_many(right_values)
+    _record_all(right, right_values)
     left_first = LogHistogram.merged([left, right])
     right_first = LogHistogram.merged([right, left])
     assert left_first.state() == right_first.state()
@@ -133,7 +138,7 @@ def test_merge_is_commutative(left_values, right_values):
 def test_merge_is_associative(a_values, b_values, c_values):
     def build(values):
         histogram = LogHistogram()
-        histogram.record_many(values)
+        _record_all(histogram, values)
         return histogram
 
     a, b, c = build(a_values), build(b_values), build(c_values)
@@ -153,7 +158,7 @@ def test_sharded_recording_equals_single_stream(values, num_shards):
     single-stream histogram exactly — bucketing is a pure function of
     the value, so the split cannot matter."""
     single = LogHistogram()
-    single.record_many(values)
+    _record_all(single, values)
     shards = [LogHistogram() for _ in range(num_shards)]
     for index, value in enumerate(values):
         shards[index % num_shards].record(value)

@@ -1,7 +1,6 @@
 """Hypothesis property suite for the persistent serving cache.
 
 Randomized serve sequences against :class:`SignatureResultCache`
-(equivalently, a persistent :class:`~repro.core.session.ReuseSession`)
 must preserve three invariants regardless of traffic shape, geometry or
 policy:
 

@@ -281,7 +281,7 @@ class TestServingSweepResults:
     def test_sweep_runs_and_summarises(self):
         results = self._small_results()
         assert len(results) == 2
-        assert all(not missing for missing in results.missing_keys())
+        assert all(results.result_keys <= set(row) for row in results.rows)
         summary = results.summary()
         assert summary["points"] == 2
         assert 0 <= summary["mean_hit_rate"] <= 1
