@@ -32,9 +32,12 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Mapping
 
 import numpy as np
+
+from repro.durable import commit
 
 
 def expand_grid(axes: Mapping[str, Iterable]) -> list[dict]:
@@ -105,15 +108,15 @@ class GridResults:
         return len(self.rows)
 
     # -- persistence ----------------------------------------------------
+    def _envelope(self) -> dict:
+        return {"schema": self.schema, "elapsed_s": self.elapsed_s,
+                "rows": self.rows}
+
     def to_json(self) -> str:
-        return json.dumps({"schema": self.schema,
-                           "elapsed_s": self.elapsed_s,
-                           "rows": self.rows},
-                          indent=2, sort_keys=True)
+        return json.dumps(self._envelope(), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        commit(Path(path).parent, Path(path).name, self._envelope())
 
     @classmethod
     def load(cls, path) -> "GridResults":

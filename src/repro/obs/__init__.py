@@ -62,6 +62,12 @@ class Telemetry:
         # {"trace": 1, "pool": 0, "rpq": 1234}); purely declarative.
         self.seeds = dict(seeds) if seeds else {}
 
+    def announce(self, kind: str, source: str, **payload) -> None:
+        """Emit one lifecycle event and, with a recorder, audit it."""
+        self.bus.emit(kind, source=source, **payload)
+        if self.recorder is not None:
+            self.recorder.record_event(kind, **payload)
+
     def pump(self) -> int:
         """Fold every queued event into the registry; returns how many."""
         return self.collector.drain(self._metrics_sub)

@@ -9,16 +9,16 @@ decisions *re-derived*, see
 :func:`repro.obs.controller.replay_decisions`) long after the process
 exited.
 
-The write discipline matches the cache snapshots: the manifest lands
-under a temp name and is committed with :func:`os.replace`, so a crash
-mid-write leaves the previous complete manifest, never a torn one.
+The manifest is written by :func:`repro.durable.commit`, as the cache
+snapshots are, so a crash or a power loss mid-write leaves the previous
+complete manifest, never a torn one.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.durable import commit, read
 
 AUDIT_FORMAT = "repro-obs-audit"
 AUDIT_VERSION = 1
@@ -63,7 +63,7 @@ class AuditRecorder:
 
     def finalize(self, summary: dict | None = None) -> dict:
         """Write the manifest (torn-proof) and return it."""
-        manifest = {
+        manifest = commit(self.directory, AUDIT_MANIFEST, {
             "format": AUDIT_FORMAT,
             "version": AUDIT_VERSION,
             "run": self.run,
@@ -72,13 +72,7 @@ class AuditRecorder:
             "events": self.events,
             "decisions": self.decisions,
             "summary": summary or {},
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        target = self.directory / AUDIT_MANIFEST
-        tmp = self.directory / (".tmp-" + AUDIT_MANIFEST)
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, target)
+        })
         self._active = False
         return manifest
 
@@ -89,19 +83,7 @@ class AuditRecorder:
 
 def read_manifest(directory) -> dict:
     """Load and validate an audit manifest from a directory (or file)."""
-    path = Path(directory)
-    if path.is_dir():
-        path = path / AUDIT_MANIFEST
-    if not path.exists():
-        raise ValueError(f"{path} holds no audit manifest")
-    manifest = json.loads(path.read_text())
-    if manifest.get("format") != AUDIT_FORMAT:
-        raise ValueError(f"{path} is not a {AUDIT_FORMAT} manifest")
-    if manifest.get("version") != AUDIT_VERSION:
-        raise ValueError(f"audit manifest version "
-                         f"{manifest.get('version')!r} is not supported "
-                         f"(expected {AUDIT_VERSION})")
-    return manifest
+    return read(directory, AUDIT_MANIFEST, AUDIT_FORMAT, AUDIT_VERSION)[0]
 
 
 def render_manifest(manifest: dict) -> str:

@@ -237,6 +237,11 @@ class ServingReuseEngine:
             self._caches[key] = cache
         return cache
 
+    def install_cache(self, layer: str, vector_length: int,
+                      cache: SignatureResultCache) -> None:
+        """Replace one stream's cache (restore's all-or-nothing swap)."""
+        self._caches[(layer, vector_length)] = cache
+
     def cache_streams(self) -> list[tuple[str, int, SignatureResultCache]]:
         """Every (layer, vector length, cache) stream, snapshot-ordered."""
         return [(layer, length, cache)

@@ -313,10 +313,9 @@ class ParallelInferenceServer:
         self._snapshot_root.mkdir(parents=True, exist_ok=True)
         self._workers = []
         for index in range(self.num_workers):
-            directory = self.worker_snapshot_dir(index)
-            directory.mkdir(parents=True, exist_ok=True)
             spawn_args = (index, self.model, self.policy,
-                          self.batcher_config, str(directory),
+                          self.batcher_config,
+                          str(self.worker_snapshot_dir(index)),
                           self.snapshot_every_batches,
                           self.telemetry.window_batches
                           if self.telemetry is not None else 0)
@@ -351,32 +350,24 @@ class ParallelInferenceServer:
         return self._front.shard_for(payload)
 
     # -- worker RPC helpers ---------------------------------------------
-    def _collect_stats(self) -> list[dict]:
+    def _ask_all(self, request: str, answer: str) -> list:
+        """Send ``request`` to every worker; each one's ``answer`` payload."""
         for worker in self._workers:
-            worker.tasks.put(("stats",))
-        rows = []
+            worker.tasks.put((request,))
+        payloads = []
         for worker in self._workers:
-            while True:
+            reply = worker.results.get(timeout=self.worker_timeout_s)
+            while reply[0] != answer:
                 reply = worker.results.get(timeout=self.worker_timeout_s)
-                if reply[0] == "stats":
-                    rows.append(reply[1])
-                    break
-        return rows
+            payloads.append(reply[1])
+        return payloads
 
     def snapshot_workers(self) -> list[int]:
         """Force every worker to persist its cache state now."""
         if self._workers is None:
             raise RuntimeError("workers are not running")
-        for worker in self._workers:
-            worker.tasks.put(("snapshot",))
-        counts = []
-        for worker in self._workers:
-            while True:
-                reply = worker.results.get(timeout=self.worker_timeout_s)
-                if reply[0] == "snapshotted":
-                    counts.append(int(reply[1]))
-                    break
-        return counts
+        return [int(count) for count
+                in self._ask_all("snapshot", "snapshotted")]
 
     # -- the supervised parallel replay ---------------------------------
     def _recover(self, worker: _Worker, plan: list, acked: dict,
@@ -407,15 +398,9 @@ class ParallelInferenceServer:
         watermark = worker.wait_ready(self.worker_timeout_s)
         resume_from = max(0, watermark - base)
         if self.telemetry is not None:
-            self.telemetry.bus.emit(
-                "worker.recovered", source="supervisor",
-                worker=worker.index, generation=worker.generation,
-                resumed_from=resume_from)
-            if self.telemetry.recorder is not None:
-                self.telemetry.recorder.record_event(
-                    "worker.recovered", worker=worker.index,
-                    generation=worker.generation,
-                    resumed_from=resume_from)
+            self.telemetry.announce(
+                "worker.recovered", "supervisor", worker=worker.index,
+                generation=worker.generation, resumed_from=resume_from)
         for seq in range(resume_from, len(plan)):
             worker.tasks.put(("batch", seq, plan[seq]))
 
@@ -439,7 +424,7 @@ class ParallelInferenceServer:
                             for k in members])
                   for _close, members in batches] for batches in schedule]
 
-        baseline = self._collect_stats()
+        baseline = self._ask_all("stats", "stats")
         if self.snapshot_every_batches:
             # Pin every worker's recovery floor at this replay's start:
             # a respawn can then never restore to a state missing an
@@ -519,7 +504,8 @@ class ParallelInferenceServer:
         latencies, simulated = simulate_clock(arrivals, schedule, compute_s)
 
         report = self._build_report(
-            schedule, makespan, latencies, baseline, self._collect_stats(),
+            schedule, makespan, latencies, baseline,
+            self._ask_all("stats", "stats"),
             simulated_makespan_s=simulated, measured_makespan_s=makespan)
         self._front._finalize_run(report)
         return outputs, report

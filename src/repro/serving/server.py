@@ -28,11 +28,13 @@ Three ways to drive the server:
   driving the server from outside the process.
 
 Cache state survives restarts: :meth:`snapshot` writes every shard's
-caches as a versioned JSON manifest plus one ``.npz`` array payload,
-and :meth:`restore` rebuilds an identically configured server into the
-donor's exact cache state (same placements, ages and counters), so a
-warm-started server reproduces the donor's hit behaviour on subsequent
-traffic — the golden warm-start suite pins this.
+caches as a versioned JSON manifest plus one ``.npz`` array payload
+through the one commit path, :func:`repro.durable.commit` (fsynced, so
+a snapshot survives a power loss as well as a process crash), and
+:meth:`restore` rebuilds an identically configured server into the
+donor's exact cache state (same placements, ages and counters), all or
+nothing, so a warm-started server reproduces the donor's hit behaviour
+on subsequent traffic — the golden warm-start suite pins this.
 
 :meth:`oracle_outputs` provides the exactness reference: the same
 weights, engines detached, every request forwarded alone.  With the
@@ -50,16 +52,15 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.rpq import RPQHasher
 from repro.core.stats import LayerReuseStats, ReuseStats
+from repro.durable import commit, read
 from repro.serving.batcher import (BatcherConfig, BatcherTelemetry,
                                    MicroBatcher)
 from repro.serving.cache import CacheCounters
@@ -77,7 +78,6 @@ SNAPSHOT_FORMAT = "repro-serving-snapshot"
 # Version 4: cache state version 3, without the ``mcache_stats`` meta.
 SNAPSHOT_VERSION = 4
 SNAPSHOT_MANIFEST = "manifest.json"
-SNAPSHOT_ARRAYS = "state.npz"
 # Largest ``POST /infer`` body the HTTP front end reads; a longer
 # claimed ``Content-Length`` gets a 413 before any of the body is read.
 MAX_INFER_BODY_BYTES = 16 * 1024 * 1024
@@ -857,18 +857,9 @@ class InferenceServer:
         plain-array payloads of every request- and vector-granularity
         cache; :meth:`restore` on an identically configured server
         rebuilds the donor's exact cache state.  Returns the manifest.
-
-        The write is torn-proof: both files land in temp names first
-        and are committed with :func:`os.replace`, manifest last, so a
-        crash at any instant leaves either the previous complete
-        snapshot or the new one — never a manifest pointing at partial
-        arrays.  The arrays file carries a per-snapshot generation
-        suffix so that overwriting an existing snapshot can never pair
-        an old manifest with new arrays (or vice versa); stale
-        generations are cleaned up after the manifest commits.
+        One :func:`repro.durable.commit`, so a crash or a power loss
+        leaves the previous complete snapshot or the new one.
         """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
         caches = []
         arrays: dict[str, np.ndarray] = {}
 
@@ -889,12 +880,7 @@ class InferenceServer:
                     _add("vector", shard.index, cache, layer=layer,
                          vector_length=length)
 
-        # The generation makes the arrays filename unique per snapshot
-        # of this directory, so a new manifest can never resolve to an
-        # older (or half-written) arrays file.
-        generation = sum(shard.batch_count for shard in self.shards)
-        arrays_name = f"state-{generation}.npz"
-        manifest = {
+        manifest = commit(path, SNAPSHOT_MANIFEST, {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "shards": self.num_shards,
@@ -908,31 +894,12 @@ class InferenceServer:
                              in shard.vector_engine.stats.all_records()]
                             if shard.vector_engine is not None else []
                             for shard in self.shards],
-            "arrays": arrays_name,
             "caches": caches,
-        }
-        # Temp names keep the .npz suffix (np.savez appends it
-        # otherwise) but never match the committed-arrays glob below.
-        arrays_tmp = path / (".tmp-" + arrays_name)
-        manifest_tmp = path / (".tmp-" + SNAPSHOT_MANIFEST)
-        np.savez(arrays_tmp, **arrays)
-        os.replace(arrays_tmp, path / arrays_name)
-        manifest_tmp.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        # Manifest commits last: its presence implies complete arrays.
-        os.replace(manifest_tmp, path / SNAPSHOT_MANIFEST)
-        for stale in path.glob("state*.npz"):
-            if stale.name != arrays_name:
-                stale.unlink(missing_ok=True)
-        for stale in path.glob(".tmp-*"):
-            stale.unlink(missing_ok=True)
+        }, arrays, arrays_stem="state")
         if self.telemetry is not None:
-            self.bus.emit("snapshot.write", source="server",
-                          caches=len(caches), generation=generation)
-            if self.telemetry.recorder is not None:
-                self.telemetry.recorder.record_event(
-                    "snapshot.write", path=str(path), caches=len(caches),
-                    generation=generation)
+            self.telemetry.announce(
+                "snapshot.write", "server", path=str(path),
+                caches=len(caches), generation=manifest["generation"])
         return manifest
 
     def restore(self, path) -> dict:
@@ -943,21 +910,11 @@ class InferenceServer:
         cache into the donor's exact state — placements, stored data,
         TTL ages, counters and per-layer statistics — so subsequent
         traffic sees the donor's hit behaviour.  Returns the manifest.
+        All or nothing: every record loads into a fresh cache, and the
+        fresh caches go live only once all have loaded.
         """
-        path = Path(path)
-        manifest_path = path / SNAPSHOT_MANIFEST
-        if not manifest_path.exists():
-            # snapshot() commits the manifest last, so its absence means
-            # no complete snapshot exists here (e.g. a crash mid-write).
-            raise ValueError(f"{path} holds no complete snapshot "
-                             f"(missing {SNAPSHOT_MANIFEST})")
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(f"{path} is not a serving snapshot")
-        if manifest.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {manifest.get('version')!r} is not "
-                f"supported (expected {SNAPSHOT_VERSION})")
+        manifest, arrays = read(path, SNAPSHOT_MANIFEST, SNAPSHOT_FORMAT,
+                                SNAPSHOT_VERSION)
         if manifest.get("shards") != self.num_shards:
             raise ValueError(
                 f"snapshot was taken with {manifest.get('shards')} shards; "
@@ -971,42 +928,44 @@ class InferenceServer:
                              "weights; its cached outputs would be stale "
                              "— refusing to restore")
 
-        arrays_name = manifest.get("arrays", SNAPSHOT_ARRAYS)
-        with np.load(path / arrays_name) as payload:
-            for record in manifest["caches"]:
-                shard = self.shards[record["shard"]]
-                if record["kind"] == "request":
-                    cache = shard.request_cache
-                    if cache is None:
-                        raise ValueError("snapshot holds a request cache "
-                                         "but the policy disables it")
-                else:
-                    cache = shard.vector_engine.cache_for(
-                        record["layer"], int(record["vector_length"]))
-                prefix = record["prefix"] + "."
-                cache_arrays = {name[len(prefix):]: payload[name]
-                                for name in payload.files
-                                if name.startswith(prefix)}
-                cache.load_state_dict(record["meta"], cache_arrays)
+        loaded = []
+        for record in manifest["caches"]:
+            shard = self.shards[record["shard"]]
+            if record["kind"] == "request":
+                if shard.request_cache is None:
+                    raise ValueError("snapshot holds a request cache "
+                                     "but the policy disables it")
+                owner = shard.request_cache
+            else:
+                owner = shard.vector_engine
+            cache = SignatureResultCache(owner.policy, hasher=owner.hasher)
+            prefix = record["prefix"] + "."
+            cache.load_state_dict(record["meta"], {
+                name[len(prefix):]: value for name, value in arrays.items()
+                if name.startswith(prefix)})
+            loaded.append((shard, record, cache))
+        layer_stats = [ReuseStats({
+            (stats["layer"], stats["phase"]): LayerReuseStats(**stats)
+            for stats in records}) for records in manifest["layer_stats"]]
 
-        for shard, batch_index, batch_count, layer_stats in zip(
+        for shard, record, cache in loaded:
+            if record["kind"] == "request":
+                shard.request_cache = cache
+            else:
+                shard.vector_engine.install_cache(
+                    record["layer"], int(record["vector_length"]), cache)
+        for shard, batch_index, batch_count, stats in zip(
                 self.shards, manifest["shard_batch_indices"],
-                manifest["shard_batch_counts"], manifest["layer_stats"]):
+                manifest["shard_batch_counts"], layer_stats):
             shard.batch_index = int(batch_index)
             shard.batch_count = int(batch_count)
             if shard.vector_engine is not None:
                 shard.vector_engine.batch_index = int(batch_index)
-                shard.vector_engine.stats = ReuseStats({
-                    (record["layer"], record["phase"]):
-                        LayerReuseStats(**record)
-                    for record in layer_stats})
+                shard.vector_engine.stats = stats
         if self.telemetry is not None:
-            self.bus.emit("snapshot.restore", source="server",
-                          caches=len(manifest["caches"]))
-            if self.telemetry.recorder is not None:
-                self.telemetry.recorder.record_event(
-                    "snapshot.restore", path=str(path),
-                    caches=len(manifest["caches"]))
+            self.telemetry.announce("snapshot.restore", "server",
+                                    path=str(path),
+                                    caches=len(manifest["caches"]))
         return manifest
 
     # ------------------------------------------------------------------

@@ -16,12 +16,12 @@ Design points:
   unaffected (the golden tiered suite pins it);
 * **capacity** — plain LRU over insertion/hit order, in Python dict
   order (deterministic);
-* **persistence** — the store round-trips through the same
-  snapshot-format discipline as the server's cache snapshots: a
+* **persistence** — the store round-trips through the commit path the
+  server's cache snapshots use, :func:`repro.durable.commit`: a
   versioned JSON manifest plus one dense ``.npz`` of stacked
-  payload/row matrices, committed torn-proof (temp names +
-  :func:`os.replace`, manifest last, generation-suffixed arrays), so a
-  crash mid-:meth:`flush` leaves the previous complete store intact.
+  payload/row matrices, fsynced and committed manifest last, so a
+  crash or a power loss mid-:meth:`flush` leaves the previous complete
+  store intact.
 
 Granularity note: this prototype tiers the *request* cache only.
 Vector-granularity (per-layer) rows stay per shard — sharing them would
@@ -31,11 +31,11 @@ yet justify.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import numpy as np
+
+from repro.durable import commit, read
 
 L2_FORMAT = "repro-serving-l2"
 L2_VERSION = 1
@@ -65,7 +65,6 @@ class SharedL2Cache:
         self.hits = 0
         self.misses = 0
         self.inserts = 0
-        self._generation = 0
         # SHA-256 of the parameters whose outputs this store holds;
         # None until a server binds (or a persisted store declares) it.
         self.model_fingerprint: str | None = None
@@ -134,78 +133,41 @@ class SharedL2Cache:
     # Persistence (snapshot-format discipline)
     # ------------------------------------------------------------------
     def flush(self) -> dict:
-        """Persist the store under :attr:`directory`; returns the manifest.
-
-        Same torn-proof commit order as the server's snapshots: arrays
-        land under a temp name and are renamed into a generation-
-        suffixed file, the manifest commits last, stale generations are
-        cleaned up afterwards.
-        """
+        """Commit the store under :attr:`directory`; returns the manifest."""
         if self.directory is None:
             raise RuntimeError("this L2 store has no directory to "
                                "flush to")
-        self.directory.mkdir(parents=True, exist_ok=True)
         entries = list(self._store.values())
-        payloads = np.stack([p for p, _ in entries]) if entries \
-            else np.empty((0, 0))
-        rows = np.stack([r for _, r in entries]) if entries \
-            else np.empty((0, 0))
-        self._generation += 1
-        arrays_name = f"l2-state-{self._generation}.npz"
-        manifest = {
+        payloads, rows = map(np.stack, zip(*entries)) if entries \
+            else (np.empty((0, 0)), np.empty((0, 0)))
+        manifest = commit(self.directory, L2_MANIFEST, {
             "format": L2_FORMAT,
             "version": L2_VERSION,
             "entries": len(entries),
-            "generation": self._generation,
             "output_tail": list(self.output_tail)
             if self.output_tail is not None else None,
             "model": self.model_fingerprint,
-            "arrays": arrays_name,
-        }
-        arrays_tmp = self.directory / (".tmp-" + arrays_name)
-        manifest_tmp = self.directory / (".tmp-" + L2_MANIFEST)
-        np.savez(arrays_tmp, payloads=payloads, rows=rows)
-        os.replace(arrays_tmp, self.directory / arrays_name)
-        manifest_tmp.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(manifest_tmp, self.directory / L2_MANIFEST)
-        for stale in self.directory.glob("l2-state-*.npz"):
-            if stale.name != arrays_name:
-                stale.unlink(missing_ok=True)
-        for stale in self.directory.glob(".tmp-*"):
-            stale.unlink(missing_ok=True)
+        }, {"payloads": payloads, "rows": rows}, arrays_stem="l2-state")
         if self.bus is not None:
             self.bus.emit("l2.flush", source="l2",
                           entries=len(entries),
-                          generation=self._generation)
+                          generation=manifest["generation"])
         return manifest
 
     def _load(self) -> None:
-        manifest = json.loads(
-            (self.directory / L2_MANIFEST).read_text())
-        if manifest.get("format") != L2_FORMAT:
-            raise ValueError(f"{self.directory} does not hold an L2 "
-                             f"store")
-        if manifest.get("version") != L2_VERSION:
-            raise ValueError(
-                f"L2 store version {manifest.get('version')!r} is not "
-                f"supported (expected {L2_VERSION})")
-        self._generation = int(manifest.get("generation", 0))
+        manifest, arrays = read(self.directory, L2_MANIFEST, L2_FORMAT,
+                                L2_VERSION)
         self.model_fingerprint = manifest.get("model")
         tail = manifest.get("output_tail")
         self.output_tail = tuple(int(d) for d in tail) \
             if tail is not None else None
-        with np.load(self.directory / manifest["arrays"]) as payload:
-            payloads = payload["payloads"]
-            rows = payload["rows"]
-        for position in range(int(manifest["entries"])):
-            p = np.ascontiguousarray(payloads[position],
-                                     dtype=np.float64)
-            self._store[p.tobytes()] = (p, rows[position].copy())
+        for payload, row in zip(arrays["payloads"], arrays["rows"]):
+            payload = np.ascontiguousarray(payload, dtype=np.float64)
+            self._store[payload.tobytes()] = (payload, row.copy())
         if self.bus is not None:
             self.bus.emit("l2.load", source="l2",
                           entries=len(self._store),
-                          generation=self._generation)
+                          generation=manifest.get("generation"))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"SharedL2Cache(entries={len(self._store)}, "
