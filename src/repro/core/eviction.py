@@ -20,9 +20,11 @@ replacement policies the serving stack exposes through the
 
 The structures (:class:`LRUEviction`, :class:`LFUEviction`,
 :class:`SLRUEviction`) keep per-set intrusive doubly-linked recency
-lists as dense ``(set, way)`` arrays — O(1) touch/insert/replace and
-O(ways) victim selection, no per-line Python objects — matching the
-dense-array design of :class:`~repro.core.mcache_vec.VectorizedMCache`.
+lists as ``(set, way)`` grids of previous/next way indices — O(1)
+touch/insert/replace and O(ways) victim selection, no per-line Python
+objects.  The grids are nested Python lists rather than numpy arrays
+because the cache drives them one way at a time, where a list element
+costs a fraction of a numpy scalar access.
 Plain-list reference implementations live with the tests
 (``tests/oracles/eviction.py``); ``tests/test_eviction_properties.py``
 replays randomized traces through both and asserts identical victims
@@ -49,73 +51,89 @@ class _IntrusiveList:
 
     Head is the most recently used way of a set, tail the least.  Every
     operation is O(1); ranks (position from head) are only materialised
-    for snapshots.
+    for snapshots.  The links are plain Python lists: these operations
+    run one way at a time, and a list element reads and writes several
+    times faster than a numpy scalar.
     """
 
     def __init__(self, num_sets: int, ways: int):
         self.num_sets = num_sets
         self.ways = ways
-        self._prev = np.full((num_sets, ways), -1, dtype=np.int64)
-        self._next = np.full((num_sets, ways), -1, dtype=np.int64)
-        self._head = np.full(num_sets, -1, dtype=np.int64)
-        self._tail = np.full(num_sets, -1, dtype=np.int64)
-        self._linked = np.zeros((num_sets, ways), dtype=bool)
-        self.count = np.zeros(num_sets, dtype=np.int64)
+        self._prev = [[-1] * ways for _ in range(num_sets)]
+        self._next = [[-1] * ways for _ in range(num_sets)]
+        self._head = [-1] * num_sets
+        self._tail = [-1] * num_sets
+        self._count = [0] * num_sets
 
-    def contains(self, s: int, w: int) -> bool:
-        return bool(self._linked[s, w])
+    @property
+    def count(self) -> np.ndarray:
+        """Linked ways per set."""
+        return np.array(self._count, dtype=np.int64)
 
     def push_front(self, s: int, w: int) -> None:
         head = self._head[s]
-        self._prev[s, w] = -1
-        self._next[s, w] = head
+        self._prev[s][w] = -1
+        self._next[s][w] = head
         if head >= 0:
-            self._prev[s, head] = w
+            self._prev[s][head] = w
         else:
             self._tail[s] = w
         self._head[s] = w
-        self._linked[s, w] = True
-        self.count[s] += 1
+        self._count[s] += 1
 
     def unlink(self, s: int, w: int) -> None:
-        before, after = self._prev[s, w], self._next[s, w]
+        prev, next_ = self._prev[s], self._next[s]
+        before, after = prev[w], next_[w]
         if before >= 0:
-            self._next[s, before] = after
+            next_[before] = after
         else:
             self._head[s] = after
         if after >= 0:
-            self._prev[s, after] = before
+            prev[after] = before
         else:
             self._tail[s] = before
-        self._prev[s, w] = -1
-        self._next[s, w] = -1
-        self._linked[s, w] = False
-        self.count[s] -= 1
+        prev[w] = -1
+        next_[w] = -1
+        self._count[s] -= 1
 
     def move_front(self, s: int, w: int) -> None:
-        if self._head[s] == w:
+        """Make the linked way ``w`` the head of its set's list."""
+        head = self._head[s]
+        if head == w:
             return
-        self.unlink(s, w)
-        self.push_front(s, w)
+        prev, next_ = self._prev[s], self._next[s]
+        # ``w`` is not the head, so it has a predecessor.
+        before, after = prev[w], next_[w]
+        next_[before] = after
+        if after >= 0:
+            prev[after] = before
+        else:
+            self._tail[s] = before
+        prev[w] = -1
+        next_[w] = head
+        prev[head] = w
+        self._head[s] = w
 
     def tail_way(self, s: int) -> int:
-        return int(self._tail[s])
+        return self._tail[s]
 
     def walk_from_tail(self, s: int):
+        prev = self._prev[s]
         w = self._tail[s]
         while w >= 0:
-            yield int(w)
-            w = self._prev[s, w]
+            yield w
+            w = prev[w]
 
     def ranks(self) -> np.ndarray:
         """Position from head (MRU = 0) per linked way; -1 if unlinked."""
         out = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         for s in range(self.num_sets):
+            next_ = self._next[s]
             w, rank = self._head[s], 0
             while w >= 0:
                 out[s, w] = rank
                 rank += 1
-                w = self._next[s, w]
+                w = next_[w]
         return out
 
     def load_ranks(self, ranks: np.ndarray) -> None:
@@ -174,37 +192,38 @@ class LFUEviction:
 
     def __init__(self, num_sets: int, ways: int):
         self._list = _IntrusiveList(num_sets, ways)
-        self._freq = np.zeros((num_sets, ways), dtype=np.int64)
+        self._freq = [[0] * ways for _ in range(num_sets)]
 
     def insert(self, s: int, w: int, count: int = 1) -> None:
-        self._freq[s, w] = count
+        self._freq[s][w] = count
         self._list.push_front(s, w)
 
     def touch(self, s: int, w: int, count: int = 1) -> None:
-        self._freq[s, w] += count
+        self._freq[s][w] += count
         self._list.move_front(s, w)
 
     def replace(self, s: int, w: int, count: int = 1) -> None:
-        self._freq[s, w] = count
+        self._freq[s][w] = count
         self._list.move_front(s, w)
 
     def victim(self, s: int) -> int:
+        freq = self._freq[s]
         best_way, best = -1, None
         for w in self._list.walk_from_tail(s):
-            if best is None or self._freq[s, w] < best:
-                best_way, best = w, int(self._freq[s, w])
+            if best is None or freq[w] < best:
+                best_way, best = w, freq[w]
         return best_way
 
     def state_arrays(self) -> dict:
-        return {"ev_rank": self._list.ranks(), "ev_freq": self._freq.copy()}
+        return {"ev_rank": self._list.ranks(),
+                "ev_freq": np.array(self._freq, dtype=np.int64)}
 
     def load_state_arrays(self, arrays: dict) -> None:
         self._list.load_ranks(arrays["ev_rank"])
-        self._freq = np.asarray(arrays["ev_freq"], dtype=np.int64).copy()
+        self._freq = np.asarray(arrays["ev_freq"], dtype=np.int64).tolist()
 
     def clear(self) -> None:
-        num_sets, ways = self._freq.shape
-        self.__init__(num_sets, ways)
+        self.__init__(self._list.num_sets, self._list.ways)
 
 
 class SLRUEviction:
@@ -240,7 +259,7 @@ class SLRUEviction:
         self._probation.unlink(s, w)
         self._protected.push_front(s, w)
         self._segment[s, w] = 1
-        if self._protected.count[s] > self.protected_capacity:
+        if self._protected._count[s] > self.protected_capacity:
             demoted = self._protected.tail_way(s)
             self._protected.unlink(s, demoted)
             self._probation.push_front(s, demoted)

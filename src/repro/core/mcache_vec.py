@@ -72,7 +72,9 @@ class VectorizedMCache:
         self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways
-        self._tags = np.zeros((self.num_sets, ways), dtype=np.int64)
+        # Tag per line; -1 on a line without a valid tag, so an int64
+        # probe needs no separate Valid-Tag read.
+        self._tags = np.full((self.num_sets, ways), -1, dtype=np.int64)
         # Multi-word mode: full signature values, one row of words per
         # line, most-significant word first.  ``None`` while every
         # resident signature fits the int64 tag path.
@@ -90,14 +92,14 @@ class VectorizedMCache:
     # ------------------------------------------------------------------
     # Representation management
     # ------------------------------------------------------------------
-    def _normalize(self, signatures) -> np.ndarray:
-        """Return a 1-D int64 array or a 2-D multi-word uint64 array.
+    def _normalize(self, arr: np.ndarray) -> np.ndarray:
+        """Bring checked signatures (:func:`coerce_packed`) to the tag
+        store's representation: 1-D int64 or 2-D multi-word uint64.
 
         Promotes the persistent tag store to multi-word mode the first
         time a batch needs it; afterwards int64 batches are widened on
         the fly so mixed traces keep comparing by full value.
         """
-        arr = coerce_packed(signatures)
         if arr.ndim == 2:
             self._enter_words_mode(arr.shape[1])
             return pad_words(arr, self._tag_words.shape[2])
@@ -155,39 +157,53 @@ class VectorizedMCache:
     # ------------------------------------------------------------------
     # Signature phase — batch probe and insert
     # ------------------------------------------------------------------
-    def probe_batch(self, signatures) -> tuple[np.ndarray, np.ndarray]:
+    def _checked(self, signatures, sets):
+        """``(signatures, sets)`` of a probe or insert argument.
+
+        Callers that hold signatures already checked by
+        :func:`coerce_packed` pass their set indices
+        (:func:`~repro.core.hitmap_sim.signature_sets`) along, and
+        neither is recomputed.
+        """
+        if sets is None:
+            signatures = coerce_packed(signatures)
+            sets = signature_sets(signatures, self.num_sets)
+        return signatures, sets
+
+    def probe_batch(self, signatures, sets: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """Non-mutating batch lookup; returns (present, entry_ids).
 
         ``entry_ids`` is a fresh array, -1 where a signature is absent.
         Unlike :meth:`insert`, a multi-word probe never promotes the
         tag store: representation mismatches are bridged by a temporary
-        word view.
+        word view.  ``sets`` may carry the signatures' set indices when
+        the caller has already checked them (see :meth:`_checked`).
         """
-        sigs = coerce_packed(signatures)
-        if len(sigs) == 0:
-            return (np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
-
+        sigs, sets = self._checked(signatures, sets)
         if sigs.ndim == 1 and self._tag_words is None:
-            sets = signature_sets(sigs, self.num_sets)
-            equal = self._tags[sets] == (sigs // self.num_sets)[:, None]
+            # Lines without a valid tag hold -1, which no quotient equals.
+            match = self._tags[sets] == (sigs // self.num_sets)[:, None]
         else:
             store_words = 1 if self._tag_words is None \
                 else self._tag_words.shape[2]
             sigs = signature_words(sigs)
             width = max(sigs.shape[1], store_words)
             sigs = pad_words(sigs, width)
-            sets = signature_sets(sigs, self.num_sets)
-            equal = (self._tag_words_view(width)[sets]
-                     == sigs[:, None, :]).all(axis=2)
-        match = self._valid_tag[sets] & equal
-
-        present = match.any(axis=1)
-        way = np.argmax(match, axis=1)
-        entry_ids = np.full(len(sigs), -1, dtype=np.int64)
-        entry_ids[present] = self._line_entry[sets[present], way[present]]
+            match = self._valid_tag[sets] & (
+                self._tag_words_view(width)[sets]
+                == sigs[:, None, :]).all(axis=2)
+        # At most one way of a set matches.
+        rows, ways = match.nonzero()
+        present = np.zeros(len(sigs), dtype=bool)
+        present[rows] = True
+        entry_ids = np.empty(len(sigs), dtype=np.int64)
+        entry_ids.fill(-1)
+        entry_ids[rows] = self._line_entry[sets[rows], ways]
         return present, entry_ids
 
-    def insert(self, signatures) -> np.ndarray:
+    def insert(self, signatures, sets: np.ndarray | None = None
+               ) -> np.ndarray:
         """Claim a line for each signature; returns their entry ids.
 
         ``signatures`` must be distinct, absent from the cache and in
@@ -198,15 +214,14 @@ class VectorizedMCache:
         and the claimed lines take the next entry ids in arrival order.
         A signature whose set is already full gets -1 and no line: the
         paper's MNU, or a victim for the caller's replacement policy to
-        recycle.
+        recycle.  ``sets`` is as for :meth:`probe_batch`.
         """
-        sigs = self._normalize(signatures)
-        entry_ids = np.full(len(sigs), -1, dtype=np.int64)
-        if len(sigs) == 0:
-            return entry_ids
-        sets = signature_sets(sigs, self.num_sets)
+        sigs, sets = self._checked(signatures, sets)
+        sigs = self._normalize(sigs)
+        entry_ids = np.empty(len(sigs), dtype=np.int64)
+        entry_ids.fill(-1)
         occupancy = self._occupancy[sets]
-        if (occupancy == self.ways).all():
+        if not np.count_nonzero(occupancy < self.ways):
             # A saturated cache under a replacement policy, the serving
             # steady state: nothing can claim a line.
             return entry_ids
@@ -244,14 +259,29 @@ class VectorizedMCache:
         if not self._valid_tag[set_index, way]:
             raise ValueError(f"({set_index}, {way}) holds no line to "
                              f"replace")
-        sigs = self._normalize(np.asarray(signature)[None])
-        if int(signature_sets(sigs, self.num_sets)[0]) != set_index:
-            raise ValueError("signature does not map to the victim's set")
-        self._store_tags(sigs, np.array([set_index]), np.array([way]))
+        value = np.asarray(signature)
+        if value.ndim == 0 and value.dtype == np.int64 \
+                and self._tag_words is None:
+            # One int64 signature into the int64 store: plain integers.
+            value = int(value)
+            if value < 0:
+                raise ValueError("signatures must be non-negative")
+            tag, value_set = divmod(value, self.num_sets)
+            if value_set != set_index:
+                raise ValueError("signature does not map to the victim's "
+                                 "set")
+            self._tags[set_index, way] = tag
+        else:
+            sigs = self._normalize(coerce_packed(value[None]))
+            if int(signature_sets(sigs, self.num_sets)[0]) != set_index:
+                raise ValueError("signature does not map to the victim's "
+                                 "set")
+            self._store_tags(sigs, np.array([set_index]), np.array([way]))
         return int(self._line_entry[set_index, way])
 
     def clear(self) -> None:
         """Full reset (new channel / new set of input vectors)."""
+        self._tags[:] = -1
         self._valid_tag[:] = False
         self._tag_words = None
         self._line_entry[:] = -1

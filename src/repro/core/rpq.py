@@ -270,17 +270,19 @@ def packed_unique(values: np.ndarray, value_bits: int
     row_bits = max(num_rows - 1, 0).bit_length()
     if value_bits + row_bits > 63:
         return None
-    keys = np.sort((values << row_bits) | np.arange(num_rows))
+    keys = values << row_bits
+    keys |= np.arange(num_rows)
+    keys.sort()
     sorted_values = keys >> row_bits
     rows = keys & ((1 << row_bits) - 1)
     new_group = np.empty(num_rows, dtype=bool)
     new_group[:1] = True
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=new_group[1:])
-    group_ids = np.cumsum(new_group)
+    group_ids = new_group.cumsum()
     group_ids -= 1
     inverse = np.empty(num_rows, dtype=np.int64)
     inverse[rows] = group_ids
-    firsts = np.flatnonzero(new_group)
+    firsts = new_group.nonzero()[0]
     return sorted_values[firsts], rows[firsts], inverse
 
 

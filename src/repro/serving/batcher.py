@@ -123,8 +123,10 @@ class MicroBatcher:
     ``process_batch(payloads: list) -> list`` is called with up to
     ``max_batch_size`` payloads and must return one result per payload
     in order; it runs inside the event loop (numpy work releases the
-    GIL quickly enough at this scale).  Exceptions fail every request
-    of the batch individually — the loop keeps serving.
+    GIL quickly enough at this scale).  An exception raised by
+    ``process_batch`` fails every request of the batch individually,
+    and an exception *returned* in a payload's result slot fails that
+    request alone — the loop keeps serving.
     """
 
     def __init__(self, process_batch, config: BatcherConfig | None = None):
@@ -256,6 +258,13 @@ class MicroBatcher:
             return
         now = time.perf_counter()
         for item, result in zip(batch, results):
+            if isinstance(result, Exception):
+                # This payload failed alone; the rest of the batch is
+                # served.
+                self.telemetry.failed += 1
+                if not item.future.done():
+                    item.future.set_exception(result)
+                continue
             self.telemetry.record_latency(now - item.enqueued_at)
             self.telemetry.completed += 1
             if not item.future.done():

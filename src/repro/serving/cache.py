@@ -56,7 +56,7 @@ from repro.core.eviction import build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import signature_sets
 from repro.core.mcache_vec import VectorizedMCache
-from repro.core.rpq import RPQHasher, unique_signatures
+from repro.core.rpq import RPQHasher, coerce_packed, unique_signatures
 
 if TYPE_CHECKING:
     from repro.serving.engine import ServingPolicy
@@ -264,33 +264,34 @@ class SignatureResultCache:
                 :excess - len(below)]:
             del self._seen[keys[index]]
 
-    def _admitted_absents(self, uniques, absent, counts,
-                          payload_bytes: int,
-                          batch_index: int) -> np.ndarray:
-        """Which absent unique positions may claim a line this batch."""
-        if self.policy.admission == "always":
+    def _admitted(self, uniques, absent: np.ndarray, counts,
+                  payload_bytes: int, batch_index: int) -> np.ndarray:
+        """Narrow the ``absent`` mask to the uniques that may claim a
+        line this batch (every one under ``always``)."""
+        policy = self.policy
+        if policy.admission == "always":
             return absent
-        if self.policy.admission == "size":
+        if policy.admission == "size":
             return absent if (
-                self.policy.admission_max_bytes is None
-                or payload_bytes <= self.policy.admission_max_bytes) \
-                else absent[:0]
-        # frequency
-        wants = []
-        for position in absent:
+                policy.admission_max_bytes is None
+                or payload_bytes <= policy.admission_max_bytes) \
+                else np.zeros_like(absent)
+        # frequency: the gate's memory fills in signature order.
+        wants = np.zeros_like(absent)
+        for position in absent.nonzero()[0].tolist():
             key = self._signature_key(uniques[position])
             seen = self._seen.get(key, (0, 0))[0] + int(counts[position])
-            if seen >= self.policy.admission_min_frequency:
+            if seen >= policy.admission_min_frequency:
                 self._seen.pop(key, None)
-                wants.append(position)
+                wants[position] = True
             else:
                 self._seen[key] = (seen, batch_index)
         self._prune_seen()
-        return np.asarray(wants, dtype=np.int64)
+        return wants
 
     def _probe_and_admit(self, uniques, first_index, inverse,
                          payload_bytes: int, batch_index: int,
-                         gated: bool = True
+                         gated: bool = True, counts=None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probe residents and insert admitted absents.
 
@@ -300,7 +301,12 @@ class SignatureResultCache:
         ``gated``), MAU on the line it claims, or MNU with id -1 when
         its set is full.  Admitted signatures claim lines in
         first-occurrence order whatever the policy, which equals a
-        sequential replay of the batch.
+        sequential replay of the batch.  ``counts`` (rows per unique,
+        ``np.bincount(inverse)``) is taken from the caller when it has
+        them.
+
+        The signatures are checked and their sets computed once, here,
+        and handed to the MCACHE's probe and insert.
 
         With an eviction policy, residents first *touch* their line's
         recency/frequency state in first-occurrence order, and an
@@ -320,48 +326,53 @@ class SignatureResultCache:
         """
         m = self.mcache
         evictor = self._evictor
-        present, entry_ids = m.probe_batch(uniques)
-        states = np.full(len(uniques), MNU_CODE, dtype=np.int8)
+        uniques = coerce_packed(uniques)
+        num_unique = len(uniques)
+        sets = signature_sets(uniques, m.num_sets)
+        present, entry_ids = m.probe_batch(uniques, sets)
+        states = np.empty(num_unique, dtype=np.int8)
+        states.fill(MNU_CODE)
         states[present] = HIT_CODE
-        counts = np.bincount(inverse, minlength=len(uniques))
-        displaced = np.zeros(len(uniques), dtype=bool)
+        if counts is None:
+            counts = np.bincount(inverse, minlength=num_unique)
+        displaced = np.zeros(num_unique, dtype=bool)
+        # The uniques in first-occurrence (arrival) order.
+        arrival = first_index.argsort()
 
         if evictor is not None:
-            residents = np.flatnonzero(present)
-            # entry id -> the unique position currently owning that line.
-            owner = dict(zip(entry_ids[residents].tolist(),
-                             residents.tolist()))
-            for position in residents[np.argsort(first_index[residents],
-                                                 kind="stable")]:
-                entry = int(entry_ids[position])
-                evictor.touch(int(m._entry_set[entry]),
-                              int(m._entry_way[entry]),
-                              count=int(counts[position]))
+            residents = arrival[present[arrival]]
+            if len(residents):
+                resident_ids = entry_ids[residents]
+                for set_index, way, count in zip(
+                        sets[residents].tolist(),
+                        m._entry_way[resident_ids].tolist(),
+                        counts[residents].tolist()):
+                    evictor.touch(set_index, way, count)
 
-        absent = np.flatnonzero(~present)
-        admitted = self._admitted_absents(
-            uniques, absent, counts, payload_bytes, batch_index) \
-            if gated else absent
+        absent = ~present
+        if gated:
+            absent = self._admitted(uniques, absent, counts, payload_bytes,
+                                    batch_index)
+        admitted = arrival[absent[arrival]]
         if not len(admitted):
             return states, entry_ids, displaced
-        arrival = admitted[np.argsort(first_index[admitted], kind="stable")]
-        claimed_ids = m.insert(uniques[arrival])
-        entry_ids[arrival] = claimed_ids
+        claimed_ids = m.insert(uniques[admitted], sets[admitted])
+        entry_ids[admitted] = claimed_ids
         if evictor is None:
-            states[arrival[claimed_ids >= 0]] = MAU_CODE
+            states[admitted[claimed_ids >= 0]] = MAU_CODE
             return states, entry_ids, displaced
 
-        states[arrival] = MAU_CODE
-        arrival_sets = signature_sets(uniques[arrival], m.num_sets)
-        for position, set_index, entry in zip(
-                arrival.tolist(), arrival_sets.tolist(),
-                claimed_ids.tolist()):
+        states[admitted] = MAU_CODE
+        # entry id -> the unique position currently owning that line.
+        owner = dict(zip(resident_ids.tolist(), residents.tolist())) \
+            if len(residents) else {}
+        for position, set_index, entry, count in zip(
+                admitted.tolist(), sets[admitted].tolist(),
+                claimed_ids.tolist(), counts[admitted].tolist()):
             if entry >= 0:
-                evictor.insert(set_index, int(m._entry_way[entry]),
-                               count=int(counts[position]))
+                evictor.insert(set_index, int(m._entry_way[entry]), count)
             else:
-                entry = self._recycle(set_index, uniques[position],
-                                      int(counts[position]))
+                entry = self._recycle(set_index, uniques[position], count)
                 entry_ids[position] = entry
                 if entry in owner:
                     displaced[owner[entry]] = True
@@ -373,7 +384,7 @@ class SignatureResultCache:
         returns the line's entry id, which the new owner inherits."""
         way = self._evictor.victim(set_index)
         entry = self.mcache.replace_line(set_index, way, signature)
-        self._evictor.replace(set_index, way, count=count)
+        self._evictor.replace(set_index, way, count)
         self.counters.evicted += 1
         return entry
 
@@ -390,6 +401,10 @@ class SignatureResultCache:
         served without calling it; duplicates within the batch share
         one computation.  Returns ``(rows, outcome)`` where ``outcome``
         details this call's reuse decisions.
+
+        One pass per batch: each policy pass (TTL, exact check) runs
+        only when its policy is on and something can trigger it, and
+        the row ledger comes from the rows-per-unique counts.
         """
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
@@ -400,13 +415,15 @@ class SignatureResultCache:
         if num_rows == 0:
             return np.empty((0, 0)), ServeOutcome()
 
-        signatures = self.hasher.signatures(vectors,
-                                            self.policy.signature_bits)
+        policy = self.policy
+        exact_check = policy.exact_check
+        signatures = self.hasher.signatures(vectors, policy.signature_bits)
         uniques, first_index, inverse = unique_signatures(signatures)
         num_unique = len(uniques)
+        counts = np.bincount(inverse)
         states, entry_ids, displaced = self._probe_and_admit(
             uniques, first_index, inverse, vectors.shape[1] * 8,
-            batch_index)
+            batch_index, counts=counts)
         self._grow_entry_batches(batch_index)
 
         # Intra-batch aliasing: with ``exact_check`` a row may only
@@ -416,52 +433,61 @@ class SignatureResultCache:
         # ``==``: NaN never equals itself, yet identical NaN payloads
         # have identical results.  Without the check, signature trust
         # applies within the batch exactly as it does across batches:
-        # that is MERCURY's approximate-reuse semantics.
-        if self.policy.exact_check:
-            aliased = ~_same_bytes(vectors, vectors[first_index[inverse]])
-            counters.collisions += int(aliased.sum())
-        else:
-            aliased = np.zeros(num_rows, dtype=bool)
+        # that is MERCURY's approximate-reuse semantics.  A batch of
+        # distinct signatures has no group to alias into.
+        num_aliased = 0
+        if exact_check and num_unique < num_rows:
+            # Only rows past their group's first can alias.
+            representative = first_index[inverse]
+            later = (representative != np.arange(num_rows)).nonzero()[0]
+            aliased_rows = later[~_same_bytes(
+                vectors[later], vectors[representative[later]])]
+            num_aliased = len(aliased_rows)
+            counters.collisions += num_aliased
 
-        resident = states == HIT_CODE              # existed before batch
-        inserted = states == MAU_CODE              # claimed a line now
-        rejected = states == MNU_CODE              # set full, no entry
-
-        # Which resident entries may serve their stored result?
-        reusable = resident.copy()
-        refresh = np.zeros(num_unique, dtype=bool)
-        if resident.any():
-            res_idx = np.flatnonzero(resident)
-            res_entries = entry_ids[res_idx]
-            valid = self._store_valid[res_entries].copy()
-            if self.policy.ttl_batches is not None:
-                age = batch_index - self._entry_batch[res_entries]
-                expired = age > self.policy.ttl_batches
-                counters.expired += int(expired.sum())
+        # Residents (existed before the batch) that may serve their
+        # stored result: valid data, not expired, and with
+        # ``exact_check`` the first occurrence's exact bytes.
+        reusable = states == HIT_CODE
+        reused = reusable.nonzero()[0]
+        num_resident = len(reused)
+        inserted = (states == MAU_CODE).nonzero()[0]
+        refresh = None
+        if num_resident:
+            reused_ids = entry_ids[reused]
+            valid = self._store_valid[reused_ids]
+            if policy.ttl_batches is not None:
+                expired = batch_index - self._entry_batch[reused_ids] \
+                    > policy.ttl_batches
+                counters.expired += int(np.count_nonzero(expired))
                 valid &= ~expired
-            stale = res_idx[~valid]
-            reusable[stale] = False
-            refresh[stale] = True
-            if self.policy.exact_check and valid.any():
-                live = res_idx[valid]
-                match = _same_bytes(self._store_payloads[entry_ids[live]],
-                                    vectors[first_index[live]])
-                collided = live[~match]
-                counters.collisions += len(collided)
-                reusable[collided] = False
+            if np.count_nonzero(valid) < num_resident:
+                # Expired or data-invalidated: recompute and refresh.
+                refresh = reused[~valid]
+                reusable[refresh] = False
+                reused, reused_ids = reused[valid], reused_ids[valid]
+            if exact_check and len(reused):
+                match = _same_bytes(self._store_payloads[reused_ids],
+                                    vectors[first_index[reused]])
+                if np.count_nonzero(match) < len(reused):
+                    collided = reused[~match]
+                    counters.collisions += len(collided)
+                    reusable[collided] = False
+                    reused, reused_ids = reused[match], reused_ids[match]
 
         # A recycled line keeps its entry id, so the victim's row stays
         # in the store until the new owner's row replaces it below; if
         # ``compute`` raises first, it must not be served for the new
         # owner.  (A resident displaced by a recycle was judged above
         # and reads its row below, before the new owner's row lands.)
-        self._store_valid[entry_ids[inserted]] = False
+        if len(inserted):
+            self._store_valid[entry_ids[inserted]] = False
 
-        needs_compute = ~reusable
-        aliased_rows = np.flatnonzero(aliased)
-        group_rows = first_index[needs_compute]
-        compute_rows = np.concatenate([group_rows, aliased_rows]) \
-            if len(aliased_rows) else group_rows
+        needs_compute = (~reusable).nonzero()[0]
+        num_computed = len(needs_compute)
+        compute_rows = first_index[needs_compute]
+        if num_aliased:
+            compute_rows = np.concatenate([compute_rows, aliased_rows])
         computed = None
         if len(compute_rows):
             computed = np.asarray(compute(compute_rows), dtype=np.float64)
@@ -473,48 +499,53 @@ class SignatureResultCache:
         width = computed.shape[1] if computed is not None else \
             self._stored_width()
         unique_rows = np.empty((num_unique, width), dtype=np.float64)
-        if reusable.any():
-            reuse_idx = np.flatnonzero(reusable)
-            unique_rows[reuse_idx] = self._store_rows[entry_ids[reuse_idx]]
-        if computed is not None:
-            unique_rows[needs_compute] = computed[:len(group_rows)]
+        if len(reused):
+            unique_rows[reused] = self._store_rows[reused_ids]
+        if num_computed:
+            unique_rows[needs_compute] = computed[:num_computed]
 
         # Admit fresh computations: newly claimed lines and refreshed
         # (expired / data-invalidated) residents.  Collisions keep the
         # original owner's payload (first-writer-wins); rejected
         # signatures have no line to write, and neither do uniques
-        # whose line was recycled later in this batch.
-        admit = np.flatnonzero((inserted | refresh) & ~displaced)
+        # whose line was recycled later in this batch.  What remains
+        # names distinct lines.
+        admit = inserted if refresh is None \
+            else np.concatenate([inserted, refresh])
+        if np.count_nonzero(displaced):
+            admit = admit[~displaced[admit]]
         if len(admit):
             admit_ids = entry_ids[admit]
             self._store_write(
                 admit_ids, unique_rows[admit],
-                vectors[first_index[admit]] if self.policy.exact_check
-                else None)
+                vectors[first_index[admit]] if exact_check else None)
             self._entry_batch[admit_ids] = batch_index
 
         results = unique_rows[inverse]
-        if len(aliased_rows):
-            results[aliased_rows] = computed[len(group_rows):]
+        if num_aliased:
+            results[aliased_rows] = computed[num_computed:]
 
-        # Row-level accounting (aliased rows are computes, not hits).
-        is_first = np.zeros(num_rows, dtype=bool)
-        is_first[first_index] = True
-        row_cross = reusable[inverse] & ~aliased
-        row_intra = needs_compute[inverse] & ~is_first & ~aliased
+        # Row-level accounting: the rows of reused uniques are cross
+        # hits, the other rows past each unique's first are intra hits,
+        # and aliased rows are computes, not hits.
+        cross_hit_rows = sum(counts[reused].tolist())
+        if num_aliased:
+            cross_hit_rows -= int(np.count_nonzero(
+                reusable[inverse[aliased_rows]]))
         outcome = ServeOutcome(
             rows=num_rows,
             unique=num_unique,
-            cross_hit_rows=int(row_cross.sum()),
-            intra_hit_rows=int(row_intra.sum()),
-            aliased_rows=int(aliased.sum()),
-            reused_unique=int(reusable.sum()),
-            computed_unique=int(needs_compute.sum()),
-            inserted_unique=int(inserted.sum()),
-            rejected_unique=int(rejected.sum()))
+            cross_hit_rows=cross_hit_rows,
+            intra_hit_rows=(num_rows - num_computed - num_aliased
+                            - cross_hit_rows),
+            aliased_rows=num_aliased,
+            reused_unique=len(reused),
+            computed_unique=num_computed,
+            inserted_unique=len(inserted),
+            rejected_unique=num_unique - num_resident - len(inserted))
         counters.cross_hits += outcome.cross_hit_rows
         counters.intra_hits += outcome.intra_hit_rows
-        counters.computed += outcome.computed_unique + outcome.aliased_rows
+        counters.computed += num_computed + num_aliased
         counters.inserted += outcome.inserted_unique
         counters.rejected += outcome.rejected_unique
 
@@ -625,7 +656,8 @@ class SignatureResultCache:
                                      dtype=np.int64),
         }
         if self.policy.admission == "frequency" and seen_keys:
-            if mode == "words":
+            # The gate may hold multi-word keys before any line does.
+            if isinstance(seen_keys[0], bytes):
                 arrays["seen_keys"] = np.stack(
                     [np.frombuffer(key, dtype=np.uint64)
                      for key in seen_keys])

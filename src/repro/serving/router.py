@@ -20,6 +20,7 @@ properties follow:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 
 import numpy as np
@@ -42,7 +43,10 @@ class ConsistentHashRing:
 
     ``replicas`` virtual points per shard smooth the key-space split;
     at the default 64 the heaviest shard of a uniform key set carries
-    within a few percent of its fair share.
+    within a few percent of its fair share.  The points are a sorted
+    Python list searched with :func:`bisect.bisect_left`: routing takes
+    one key at a time, where that is several times cheaper than a numpy
+    search.
     """
 
     def __init__(self, shards: int, replicas: int = 64):
@@ -59,37 +63,22 @@ class ConsistentHashRing:
                 digest = hashlib.sha256(label).digest()
                 points.append((int.from_bytes(digest[:8], "big"), shard))
         points.sort()
-        self._hashes = np.array([point for point, _ in points],
-                                dtype=np.uint64)
-        self._owners = np.array([owner for _, owner in points],
-                                dtype=np.int64)
+        self._points = [point for point, _ in points]
+        self._owners = [owner for _, owner in points]
 
     def route(self, key: bytes) -> int:
         """The shard owning ``key`` (first ring point at or after it)."""
         if self.shards == 1:
             return 0
         point = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-        index = int(np.searchsorted(self._hashes, point, side="left"))
-        return int(self._owners[index % len(self._owners)])
+        index = bisect.bisect_left(self._points, point)
+        return self._owners[index % len(self._owners)]
 
     def route_many(self, keys) -> np.ndarray:
-        """Vectorized :meth:`route` over a batch of keys.
-
-        Digests still come from :func:`hashlib.sha256` per key (that is
-        the routing contract), but the ring lookup — the hot part on
-        the replay path — is a single :func:`np.searchsorted` over all
-        key points at once.  Bit-identical to the scalar loop.
-        """
+        """:meth:`route` over a batch of keys, as an int64 array."""
         keys = list(keys)
-        if not keys:
-            return np.empty(0, dtype=np.int64)
-        if self.shards == 1:
-            return np.zeros(len(keys), dtype=np.int64)
-        points = np.frombuffer(
-            b"".join(hashlib.sha256(key).digest()[:8] for key in keys),
-            dtype=">u8").astype(np.uint64)
-        indices = np.searchsorted(self._hashes, points, side="left")
-        return self._owners[indices % len(self._owners)]
+        return np.fromiter((self.route(key) for key in keys),
+                           dtype=np.int64, count=len(keys))
 
 
 class HotKeyTracker:

@@ -280,7 +280,7 @@ class InferenceServer:
             if self._hot is not None:
                 self._hot.bus = self.bus
             if l2 is not None:
-                l2.bus = self.bus
+                l2.attach_bus(self.bus)
         # Controller/audit window accumulation (telemetry-only state).
         self._window_index = 0
         self._window_batches = 0
@@ -330,9 +330,8 @@ class InferenceServer:
         could flip knife-edge quantisations, i.e. change routing.
         """
         flat = np.asarray(payload, dtype=np.float64).reshape(1, -1)
-        signatures = self._route_hasher.signatures(
-            flat, self.policy.signature_bits)
-        return signature_key(signatures[0])
+        return signature_key(self._route_hasher.signatures(
+            flat, self.policy.signature_bits)[0])
 
     def _shards_for_trace(self, trace: list[Request], pool: np.ndarray,
                           order: np.ndarray) -> np.ndarray:
@@ -378,14 +377,41 @@ class InferenceServer:
         return outputs.reshape(len(payloads), -1)
 
     def _process_shard_batch(self, shard: _Shard, payloads: list) -> list:
-        """One micro-batch through one shard's caches and the model."""
+        """One micro-batch through one shard's caches and the model.
+
+        The batch serves its most common payload shape (a tie goes to
+        the shape that arrived first).  Each other payload touches no
+        cache and gets its own ``ValueError``, naming both shapes, in
+        its result slot, so it fails alone.
+        """
+        arrays = [np.asarray(payload) for payload in payloads]
+        shapes = [array.shape for array in arrays]
+        counts: dict = {}
+        for shape in shapes:
+            counts[shape] = counts.get(shape, 0) + 1
+        if len(counts) == 1:
+            return self._serve_shard_batch(shard, arrays)
+        served = max(counts, key=counts.get)
+        members = [k for k, shape in enumerate(shapes) if shape == served]
+        results: list = [
+            ValueError(f"payload shape {shape} does not match the "
+                       f"batch's payload shape {served}")
+            for shape in shapes]
+        outputs = self._serve_shard_batch(shard,
+                                          [arrays[k] for k in members])
+        for k, output in zip(members, outputs):
+            results[k] = output
+        return results
+
+    def _serve_shard_batch(self, shard: _Shard, arrays: list) -> list:
+        """Equal-shape payloads through one shard's caches and the model."""
         if shard.vector_engine is not None:
             # The model is shared; batches execute one at a time (the
             # asyncio loop / the replay scheduler serialise them), so
             # attaching the owning shard's engine per batch keeps each
             # shard's per-layer caches private.
             self.model.set_engine(shard.vector_engine)
-        stacked = np.stack([np.asarray(p) for p in payloads])
+        stacked = np.array(arrays)
         observing = self.bus is not None
         if observing:
             counters_before = shard.request_counters() \
@@ -412,10 +438,10 @@ class InferenceServer:
         shard.batch_index += 1
         shard.batch_count += 1
         if observing:
-            self._observe_batch(shard, len(payloads), counters_before,
+            self._observe_batch(shard, len(arrays), counters_before,
                                 l2_before)
         tail = self._output_tail or (rows.shape[1],)
-        return [row.reshape(tail) for row in rows]
+        return list(rows.reshape(len(rows), *tail))
 
     # ------------------------------------------------------------------
     # Telemetry emission + window/controller loop (bus-enabled only)

@@ -68,13 +68,25 @@ class SharedL2Cache:
         # SHA-256 of the parameters whose outputs this store holds;
         # None until a server binds (or a persisted store declares) it.
         self.model_fingerprint: str | None = None
-        # Optional telemetry bus (attached by the owning server):
-        # persistence transitions emit events; per-lookup traffic is
-        # reported in batch deltas by the server instead.
+        # Optional telemetry bus (attached by the owning server through
+        # :meth:`attach_bus`): persistence transitions emit events;
+        # per-lookup traffic is reported in batch deltas by the server
+        # instead.
         self.bus = None
+        # The warm load's event payload, held until a bus is attached:
+        # the load runs here, before any server can attach one.
+        self._unreported_load: dict | None = None
         if self.directory is not None \
                 and (self.directory / L2_MANIFEST).exists():
             self._load()
+
+    def attach_bus(self, bus) -> None:
+        """Emit persistence events on ``bus`` from now on, starting
+        with the warm load this store made at construction, if any."""
+        self.bus = bus
+        if self._unreported_load is not None:
+            bus.emit("l2.load", source="l2", **self._unreported_load)
+            self._unreported_load = None
 
     def bind_model(self, fingerprint: str) -> None:
         """Pin the store to one model's parameters.
@@ -164,10 +176,8 @@ class SharedL2Cache:
         for payload, row in zip(arrays["payloads"], arrays["rows"]):
             payload = np.ascontiguousarray(payload, dtype=np.float64)
             self._store[payload.tobytes()] = (payload, row.copy())
-        if self.bus is not None:
-            self.bus.emit("l2.load", source="l2",
-                          entries=len(self._store),
-                          generation=manifest.get("generation"))
+        self._unreported_load = {"entries": len(self._store),
+                                 "generation": manifest.get("generation")}
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"SharedL2Cache(entries={len(self._store)}, "

@@ -20,6 +20,8 @@ Oracle                                        Production function it checks
 (``differential.probe_and_admit_rows``)       persistent probe-and-admit step) over chunked traces
 ``differential.run_serve_differential``       ``SignatureResultCache.serve`` (the dense result store)
                                               against the line-level data phase
+``serving.ReferenceSignatureResultCache``     ``SignatureResultCache.serve`` / ``_probe_and_admit``
+                                              (served bytes, outcomes, counters, snapshots)
 ``engine.per_call_matmul_groups``             ``ReuseEngine.matmul_groups`` and its
 (``engine.per_call_engine``,                  substituted-input ``ReuseSession.ride_groups``
 ``engine.substitute_segments``)

@@ -24,6 +24,7 @@ ORACLE_NAMES = {
     "Reservoir", "col2im_reference", "ReferenceSGD", "ReferenceAdam",
     "EinsumMultiHeadSelfAttention", "PowGELU",
     "LoopUnlimitedSimilarityBound", "PEConfig", "ProcessingElement",
+    "ReferenceSignatureResultCache",
 }
 
 _IMPORT_EVERYTHING = """

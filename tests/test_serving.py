@@ -619,6 +619,30 @@ class TestConsistentHashRing:
         routed = ConsistentHashRing(3).route_many([])
         assert routed.size == 0 and routed.dtype == np.int64
 
+    def test_route_is_the_first_ring_point_at_or_after_the_key(self, rng):
+        # The ring's contract, rebuilt with numpy: SHA-256 label points
+        # searched with ``searchsorted(side="left")``, wrapping past the
+        # last point.
+        import hashlib
+
+        from repro.serving.router import ConsistentHashRing
+        for shards in (2, 3):
+            ring = ConsistentHashRing(shards, replicas=16)
+            labels = sorted(
+                (int.from_bytes(hashlib.sha256(
+                    f"shard:{shard}:replica:{replica}".encode()).digest()[:8],
+                    "big"), shard)
+                for shard in range(shards) for replica in range(16))
+            points = np.array([point for point, _ in labels],
+                              dtype=np.uint64)
+            keys = [rng.bytes(9) for _ in range(300)]
+            keys += [point.to_bytes(8, "big") for point, _ in labels[:4]]
+            for key in keys:
+                point = int.from_bytes(hashlib.sha256(key).digest()[:8],
+                                       "big")
+                index = int(np.searchsorted(points, np.uint64(point)))
+                assert ring.route(key) == labels[index % len(labels)][1]
+
 
 # ----------------------------------------------------------------------
 # Hot-key replication tracking
@@ -725,6 +749,21 @@ class TestSharedL2Cache:
         reloaded = SharedL2Cache(directory=tmp_path / "l2")
         with pytest.raises(ValueError, match="different model"):
             reloaded.bind_model("fingerprint-b")
+
+    def test_warm_load_is_counted_once_a_server_binds_the_bus(
+            self, rng, tmp_path):
+        from repro.obs import Telemetry
+        from repro.serving import SharedL2Cache
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        policy = ServingPolicy(entries=16, ways=16)
+        donor = InferenceServer(model, policy,
+                                l2=SharedL2Cache(directory=tmp_path / "l2"))
+        donor.l2.insert(rng.normal(size=6), rng.normal(size=3))
+        donor.l2.flush()
+        server = InferenceServer(model, policy, telemetry=Telemetry(),
+                                 l2=SharedL2Cache(directory=tmp_path / "l2"))
+        assert len(server.l2) == 1
+        assert "repro_l2_loads_total 1" in server.metrics_text()
 
     def test_server_rejects_l2_without_request_cache(self):
         from repro.serving import SharedL2Cache
@@ -1080,6 +1119,57 @@ class TestInferenceServer:
         np.testing.assert_array_equal(first, oracle[0])
         np.testing.assert_array_equal(last, oracle[1])
         assert server.shards[0].batcher.telemetry.failed == 0
+
+    def test_mixed_shape_payload_fails_alone(self, small_pool):
+        # A (3, 16, 16) request among (3, 24, 24) ones used to fail the
+        # whole micro-batch ("all input arrays must have the same
+        # shape"); now the batch serves its most common shape.
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(
+            model, ServingPolicy(compute="per_request"),
+            BatcherConfig(max_batch_size=8, max_wait_s=0.05))
+        pool = build_request_pool("squeezenet", pool_size=2,
+                                  image_size=24, seed=0)
+        odd = build_request_pool("squeezenet", pool_size=1, image_size=16,
+                                 seed=1)[0]
+
+        async def drive():
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    server.infer(pool[0]), server.infer(odd),
+                    server.infer(pool[1]), return_exceptions=True)
+            finally:
+                await server.stop()
+
+        first, failed, last = asyncio.run(drive())
+        assert isinstance(failed, ValueError)
+        assert "(3, 16, 16)" in str(failed) and "(3, 24, 24)" in str(failed)
+        oracle = server.oracle_outputs(pool)
+        np.testing.assert_array_equal(first, oracle[0])
+        np.testing.assert_array_equal(last, oracle[1])
+        telemetry = server.shards[0].batcher.telemetry
+        assert (telemetry.batches, telemetry.completed,
+                telemetry.failed) == (1, 2, 1)
+        for shard in server.shards:
+            counters = shard.request_cache.counters
+            assert counters.requests == counters.hits + counters.computed
+        assert server.shards[0].request_cache.counters.requests == 2
+
+    def test_shape_tie_serves_the_earliest_shape(self, small_pool):
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy(compute="per_request"))
+        big = build_request_pool("squeezenet", pool_size=1, image_size=16,
+                                 seed=1)[0]
+        payloads = [small_pool[0], big, big.copy(), small_pool[1]]
+        results = server._process_shard_batch(server.shards[0], payloads)
+        assert [isinstance(result, ValueError) for result in results] \
+            == [False, True, True, False]
+        oracle = server.oracle_outputs(small_pool[:2])
+        np.testing.assert_array_equal(results[0], oracle[0])
+        np.testing.assert_array_equal(results[3], oracle[1])
+        counters = server.request_cache.counters
+        assert counters.requests == 2 == counters.hits + counters.computed
 
     def test_invalid_shard_count_rejected(self):
         model = build_model("squeezenet", num_classes=4, seed=3)
