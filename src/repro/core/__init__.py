@@ -3,17 +3,7 @@
 from repro.core.config import MercuryConfig
 from repro.core.rpq import RPQHasher, pack_bits, signature_via_convolution
 from repro.core.signature import SignatureTable
-from repro.core.hitmap import (
-    CODE_TO_STATE,
-    HIT_CODE,
-    Hitmap,
-    HitState,
-    MAU_CODE,
-    MNU_CODE,
-    STATE_TO_CODE,
-    codes_to_states,
-    states_to_codes,
-)
+from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from repro.core.session import ReuseSession
@@ -26,15 +16,9 @@ __all__ = [
     "pack_bits",
     "signature_via_convolution",
     "SignatureTable",
-    "Hitmap",
-    "HitState",
     "HIT_CODE",
     "MAU_CODE",
     "MNU_CODE",
-    "CODE_TO_STATE",
-    "STATE_TO_CODE",
-    "codes_to_states",
-    "states_to_codes",
     "VectorizedMCache",
     "ReuseEngine",
     "ReuseSession",

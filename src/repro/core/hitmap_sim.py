@@ -15,11 +15,13 @@ model in ``tests/oracles``) using numpy group-by operations:
 
 One core serves the plain signature phase and the grouped one
 (:func:`simulate_hitmap_interleaved`, a fresh MCACHE per group): a
-plain batch is the one-group case.  Each row's ``(group, signature,
-row)`` fuses into one int64 key, so one sort groups the batch and
-orders every signature's rows by arrival.  Signatures arrive either as
-a 1-D ``int64`` array or — beyond 62 bits — as the multi-word
-``(n_vectors, n_words)`` ``uint64`` representation
+plain batch is the one-group case.  Both return one
+:class:`HitmapSimulation` over the whole frame (group ``g``'s Hitmap is
+its strided view ``[g::groups]``, which no production caller builds).
+Each row's ``(group, signature, row)`` fuses into one int64 key, so one
+sort groups the batch and orders every signature's rows by arrival.
+Signatures arrive either as a 1-D ``int64`` array or — beyond 62 bits —
+as the multi-word ``(n_vectors, n_words)`` ``uint64`` representation
 (:mod:`repro.core.rpq`); those, and keys too wide for 63 bits, group by
 one lexicographic row sort instead and stay fully vectorised.  Any
 other representation is rejected (:func:`~repro.core.rpq.coerce_packed`).
@@ -27,24 +29,24 @@ other representation is rejected (:func:`~repro.core.rpq.coerce_packed`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, Hitmap, MAU_CODE,
-                               MNU_CODE)
+from repro.core.hitmap import MAU_CODE, MNU_CODE
 from repro.core.rpq import coerce_packed, words_mod
 
 
-@dataclass
+@dataclass(eq=False)
 class HitmapSimulation:
-    """Outcome of the signature phase for one set of vectors.
+    """Outcome of the signature phase for one frame of vectors.
 
     ``states`` carries the dense ``int8`` state codes
     (:data:`~repro.core.hitmap.HIT_CODE` = 0, ``MAU_CODE`` = 1,
-    ``MNU_CODE`` = 2) — no Python enum objects on the hot path; the
-    enum view is :meth:`state_objects` / :meth:`to_hitmap`.
+    ``MNU_CODE`` = 2) and ``representative`` every row's source row in
+    the same frame: a HIT row's MAU row, every other row itself.
+    ``hits``, ``mau``, ``mnu`` and ``unique_signatures`` are totals
+    over the frame.
     """
 
     states: np.ndarray          # int8 codes: HIT=0, MAU=1, MNU=2
@@ -53,93 +55,6 @@ class HitmapSimulation:
     mau: int
     mnu: int
     unique_signatures: int
-
-    def __eq__(self, other):
-        if not isinstance(other, HitmapSimulation):
-            return NotImplemented
-        return (np.array_equal(self.states, other.states)
-                and np.array_equal(self.representative, other.representative)
-                and (self.hits, self.mau, self.mnu, self.unique_signatures)
-                == (other.hits, other.mau, other.mnu,
-                    other.unique_signatures))
-
-    def state_objects(self) -> np.ndarray:
-        """The user-facing enum view: an object array of ``HitState``."""
-        return CODE_TO_STATE[self.states]
-
-    def to_hitmap(self) -> Hitmap:
-        """Materialise a :class:`Hitmap` without per-entry validation cost."""
-        hitmap = Hitmap(len(self.states))
-        hitmap._states = list(CODE_TO_STATE[self.states])
-        hitmap._source = [int(src) if code == HIT_CODE else None
-                          for code, src in zip(self.states.tolist(),
-                                               self.representative.tolist())]
-        return hitmap
-
-
-class GroupedSimulation(Sequence):
-    """The per-group Hitmaps of one grouped signature phase, in the
-    interleaved frame.
-
-    Row ``n * groups + g`` of the frame is vector ``n`` of group ``g``:
-    the row order of a convolution's ``(vectors * channels, k * k)``
-    segment view, where group ``g`` is input channel ``g``.  ``states``
-    holds every row's code and ``representative`` every row's source
-    row in the same frame (a HIT row's MAU row of its own group, every
-    other row itself); ``hits``, ``mau``, ``mnu`` and
-    ``unique_signatures`` are totals over all groups, so whole-stack
-    callers never walk the groups.
-
-    A sequence of :class:`HitmapSimulation`, one per group: group
-    ``g``'s is the strided view ``states[g::groups]`` with local
-    representatives ``representative[g::groups] // groups``, built when
-    first indexed (the reuse engine reads only the last one).
-    ``unique_groups`` names the group of each unique signature.
-    Indexing (negative indices and slices too), ``len``, iteration and
-    ``==`` against a list behave as on a list.
-    """
-
-    def __init__(self, groups: int, *, states: np.ndarray,
-                 representative: np.ndarray, hits: int, mau: int, mnu: int,
-                 unique_groups: np.ndarray):
-        self._views: list[HitmapSimulation | None] = [None] * groups
-        self.states = states
-        self.representative = representative
-        self.hits = hits
-        self.mau = mau
-        self.mnu = mnu
-        self.unique_signatures = len(unique_groups)
-        self._unique_groups = unique_groups
-
-    def _view(self, group: int) -> HitmapSimulation:
-        groups = len(self._views)
-        states = self.states[group::groups]
-        hits, mau, mnu = np.bincount(states, minlength=3).tolist()
-        return HitmapSimulation(
-            states=states,
-            representative=self.representative[group::groups] // groups,
-            hits=hits, mau=mau, mnu=mnu, unique_signatures=int(
-                np.count_nonzero(self._unique_groups == group)))
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[group]
-                    for group in range(*index.indices(len(self)))]
-        view = self._views[index]
-        if view is None:
-            group = range(len(self))[index]
-            view = self._views[group] = self._view(group)
-        return view
-
-    def __eq__(self, other):
-        if isinstance(other, (list, GroupedSimulation)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
@@ -184,18 +99,14 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
     The one-group case of the shared core behind
     :func:`simulate_hitmap_interleaved`.
     """
-    codes, representative, hits, mau, mnu, unique_groups = _classify(
-        signatures, 1, num_sets, ways, None)
-    return HitmapSimulation(states=codes, representative=representative,
-                            hits=hits, mau=mau, mnu=mnu,
-                            unique_signatures=len(unique_groups))
+    return _classify(signatures, 1, num_sets, ways, None)
 
 
 def simulate_hitmap_interleaved(signatures, groups: int, num_sets: int,
                                 ways: int,
                                 signature_bits: int | None = None
-                                ) -> GroupedSimulation:
-    """Per-group Hitmaps for ``groups`` interleaved signature batches.
+                                ) -> HitmapSimulation:
+    """The Hitmap of ``groups`` interleaved signature batches.
 
     Row ``n * groups + g`` of ``signatures`` (1-D int64 or the
     multi-word 2-D form) is the ``n``-th signature of group ``g``.
@@ -210,16 +121,16 @@ def simulate_hitmap_interleaved(signatures, groups: int, num_sets: int,
     ``signature_bits``, when the caller knows every signature fits that
     many bits, is the fused key's signature width (a batch that does
     not fit it takes the lexicographic sort); without it the width is
-    read off the batch.  The result is a
-    :class:`GroupedSimulation` in the interleaved frame.
+    read off the batch.
+
+    The result is one :class:`HitmapSimulation` in the interleaved
+    frame: group ``g``'s Hitmap is the strided view ``states[g::groups]``,
+    and a HIT row's representative is a row of its own group.  The
+    counts are totals over all groups.
     """
     if groups < 1:
         raise ValueError("groups must be positive")
-    codes, representative, hits, mau, mnu, unique_groups = _classify(
-        signatures, groups, num_sets, ways, signature_bits)
-    return GroupedSimulation(groups, states=codes,
-                             representative=representative, hits=hits,
-                             mau=mau, mnu=mnu, unique_groups=unique_groups)
+    return _classify(signatures, groups, num_sets, ways, signature_bits)
 
 
 def _group_by(signatures: np.ndarray, groups: int, num_sets: int,
@@ -290,11 +201,7 @@ def _sets_of(unique_values: np.ndarray, num_sets: int) -> np.ndarray:
 
 def _classify(signatures, groups: int, num_sets: int, ways: int,
               signature_bits: int | None):
-    """The shared signature-phase core over an interleaved frame.
-
-    Returns ``(codes, representative, hits, mau, mnu, unique_groups)``
-    over the frame's rows.
-    """
+    """The shared signature-phase core over an interleaved frame."""
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
     signatures = coerce_packed(signatures)
@@ -303,8 +210,9 @@ def _classify(signatures, groups: int, num_sets: int, ways: int,
         raise ValueError(f"{num_rows} signatures do not split into "
                          f"{groups} groups")
     if num_rows == 0:
-        return (np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64),
-                0, 0, 0, np.empty(0, dtype=np.int64))
+        return HitmapSimulation(states=np.empty(0, dtype=np.int8),
+                                representative=np.empty(0, dtype=np.int64),
+                                hits=0, mau=0, mnu=0, unique_signatures=0)
     order, starts, unique_groups, local_sets = _group_by(
         signatures, groups, num_sets, signature_bits)
 
@@ -347,5 +255,6 @@ def _classify(signatures, groups: int, num_sets: int, ways: int,
 
     mau = len(starts) - rejected_uniques
     mnu = len(rejected_rows)
-    return (codes, representative, num_rows - mau - mnu, mau, mnu,
-            unique_groups)
+    return HitmapSimulation(states=codes, representative=representative,
+                            hits=num_rows - mau - mnu, mau=mau, mnu=mnu,
+                            unique_signatures=len(starts))

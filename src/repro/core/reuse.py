@@ -6,13 +6,17 @@ which
 
 1. computes (or reloads) RPQ signatures for the incoming vectors,
 2. probes a freshly-cleared MCACHE with each signature to build the
-   Hitmap (HIT / MAU / MNU),
+   Hitmap (HIT / MAU / MNU) — one
+   :class:`~repro.core.hitmap_sim.HitmapSimulation` per call, used by
+   the next step and then dropped,
 3. executes the dot products of MAU and MNU vectors exactly and gives
    each HIT vector its representative's dot products: the product runs
    once, as one GEMM of the engine-less shape, over the vectors with
    every HIT vector replaced by its representative, and
-4. records per-layer statistics that the accelerator cycle model and the
-   adaptation policies consume.
+4. records the call's HIT/MAU/MNU counts and shapes in
+   :class:`~repro.core.stats.ReuseStats`, the run's one reuse ledger,
+   which the accelerator cycle model and the adaptation policies
+   consume.
 
 This mirrors the paper's split: the functional effect of MERCURY (which
 results are reused, and therefore how training accuracy is affected) is
@@ -26,7 +30,6 @@ import numpy as np
 
 from repro.core.adaptation import SignatureLengthScheduler, SimilarityStoppage
 from repro.core.config import MercuryConfig
-from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.rpq import RPQHasher
 from repro.core.session import ReuseSession
 from repro.core.signature import SignatureTable
@@ -82,14 +85,10 @@ class ReuseEngine:
         self.iterations = 0
         # The signature phase and cache ride: every layer call sees a
         # freshly-cleared MCACHE, matching the hardware's per-channel
-        # flush.  ``session.stats`` accumulates the MCACHE access
-        # counters of the whole run (Figure 15a).
+        # flush.  ``stats`` is the run's one HIT/MAU/MNU ledger
+        # (Figure 15a).
         self.session = ReuseSession(self.config.mcache_entries,
                                     self.config.mcache_ways)
-        # Last Hitmap simulation per (layer, phase), exposed for tests
-        # and for the accelerator simulator (call ``.to_hitmap()`` for a
-        # full Hitmap object).
-        self.last_simulations: dict[tuple[str, str], HitmapSimulation] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -145,9 +144,7 @@ class ReuseEngine:
 
         if phase == "forward":
             self.signature_table.store(layer, vector_length,
-                                       self.signature_bits, signatures,
-                                       simulation)
-        self.last_simulations[(layer, phase)] = simulation
+                                       self.signature_bits, signatures)
 
         self._record(layer, phase, vectors=num_vectors,
                      hits=simulation.hits, mau=simulation.mau,
@@ -168,8 +165,8 @@ class ReuseEngine:
         ``length``-wide segment per input channel.  Every group gets
         its own signature phase on a fresh MCACHE — signatures never
         match, and never steal ways, across groups — with the
-        statistics, MCACHE counters, clears and signature-table state
-        of one forward :meth:`matmul` call per group.  The product is
+        statistics, clears and signature-table state of one forward
+        :meth:`matmul` call per group.  The product is
         one GEMM of the engine-less shape over the rows with every HIT
         segment replaced by its representative's
         (:meth:`ReuseSession.ride_groups`).  The work is constant
@@ -209,22 +206,19 @@ class ReuseEngine:
         # the interleaved frame that classification and ride share.
         signatures = self.hasher.signatures(
             vectors.reshape(rows, vector_length), self.signature_bits)
-        simulations = self.session.classify_groups(signatures, groups,
-                                                   self.signature_bits)
-        result = ReuseSession.ride_groups(vectors, weights, simulations)
+        simulation = self.session.classify_groups(signatures, groups,
+                                                  self.signature_bits)
+        result = ReuseSession.ride_groups(vectors, weights, simulation)
 
-        # One call per group would overwrite the table record and the
-        # last simulation group by group; only the last group's
-        # survives.
+        # One call per group would overwrite the table record group by
+        # group; only the last group's survives.
         self.signature_table.store(layer, vector_length,
                                    self.signature_bits,
-                                   signatures[groups - 1::groups],
-                                   simulations[-1])
-        self.last_simulations[(layer, "forward")] = simulations[-1]
-        self._record(layer, "forward", vectors=rows, hits=simulations.hits,
-                     mau=simulations.mau, mnu=simulations.mnu,
+                                   signatures[groups - 1::groups])
+        self._record(layer, "forward", vectors=rows, hits=simulation.hits,
+                     mau=simulation.mau, mnu=simulation.mnu,
                      vector_length=vector_length, num_filters=num_filters,
-                     unique=simulations.unique_signatures,
+                     unique=simulation.unique_signatures,
                      detection_on=True, calls=groups)
         return result
 

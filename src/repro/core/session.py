@@ -6,10 +6,12 @@ call's vectors and multiplying them.  Every :meth:`~ReuseSession.classify`
 call sees a freshly-cleared MCACHE, so similarity is exploited only
 *within* one batch, as the hardware flushes the MCACHE per layer
 (§III-B3).  The session therefore keeps no cache state: classification
-is the stateless group-by of :mod:`repro.core.hitmap_sim`, the ride is
-one GEMM over the batch with every HIT row's input replaced by its
-representative's, and only the run's access counters
-(:class:`MCacheStats`, Figure 15a) and its count of flushes accumulate.
+is the stateless group-by of :mod:`repro.core.hitmap_sim`, returning
+one :class:`~repro.core.hitmap_sim.HitmapSimulation` per call, and the
+ride is one GEMM over the batch with every HIT row's input replaced by
+its representative's.  Only the run's count of flushes accumulates; the
+HIT/MAU/MNU counts of each call go to the engine's one ledger,
+:class:`~repro.core.stats.ReuseStats` (Figure 15a).
 
 Serving's persistent, evicting, snapshotting store is a separate
 extension, :class:`repro.serving.cache.SignatureResultCache`; the two
@@ -18,31 +20,10 @@ share the MCACHE geometry rules and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.hitmap_sim import (GroupedSimulation, HitmapSimulation,
-                                   simulate_hitmap,
+from repro.core.hitmap_sim import (HitmapSimulation, simulate_hitmap,
                                    simulate_hitmap_interleaved)
-
-
-@dataclass
-class MCacheStats:
-    """Access counters for characterisation (Figure 15a)."""
-
-    hits: int = 0
-    mau: int = 0
-    mnu: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.mau + self.mnu
-
-    def as_fractions(self) -> dict:
-        total = max(self.accesses, 1)
-        return {"HIT": self.hits / total, "MAU": self.mau / total,
-                "MNU": self.mnu / total}
 
 
 class ReuseSession:
@@ -60,7 +41,6 @@ class ReuseSession:
             raise ValueError("entries must be divisible by ways")
         self.ways = ways
         self.num_sets = entries // ways
-        self.stats = MCacheStats()
         # Lifetime count of MCACHE flushes: one per classified batch
         # (one per group of a grouped classification).
         self.clears = 0
@@ -71,16 +51,17 @@ class ReuseSession:
         The batch sees a freshly-cleared MCACHE, so the classification
         is the stateless group-by
         (:func:`~repro.core.hitmap_sim.simulate_hitmap`): no tag writes
-        and no entry ids, only the access counters accumulate.
+        and no entry ids, only the count of flushes accumulates.
         """
         simulation = simulate_hitmap(signatures, num_sets=self.num_sets,
                                      ways=self.ways)
-        self._count_flash(simulation, clears=1)
+        self.clears += 1
         return simulation
 
     def classify_groups(self, signatures, groups: int,
-                        signature_bits: int) -> GroupedSimulation:
-        """One Hitmap per group, bit-identical to :meth:`classify` per group.
+                        signature_bits: int) -> HitmapSimulation:
+        """The Hitmap of ``groups`` interleaved batches, each group's
+        strided view bit-identical to :meth:`classify` on its rows.
 
         ``signatures`` holds ``groups`` interleaved batches — int64 or
         multi-word rows, row ``n * groups + g`` the ``n``-th signature of
@@ -88,22 +69,16 @@ class ReuseSession:
         so no copy puts them group-major.  All groups go through one
         pass of the shared signature-phase core
         (:func:`~repro.core.hitmap_sim.simulate_hitmap_interleaved`),
-        which :meth:`classify` runs as its one-group case.  Each group
-        sees a fresh MCACHE: signatures never match, and never steal
-        ways, across groups, and each counts as one clear.
+        which :meth:`classify` runs as its one-group case, into one
+        Hitmap over the interleaved frame.  Each group sees a fresh
+        MCACHE: signatures never match, and never steal ways, across
+        groups, and each counts as one clear.
         """
-        simulations = simulate_hitmap_interleaved(
+        simulation = simulate_hitmap_interleaved(
             signatures, groups, num_sets=self.num_sets, ways=self.ways,
             signature_bits=signature_bits)
-        self._count_flash(simulations, clears=groups)
-        return simulations
-
-    def _count_flash(self, simulation, clears: int) -> None:
-        """Record ``clears`` fresh-cache replays in the access counters."""
-        self.clears += clears
-        self.stats.hits += simulation.hits
-        self.stats.mau += simulation.mau
-        self.stats.mnu += simulation.mnu
+        self.clears += groups
+        return simulation
 
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
@@ -126,11 +101,11 @@ class ReuseSession:
 
     @staticmethod
     def ride_groups(vectors: np.ndarray, weights: np.ndarray,
-                    simulations: GroupedSimulation) -> np.ndarray:
+                    simulation: HitmapSimulation) -> np.ndarray:
         """The cache ride of ``(vectors, groups * length)`` rows whose
         ``length``-wide segments were classified group by group.
 
-        ``simulations`` is the interleaved frame of
+        ``simulation`` is the interleaved frame of
         :meth:`classify_groups`: its row ``n * groups + g`` is the
         ``g``-th segment of row ``n``, which is row ``n * groups + g``
         of the ``(vectors * groups, length)`` segment view too.  So one
@@ -141,8 +116,8 @@ class ReuseSession:
         runs.  As in :meth:`ride`, a row none of whose segments hits
         equals the engine-less product's row bit for bit.
         """
-        if not simulations.hits:
+        if not simulation.hits:
             return vectors @ weights
-        segments = vectors.reshape(len(simulations.representative), -1)
-        return segments.take(simulations.representative, axis=0).reshape(
+        segments = vectors.reshape(len(simulation.representative), -1)
+        return segments.take(simulation.representative, axis=0).reshape(
             vectors.shape) @ weights

@@ -3,9 +3,11 @@
 The Signature Table stores one signature per extracted input vector,
 indexed by the vector's position, so the dot-product phase can find the
 signature of the vector it is about to process (§III-B3).  MERCURY also
-*saves* the signatures (and the Hitmap) produced during the forward
-propagation of a layer so that the backward propagation of the previous
-layer can reuse them when the filter dimensions match (§III-C2).
+*saves* the signatures produced during the forward propagation of a
+layer so that the backward propagation of the previous layer can reuse
+them when the filter dimensions match (§III-C2).  The backward call
+classifies the reloaded signatures afresh, so the table keeps no
+Hitmap.
 """
 
 from __future__ import annotations
@@ -14,20 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 @dataclass
 class SignatureRecord:
-    """Signatures + Hitmap of one layer's set of input vectors.
-
-    ``hitmap`` holds whichever Hitmap representation the producer used —
-    a full :class:`~repro.core.hitmap.Hitmap` or the vectorised
-    :class:`~repro.core.hitmap_sim.HitmapSimulation`.
-    """
+    """The signatures of one layer's set of input vectors."""
 
     layer: str
     vector_length: int
     signature_bits: int
     signatures: np.ndarray
-    hitmap: object
 
     @property
     def num_vectors(self) -> int:
@@ -41,12 +38,11 @@ class SignatureTable:
         self._records: dict[str, SignatureRecord] = {}
 
     def store(self, layer: str, vector_length: int, signature_bits: int,
-              signatures: np.ndarray, hitmap: object = None) -> SignatureRecord:
-        """Save the signatures and Hitmap computed for ``layer``."""
+              signatures: np.ndarray) -> SignatureRecord:
+        """Save the signatures computed for ``layer``."""
         record = SignatureRecord(layer=layer, vector_length=vector_length,
                                  signature_bits=signature_bits,
-                                 signatures=np.asarray(signatures),
-                                 hitmap=hitmap)
+                                 signatures=np.asarray(signatures))
         self._records[layer] = record
         return record
 

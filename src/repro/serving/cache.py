@@ -212,9 +212,20 @@ class SignatureResultCache:
                 self._store_payloads = np.empty((capacity, payload_width),
                                                 dtype=np.float64)
             return
-        if self._store_rows.shape[1] != row_width or (
-                payload_width is not None
-                and self._store_payloads.shape[1] != payload_width):
+        self._check_widths(payload_width, row_width)
+
+    def _check_widths(self, payload_width: int | None,
+                      row_width: int | None = None) -> None:
+        """Refuse a payload or result width other than the store's.
+
+        :meth:`serve` and :meth:`admit_external` call it first, so a
+        refused call moves no counter and leaves no line behind.
+        """
+        rows, payloads = self._store_rows, self._store_payloads
+        if (row_width is not None and rows is not None
+                and rows.shape[1] != row_width) or (
+                payload_width is not None and payloads is not None
+                and payloads.shape[1] != payload_width):
             raise ValueError("result width changed mid-stream; one "
                              "cache serves one stream of equal-length "
                              "vectors")
@@ -409,6 +420,7 @@ class SignatureResultCache:
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("serve expects 2D (rows, features) vectors")
+        self._check_widths(vectors.shape[1])
         num_rows = len(vectors)
         counters = self.counters
         counters.requests += num_rows
@@ -571,7 +583,8 @@ class SignatureResultCache:
         moves.
         """
         vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        row = np.asarray(row, dtype=np.float64)
+        row = np.asarray(row, dtype=np.float64).reshape(1, -1)
+        self._check_widths(vector.shape[1], row.shape[1])
         signatures = self.hasher.signatures(vector,
                                             self.policy.signature_bits)
         only = np.zeros(1, dtype=np.int64)
@@ -582,7 +595,7 @@ class SignatureResultCache:
             return False
         entry = int(entry_ids[0])
         self._grow_entry_batches(batch_index)
-        self._store_write(np.array([entry]), row.reshape(1, -1),
+        self._store_write(np.array([entry]), row,
                           vector if self.policy.exact_check else None)
         self._entry_batch[entry] = batch_index
         self.counters.replicated += 1

@@ -76,7 +76,9 @@ SNAPSHOT_FORMAT = "repro-serving-snapshot"
 # per-layer reuse statistics ride along, so a restored server reports
 # the same ``layer_stats`` as its donor.
 # Version 4: cache state version 3, without the ``mcache_stats`` meta.
-SNAPSHOT_VERSION = 4
+# Version 5: the model's unflattened output shape rides along, so hits
+# served before a restored server's first compute keep that shape.
+SNAPSHOT_VERSION = 5
 SNAPSHOT_MANIFEST = "manifest.json"
 # Largest ``POST /infer`` body the HTTP front end reads; a longer
 # claimed ``Content-Length`` gets a 413 before any of the body is read.
@@ -916,6 +918,8 @@ class InferenceServer:
                                     for shard in self.shards],
             "shard_batch_counts": [shard.batch_count
                                    for shard in self.shards],
+            "output_tail": None if self._output_tail is None
+            else list(self._output_tail),
             "layer_stats": [[asdict(record) for record
                              in shard.vector_engine.stats.all_records()]
                             if shard.vector_engine is not None else []
@@ -934,10 +938,11 @@ class InferenceServer:
         Validates the manifest (format, version, shard count and the
         full serving-policy fingerprint must match) and rebuilds every
         cache into the donor's exact state — placements, stored data,
-        TTL ages, counters and per-layer statistics — so subsequent
-        traffic sees the donor's hit behaviour.  Returns the manifest.
-        All or nothing: every record loads into a fresh cache, and the
-        fresh caches go live only once all have loaded.
+        TTL ages, counters, per-layer statistics and the model's output
+        shape — so subsequent traffic sees the donor's hit behaviour.
+        Returns the manifest.  All or nothing: every record loads into a
+        fresh cache, and the fresh caches go live only once all have
+        loaded.
         """
         manifest, arrays = read(path, SNAPSHOT_MANIFEST, SNAPSHOT_FORMAT,
                                 SNAPSHOT_VERSION)
@@ -980,6 +985,8 @@ class InferenceServer:
             else:
                 shard.vector_engine.install_cache(
                     record["layer"], int(record["vector_length"]), cache)
+        if manifest["output_tail"] is not None:
+            self._output_tail = tuple(manifest["output_tail"])
         for shard, batch_index, batch_count, stats in zip(
                 self.shards, manifest["shard_batch_indices"],
                 manifest["shard_batch_counts"], layer_stats):

@@ -33,15 +33,37 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def capture_grouped(engine) -> list:
-    """Record every grouped Hitmap ``engine`` classifies, in order."""
+def assert_simulations_equal(got, want) -> None:
+    """Two ``HitmapSimulation`` results hold the same arrays and counts."""
+    np.testing.assert_array_equal(got.states, want.states)
+    np.testing.assert_array_equal(got.representative, want.representative)
+    assert (got.hits, got.mau, got.mnu, got.unique_signatures) == \
+        (want.hits, want.mau, want.mnu, want.unique_signatures)
+
+
+def capture_classified(engine) -> list:
+    """Record every Hitmap ``engine``'s signature phase returns, in
+    order, as ``(groups, simulation)`` pairs.
+
+    A plain ``session.classify`` call records ``groups == 1``; a
+    ``session.classify_groups`` call records its group count and the
+    one interleaved frame (``tests.oracles.hitmap.group_states`` and
+    ``group_representative`` give each group's view).
+    """
     captured = []
-    classify_groups = engine.session.classify_groups
+    session = engine.session
+    classify, classify_groups = session.classify, session.classify_groups
 
-    def capturing(signatures, groups, signature_bits):
-        simulations = classify_groups(signatures, groups, signature_bits)
-        captured.append(simulations)
-        return simulations
+    def capturing(signatures):
+        simulation = classify(signatures)
+        captured.append((1, simulation))
+        return simulation
 
-    engine.session.classify_groups = capturing
+    def capturing_groups(signatures, groups, signature_bits):
+        simulation = classify_groups(signatures, groups, signature_bits)
+        captured.append((groups, simulation))
+        return simulation
+
+    session.classify = capturing
+    session.classify_groups = capturing_groups
     return captured

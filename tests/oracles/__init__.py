@@ -6,14 +6,21 @@ through both and require bit-identical results.  Two are tolerance
 oracles: the sampled reservoir agrees with the exact stream within
 tolerance, and the transformer kernels sum and round differently from
 their einsum and ``pow`` twins by design, so they agree within 1e-12.
-Production code never imports this package
+Production code never imports this package, and the public
+``repro`` namespaces export none of :data:`ORACLE_NAMES`
 (``tests/test_oracle_boundary.py`` checks).
 
 ============================================  =======================================================
 Oracle                                        Production function it checks
 ============================================  =======================================================
-``mcache.MCache`` (+ ``CacheLine``)           ``repro.core.mcache_vec.VectorizedMCache``
-                                              (``probe_batch``, ``insert``), via ``run_differential``
+``mcache.MCache`` (+ ``CacheLine``,          ``repro.core.mcache_vec.VectorizedMCache``
+``MCacheStats``, its own counters)            (``probe_batch``, ``insert``), via ``run_differential``
+``hitmap.HitState`` / ``hitmap.Hitmap``       ``HitmapSimulation.states`` (the dense int8 codes of
+(``CODE_TO_STATE``, ``STATE_TO_CODE``,        ``repro.core.hitmap``): the enum view the line-level
+``codes_to_states``, ``states_to_codes``)     ``MCache`` speaks
+``hitmap.group_states`` /                     ``simulate_hitmap_interleaved`` /
+``group_representative`` / ``group_views``    ``ReuseSession.classify_groups``: group ``g`` of the
+                                              interleaved frame, ``[g::groups]``
 ``differential.scalar_reference_simulation``  ``ReuseSession.classify`` / ``classify_groups``,
                                               ``hitmap_sim.simulate_hitmap(_interleaved)``
 ``differential.run_differential``             ``SignatureResultCache._probe_and_admit`` (the one
@@ -44,3 +51,19 @@ Oracle                                        Production function it checks
                                               timing (fully pipelined MAC, ORg saved cycle)
 ============================================  =======================================================
 """
+
+#: Every public name the oracles define; none may appear in a public
+#: ``repro`` namespace.
+ORACLE_NAMES = frozenset({
+    "MCache", "CacheLine", "MCacheStats", "DifferentialReport",
+    "run_differential", "run_serve_differential", "probe_and_admit_rows",
+    "scalar_reference_simulation", "im2col_reference", "ReferenceLRU",
+    "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
+    "signatures_to_ints", "per_call_matmul_groups", "substitute_segments",
+    "Reservoir", "col2im_reference", "ReferenceSGD", "ReferenceAdam",
+    "EinsumMultiHeadSelfAttention", "PowGELU",
+    "LoopUnlimitedSimilarityBound", "PEConfig", "ProcessingElement",
+    "ReferenceSignatureResultCache", "HitState", "Hitmap",
+    "CODE_TO_STATE", "STATE_TO_CODE", "codes_to_states", "states_to_codes",
+    "group_states", "group_representative", "group_views",
+})

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, HitState, MAU_CODE,
-                               STATE_TO_CODE)
+from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.rpq import unique_signatures
 from repro.serving.cache import SignatureResultCache
 from repro.serving.engine import ServingPolicy
+from tests.oracles.hitmap import CODE_TO_STATE, STATE_TO_CODE, HitState
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import signatures_to_ints
 

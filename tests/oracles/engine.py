@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MercuryConfig
-from repro.core.hitmap_sim import GroupedSimulation
+from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.reuse import ReuseEngine
 from tests.oracles.differential import scalar_reference_simulation
 
@@ -60,8 +60,7 @@ def per_call_matmul_groups(engine: ReuseEngine, vectors, weights, *,
         simulation = engine.session.classify(signatures)
         representatives.append(simulation.representative)
         engine.signature_table.store(layer, length, engine.signature_bits,
-                                     signatures, simulation)
-        engine.last_simulations[(layer, "forward")] = simulation
+                                     signatures)
         engine._record(layer, "forward", vectors=num_vectors,
                        hits=simulation.hits, mau=simulation.mau,
                        mnu=simulation.mnu, vector_length=length,
@@ -102,15 +101,13 @@ def scalar_engine(config: MercuryConfig) -> ReuseEngine:
             states[group::groups] = simulation.states
             representative[group::groups] = \
                 simulation.representative * groups + group
-        return GroupedSimulation(
-            groups, states=states, representative=representative,
+        return HitmapSimulation(
+            states=states, representative=representative,
             hits=sum(simulation.hits for simulation in simulations),
             mau=sum(simulation.mau for simulation in simulations),
             mnu=sum(simulation.mnu for simulation in simulations),
-            unique_groups=np.repeat(
-                np.arange(groups),
-                [simulation.unique_signatures
-                 for simulation in simulations]))
+            unique_signatures=sum(simulation.unique_signatures
+                                  for simulation in simulations))
 
     engine.session.classify = classify
     engine.session.classify_groups = classify_groups

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.hitmap import HitState
-from repro.core.session import MCacheStats
+from tests.oracles.hitmap import HitState
 
 
 @dataclass
@@ -42,11 +41,24 @@ class CacheLine:
 
 
 @dataclass
-class ScalarMCacheStats(MCacheStats):
-    """Production counters plus the data-phase reads and writes."""
+class MCacheStats:
+    """The line-level cache's own access counters: the signature
+    phase's HIT/MAU/MNU probes and the data phase's reads and writes."""
 
+    hits: int = 0
+    mau: int = 0
+    mnu: int = 0
     data_reads: int = 0
     data_writes: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.mau + self.mnu
+
+    def as_fractions(self) -> dict:
+        total = max(self.accesses, 1)
+        return {"HIT": self.hits / total, "MAU": self.mau / total,
+                "MNU": self.mnu / total}
 
 
 class MCache:
@@ -77,7 +89,7 @@ class MCache:
                       for _ in range(self.num_sets)]
         # entry_id -> (set index, way index) for id-based access (§V).
         self._id_index: dict[int, tuple[int, int]] = {}
-        self.stats = ScalarMCacheStats()
+        self.stats = MCacheStats()
 
     def _new_line(self) -> CacheLine:
         return CacheLine(valid_data=[False] * self.versions,

@@ -7,9 +7,9 @@ one core in ``repro.core.hitmap_sim``.  Row ``n * groups + g`` of the
 frame is the ``n``-th signature of group ``g``, and every group sees its
 own fresh MCACHE.  Each group of the result must equal the line-level
 MCACHE replay of that group's rows (``scalar_reference_simulation``):
-states, representatives, HIT / MAU / MNU and unique counts, every
-per-group view, the frame arrays, and the session's MCACHE counters and
-clears.
+each group's strided view of the frame's states and representatives,
+the frame's HIT / MAU / MNU and unique totals, the plain core on each
+group's rows, and the session's result and clears.
 
 Signatures come from a small pool packed into one or two cache sets, so
 sets overfill and the admission order (first arrival, not signature
@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_interleaved
 from repro.core.session import ReuseSession
+from tests.helpers import assert_simulations_equal
 from tests.oracles.differential import scalar_reference_simulation
+from tests.oracles.hitmap import group_representative, group_states
 from tests.oracles.signatures import ints_to_words
 
 MULTIWORD_BITS = 70
@@ -49,13 +51,6 @@ def _frame(seed: int, groups: int, rows: int, num_sets: int, bits: int,
     if bits > 62:
         return ints_to_words(np.array(draws, dtype=object), num_words=2)
     return np.array(draws, dtype=np.int64)
-
-
-def _assert_matches(got, want):
-    np.testing.assert_array_equal(got.states, want.states)
-    np.testing.assert_array_equal(got.representative, want.representative)
-    assert (got.hits, got.mau, got.mnu, got.unique_signatures) == \
-        (want.hits, want.mau, want.mnu, want.unique_signatures)
 
 
 @given(groups=st.integers(1, 70), rows=st.integers(0, 300),
@@ -84,51 +79,32 @@ def test_interleaved_groups_match_the_line_level_replay(
                                          num_sets, ways)
              for group in range(groups)]
 
-    assert len(grouped) == groups
-    # Index the last group first, as the reuse engine does.
-    for group in [groups - 1] + list(range(groups)):
+    assert len(grouped.states) == len(grouped.representative) == \
+        groups * rows
+    for group in range(groups):
         want = wants[group]
-        _assert_matches(grouped[group], want)
-        np.testing.assert_array_equal(grouped.states[group::groups],
-                                      want.states)
+        np.testing.assert_array_equal(
+            group_states(grouped, groups, group), want.states)
+        np.testing.assert_array_equal(
+            group_representative(grouped, groups, group),
+            want.representative)
         np.testing.assert_array_equal(
             grouped.representative[group::groups],
             want.representative * groups + group)
         # The plain core on the group's rows alone.
-        _assert_matches(simulate_hitmap(signatures[group::groups],
-                                        num_sets, ways), want)
+        assert_simulations_equal(
+            simulate_hitmap(signatures[group::groups], num_sets, ways), want)
     totals = tuple(sum(getattr(want, field) for want in wants)
                    for field in ("hits", "mau", "mnu", "unique_signatures"))
     assert (grouped.hits, grouped.mau, grouped.mnu,
             grouped.unique_signatures) == totals
-    assert list(grouped) == grouped[:] == [grouped[g] for g in range(groups)]
 
-    # Through the session: counters accumulate, one clear per group.
+    # Through the session: the same frame, one clear per group.
     session = ReuseSession(num_sets * ways, ways)
     assert session.num_sets == num_sets
-    classified = session.classify_groups(signatures, groups, bits)
-    for got, want in zip(classified, wants, strict=True):
-        _assert_matches(got, want)
-    stats = session.stats
-    assert (stats.hits, stats.mau, stats.mnu) == totals[:3]
+    assert_simulations_equal(
+        session.classify_groups(signatures, groups, bits), grouped)
     assert session.clears == groups
     if groups == 1:
-        _assert_matches(session.classify(signatures), wants[0])
+        assert_simulations_equal(session.classify(signatures), wants[0])
         assert session.clears == 2
-        assert (stats.hits, stats.mau, stats.mnu) == \
-            tuple(2 * total for total in totals[:3])
-
-
-def test_simulations_compare_by_value():
-    """``==`` compares Hitmaps by their arrays and counts, not identity."""
-    signatures = _frame(seed=5, groups=3, rows=40, num_sets=3, bits=12,
-                        pool_size=12)
-    grouped = simulate_hitmap_interleaved(signatures, 3, 3, 2)
-    wants = [scalar_reference_simulation(signatures[group::3], 3, 2)
-             for group in range(3)]
-    assert grouped == wants
-    assert simulate_hitmap(signatures, 3, 2) == \
-        simulate_hitmap(signatures, 3, 2)
-    other = simulate_hitmap(signatures[:-1], 3, 2)
-    assert other != simulate_hitmap(signatures, 3, 2)
-    assert grouped != wants[::-1]

@@ -1,9 +1,9 @@
 """Dense int8 Hitmap state codes: bit-identity against the enum oracle.
 
 The classification and serving hot paths carry dense ``int8`` state
-codes; the ``HitState`` enum survives only as the user-facing view
-(``HitmapSimulation.state_objects()`` / ``.to_hitmap()``) and inside the
-line-level ``MCache``/``Hitmap`` oracle.  These suites pin the coded
+codes; the ``HitState`` enum lives only in the oracles
+(``tests/oracles/hitmap.py``), the vocabulary of the line-level
+``MCache``/``Hitmap`` oracle.  These suites pin the coded
 representation to that oracle:
 
 * classification codes (session and stateless group-by) equal an
@@ -41,6 +41,8 @@ from repro.nn.layers.conv import Conv2D
 from repro.serving.cache import SignatureResultCache
 from repro.serving.engine import ServingPolicy
 from tests.oracles.engine import per_call_engine, substitute_segments
+from tests.oracles.hitmap import (Hitmap, codes_to_states,
+                                  group_representative, group_states)
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import ints_to_words, words_to_ints
 
@@ -80,8 +82,9 @@ class TestCodedClassification:
             sim = classify(trace)
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
-            # The enum view survives as a derived representation.
-            assert [s.code for s in sim.state_objects()] == expected
+            # The oracles' enum view round-trips the codes.
+            assert [s.code for s in codes_to_states(sim.states)] == \
+                expected
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 150), st.integers(1, 25))
     @settings(max_examples=15, deadline=None)
@@ -104,7 +107,7 @@ class TestCodedClassification:
                               ways=1)
         assert (HIT_CODE, MAU_CODE, MNU_CODE) == (0, 1, 2)
         assert list(sim.states) == [MAU_CODE, HIT_CODE, MNU_CODE]
-        hitmap = sim.to_hitmap()
+        hitmap = Hitmap.from_simulation(sim)
         assert [hitmap.get(i).code for i in range(len(hitmap))] \
             == list(sim.states)
 
@@ -208,23 +211,21 @@ class TestGroupedAdmission:
         grouped = simulate_hitmap_interleaved(
             _interleave(traces), len(traces), num_sets=num_sets,
             ways=ways, signature_bits=8)
+        groups = len(traces)
         expected = [simulate_hitmap(trace, num_sets, ways)
                     for trace in traces]
-        assert len(grouped) == len(expected)
-        # Index the last group first, as the reuse engine does.
-        for group in [-1] + list(range(len(traces))):
-            got, want = grouped[group], expected[group]
-            np.testing.assert_array_equal(got.states, want.states)
-            np.testing.assert_array_equal(got.representative,
-                                          want.representative)
-            assert (got.hits, got.mau, got.mnu, got.unique_signatures) == \
-                (want.hits, want.mau, want.mnu, want.unique_signatures)
+        for group, want in enumerate(expected):
+            states = group_states(grouped, groups, group)
+            np.testing.assert_array_equal(states, want.states)
+            np.testing.assert_array_equal(
+                group_representative(grouped, groups, group),
+                want.representative)
+            assert np.bincount(states, minlength=3).tolist() == \
+                [want.hits, want.mau, want.mnu]
         for field in ("hits", "mau", "mnu", "unique_signatures"):
             assert getattr(grouped, field) == \
                 sum(getattr(want, field) for want in expected)
-        assert grouped[1:] == [grouped[1], grouped[2]]
-        assert list(grouped) == grouped
-        return grouped
+        return grouped, expected
 
     def test_overflowing_set_matches_per_group(self):
         rng = np.random.default_rng(3)
@@ -235,16 +236,16 @@ class TestGroupedAdmission:
         pools = [[0, 4, 8, 1, 2, 3], [1, 2, 3, 5, 6, 7], [0, 5, 6, 7, 4, 9]]
         traces = [rng.permutation(np.repeat(np.array(pool) + 16 * group, 3))
                   for group, pool in enumerate(pools)]
-        grouped = self._check(traces, num_sets=4, ways=2)
-        assert grouped[0].mnu == 3
-        assert grouped[1].mnu == grouped[2].mnu == 0
+        grouped, expected = self._check(traces, num_sets=4, ways=2)
+        assert [want.mnu for want in expected] == [3, 0, 0]
+        assert grouped.mnu == 3
 
     def test_no_overflowing_set_matches_per_group(self):
         rng = np.random.default_rng(4)
         # 16 distinct signatures per group, 4 per set of a 4 x 4 cache.
         traces = [rng.permutation(np.repeat(np.arange(16) + 16 * group, 3))
                   for group in range(3)]
-        grouped = self._check(traces, num_sets=4, ways=4)
+        grouped, _ = self._check(traces, num_sets=4, ways=4)
         assert grouped.mnu == 0 and grouped.hits > 0
 
 
@@ -262,18 +263,19 @@ class TestFusedRide:
         weights = rng.normal(size=(num_groups * length, 3))
         traces = [rng.choice(rng.integers(0, 1 << 16, size=pool),
                              size=rows) for _ in range(num_groups)]
-        sims = simulate_hitmap_interleaved(_interleave(traces), num_groups,
-                                           num_sets=4, ways=2)
-        ridden = ReuseSession.ride_groups(vectors, weights, sims)
+        sim = simulate_hitmap_interleaved(_interleave(traces), num_groups,
+                                          num_sets=4, ways=2)
+        ridden = ReuseSession.ride_groups(vectors, weights, sim)
         np.testing.assert_array_equal(
             ridden, substitute_segments(
-                vectors, [sim.representative for sim in sims], length)
+                vectors, [group_representative(sim, num_groups, group)
+                          for group in range(num_groups)], length)
             @ weights)
         if num_groups == 1:
             np.testing.assert_array_equal(
-                ridden, ReuseSession.ride(vectors, weights, sims[0]))
+                ridden, ReuseSession.ride(vectors, weights, sim))
         # A row none of whose segments hits is the engine-less row.
-        states = sims.states.reshape(rows, num_groups)
+        states = sim.states.reshape(rows, num_groups)
         missed = (states != HIT_CODE).all(axis=1)
         np.testing.assert_array_equal(ridden[missed],
                                       (vectors @ weights)[missed])
@@ -284,18 +286,18 @@ class TestFusedRide:
         vectors = rng.normal(size=(4, 6))
         weights = rng.normal(size=(6, 2))
         traces = [np.arange(4) * 7, np.full(4, 9)]
-        sims = simulate_hitmap_interleaved(_interleave(traces), 2,
-                                           num_sets=4, ways=2)
+        sim = simulate_hitmap_interleaved(_interleave(traces), 2,
+                                          num_sets=4, ways=2)
         substituted = vectors.copy()
         substituted[1:, 3:] = vectors[0, 3:]
-        ridden = ReuseSession.ride_groups(vectors, weights, sims)
+        ridden = ReuseSession.ride_groups(vectors, weights, sim)
         np.testing.assert_array_equal(ridden, substituted @ weights)
         np.testing.assert_array_equal(ridden[0], (vectors @ weights)[0])
         # Without a hit the ride is the engine-less product itself.
-        sims = simulate_hitmap_interleaved(np.arange(8) * 7, 2,
-                                           num_sets=4, ways=2)
+        sim = simulate_hitmap_interleaved(np.arange(8) * 7, 2,
+                                          num_sets=4, ways=2)
         np.testing.assert_array_equal(
-            ReuseSession.ride_groups(vectors, weights, sims),
+            ReuseSession.ride_groups(vectors, weights, sim),
             vectors @ weights)
 
     @pytest.mark.parametrize("in_channels", [6, 7])
@@ -311,9 +313,12 @@ class TestFusedRide:
             conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
             conv.engine = engine
             outputs[fused] = conv.forward(x)
-            outputs[fused, "stats"] = engine.session.stats
+            outputs[fused, "stats"] = engine.stats
+            outputs[fused, "clears"] = engine.session.clears
         np.testing.assert_array_equal(outputs[False], outputs[True])
         assert outputs[False, "stats"] == outputs[True, "stats"]
+        assert outputs[False, "clears"] == outputs[True, "clears"] == \
+            in_channels
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the engine-less shape over the substituted patches
 to one signature phase per channel followed by one product over the
 patches substituted element by element (the oracle in
 ``tests/oracles/engine.py``): outputs, per-layer statistics,
-signature-table state, MCACHE counters and clears; and that every
-patch row none of whose channels hits equals the engine-less conv's.
+signature-table state, clears and every channel's Hitmap; and that
+every patch row none of whose channels hits equals the engine-less
+conv's.
 """
 
 from __future__ import annotations
@@ -29,16 +30,38 @@ from repro.models.registry import build_model
 from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
 from repro.training.trainer import Trainer
-from tests.helpers import capture_grouped
+from tests.helpers import capture_classified
 from tests.oracles.engine import per_call_engine, substitute_segments
+from tests.oracles.hitmap import group_views
 from tests.oracles.signatures import ints_to_words
 
 
-def _assert_simulations_equal(left, right):
-    assert list(left.states) == list(right.states)
-    np.testing.assert_array_equal(left.representative, right.representative)
-    assert (left.hits, left.mau, left.mnu, left.unique_signatures) == \
-        (right.hits, right.mau, right.mnu, right.unique_signatures)
+def _assert_groups_match(grouped, wants):
+    """Each group's view of the interleaved frame ``grouped`` equals
+    the plain simulation of that group's rows, and the frame's counts
+    are the groups' totals."""
+    for (states, representative), want in zip(
+            group_views(grouped, len(wants)), wants, strict=True):
+        np.testing.assert_array_equal(states, want.states)
+        np.testing.assert_array_equal(representative, want.representative)
+    for field in ("hits", "mau", "mnu", "unique_signatures"):
+        assert getattr(grouped, field) == \
+            sum(getattr(want, field) for want in wants)
+
+
+def _per_group_hitmaps(captured):
+    """Every group's ``(states, representative)`` over a run's captured
+    signature phases, in call order: a plain call is one group."""
+    return [view for groups, simulation in captured
+            for view in group_views(simulation, groups)]
+
+
+def _assert_same_hitmaps(left, right):
+    assert len(left) == len(right)
+    for (left_states, left_rep), (right_states, right_rep) in zip(left,
+                                                                    right):
+        np.testing.assert_array_equal(left_states, right_states)
+        np.testing.assert_array_equal(left_rep, right_rep)
 
 
 def _interleave(groups):
@@ -54,10 +77,9 @@ class TestSimulateHitmapGrouped:
         grouped = simulate_hitmap_interleaved(_interleave(groups),
                                               len(groups), num_sets=8,
                                               ways=4)
-        for trace, simulation in zip(groups, grouped):
-            _assert_simulations_equal(simulation,
-                                      simulate_hitmap(trace, num_sets=8,
-                                                      ways=4))
+        _assert_groups_match(grouped, [simulate_hitmap(trace, num_sets=8,
+                                                       ways=4)
+                                       for trace in groups])
 
     def test_groups_do_not_share_cache_state(self):
         # The same signature in two groups must MAU twice (fresh cache
@@ -65,9 +87,9 @@ class TestSimulateHitmapGrouped:
         # other group's inserts.
         sigs = np.array([5, 5, 5, 5], dtype=np.int64)
         grouped = simulate_hitmap_interleaved(sigs, 2, num_sets=2, ways=1)
-        for simulation in grouped:
-            assert list(simulation.states) == [MAU_CODE, HIT_CODE]
-            assert simulation.representative[1] == 0
+        for states, representative in group_views(grouped, 2):
+            assert list(states) == [MAU_CODE, HIT_CODE]
+            assert representative[1] == 0
 
     def test_groups_of_uneven_traffic(self, make_trace):
         # One group of a single signature, one with more uniques than
@@ -76,11 +98,10 @@ class TestSimulateHitmapGrouped:
                   make_trace(120, 6, seed=3)]
         grouped = simulate_hitmap_interleaved(_interleave(groups), 3,
                                               num_sets=4, ways=2)
-        for trace, simulation in zip(groups, grouped):
-            _assert_simulations_equal(simulation,
-                                      simulate_hitmap(trace, num_sets=4,
-                                                      ways=2))
-        assert grouped[0].hits == 119 and grouped[1].mnu > 0
+        wants = [simulate_hitmap(trace, num_sets=4, ways=2)
+                 for trace in groups]
+        _assert_groups_match(grouped, wants)
+        assert wants[0].hits == 119 and wants[1].mnu > 0
 
     def test_multiword_groups(self):
         rng = np.random.default_rng(0)
@@ -91,10 +112,9 @@ class TestSimulateHitmapGrouped:
         words = [ints_to_words(g, num_words=2) for g in groups]
         grouped = simulate_hitmap_interleaved(_interleave(words), 3,
                                               num_sets=4, ways=2)
-        for trace, simulation in zip(words, grouped):
-            _assert_simulations_equal(simulation,
-                                      simulate_hitmap(trace, num_sets=4,
-                                                      ways=2))
+        _assert_groups_match(grouped, [simulate_hitmap(trace, num_sets=4,
+                                                       ways=2)
+                                       for trace in words])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -105,11 +125,10 @@ class TestSimulateHitmapGrouped:
     def test_empty(self):
         grouped = simulate_hitmap_interleaved(np.empty(0, dtype=np.int64), 3,
                                               num_sets=2, ways=1)
-        assert len(grouped) == 3
         assert (grouped.hits, grouped.mau, grouped.mnu,
                 grouped.unique_signatures) == (0, 0, 0, 0)
-        for simulation in grouped:
-            assert len(simulation.states) == simulation.unique_signatures == 0
+        for states, representative in group_views(grouped, 3):
+            assert len(states) == len(representative) == 0
 
 
 def _stats_snapshot(engine):
@@ -158,7 +177,8 @@ def test_conv_forward_bit_identity(rng, shape):
     conv's."""
     in_channels, kernel, stride, padding, size, constant = shape
     oracle, batched = _paired_engines()
-    captured = capture_grouped(batched)
+    oracle_hitmaps = capture_classified(oracle)
+    captured = capture_classified(batched)
     x = rng.normal(size=(3, in_channels, size, size))
     for channel in constant:
         x[:, channel] = rng.normal()
@@ -170,8 +190,12 @@ def test_conv_forward_bit_identity(rng, shape):
         outputs[engine] = conv.forward(x)
     np.testing.assert_array_equal(outputs[oracle], outputs[batched])
     assert _stats_snapshot(oracle) == _stats_snapshot(batched)
-    assert oracle.session.stats == batched.session.stats
+    assert oracle.stats == batched.stats
     assert oracle.session.clears == batched.session.clears
+    # Every channel's Hitmap, the batched frame's strided views against
+    # the oracle's one signature phase per channel.
+    _assert_same_hitmaps(_per_group_hitmaps(oracle_hitmaps),
+                         _per_group_hitmaps(captured))
     # The signature table holds the last channel's record either way.
     for engine in (oracle, batched):
         record = engine.signature_table.get(conv.layer_name)
@@ -179,21 +203,19 @@ def test_conv_forward_bit_identity(rng, shape):
     left = oracle.signature_table.get(conv.layer_name)
     right = batched.signature_table.get(conv.layer_name)
     np.testing.assert_array_equal(left.signatures, right.signatures)
-    _assert_simulations_equal(left.hitmap, right.hitmap)
     # Every channel is hashed on its own: k x k vectors.
     assert left.vector_length == right.vector_length == kernel * kernel
 
-    if in_channels == 1:
-        assert captured == []
-        simulations = [batched.last_simulations[(conv.layer_name,
-                                                 "forward")]]
-    else:
-        (simulations,) = captured
-        for channel in constant:
-            # A constant channel's group misses only on its first row.
-            assert simulations[channel].hits == \
-                len(simulations[channel].states) - 1
-    states = np.stack([simulation.states for simulation in simulations])
+    # One signature phase, one group per input channel.
+    ((groups, simulation),) = captured
+    assert groups == in_channels
+    views = group_views(simulation, groups)
+    for channel in constant:
+        # A constant channel's group misses only on its first row.
+        channel_states = views[channel][0]
+        assert np.count_nonzero(channel_states == HIT_CODE) == \
+            len(channel_states) - 1
+    states = np.stack([states for states, _ in views])
     missed = (states != HIT_CODE).all(axis=0)
     assert missed.any()
 
@@ -211,17 +233,18 @@ def test_conv_forward_matches_the_substituted_exact_product(rng):
     config = MercuryConfig(adaptive_signature_length=False,
                            adaptive_stoppage=False, signature_bits=8)
     engine = ReuseEngine(config)
-    captured = capture_grouped(engine)
+    captured = capture_classified(engine)
     conv = Conv2D(12, 7, 3, padding=1, seed=3)
     conv.engine = engine
     x = rng.normal(size=(2, 12, 6, 6))
     out = conv.forward(x)
 
-    (simulations,) = captured
-    assert simulations.hits
+    ((groups, simulation),) = captured
+    assert groups == 12 and simulation.hits
     substituted = substitute_segments(
         im2col(x, 3, 3, 1, 1),
-        [simulation.representative for simulation in simulations], 9)
+        [representative for _, representative in group_views(simulation,
+                                                              groups)], 9)
     expected = substituted @ conv.weight.value.reshape(7, -1).T
     expected += conv.bias.value
     expected = expected.reshape(2, 6, 6, 7).transpose(0, 3, 1, 2)
@@ -234,6 +257,7 @@ VGG13_POINT = FunctionalPoint(model="vgg13", dataset_scale="small",
 
 def _grouped_run_state(engine, steps: int = 3):
     """Train vgg13 (``small`` scale) for a few steps through ``engine``."""
+    captured = capture_classified(engine)
     train_x, train_y, _, _, outputs = load_point_data(VGG13_POINT)
     model = build_model("vgg13", num_classes=outputs,
                         seed=derive_seed(VGG13_POINT.seed, MODEL_STREAM))
@@ -249,9 +273,10 @@ def _grouped_run_state(engine, steps: int = 3):
         "grads": [p.grad.copy() for p in model.parameters()],
         "values": [p.value.copy() for p in model.parameters()],
         "stats": _stats_snapshot(engine),
-        "mcache": vars(engine.session.stats).copy(),
+        "ledger": engine.stats,
         "clears": engine.session.clears,
         "table": table,
+        "hitmaps": _per_group_hitmaps(captured),
     }
 
 
@@ -266,16 +291,17 @@ def test_vgg13_training_steps_match_the_per_call_engine():
         for left, right in zip(oracle[key], batched[key]):
             np.testing.assert_array_equal(left, right)
     assert oracle["stats"] == batched["stats"]
-    assert oracle["mcache"] == batched["mcache"]
+    assert oracle["ledger"] == batched["ledger"]
     # One flash clear per Hitmap, however the Hitmaps were batched.
     assert oracle["clears"] == batched["clears"] > 0
+    assert len(oracle["hitmaps"]) == oracle["clears"]
+    _assert_same_hitmaps(oracle["hitmaps"], batched["hitmaps"])
     assert oracle["table"].keys() == batched["table"].keys()
     for layer, left in oracle["table"].items():
         right = batched["table"][layer]
         assert (left.vector_length, left.signature_bits) == \
             (right.vector_length, right.signature_bits)
         np.testing.assert_array_equal(left.signatures, right.signatures)
-        _assert_simulations_equal(left.hitmap, right.hitmap)
 
 
 def test_multiword_signature_bits_bit_identity(rng):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hitmap import (HIT_CODE, Hitmap, HitState, MAU_CODE,
-                               MNU_CODE)
+from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import simulate_hitmap
+from tests.oracles.hitmap import Hitmap, HitState, codes_to_states
 from tests.oracles.mcache import MCache
 from tests.oracles.signatures import ints_to_words
 
@@ -73,9 +73,9 @@ def test_simulate_basic_states():
     assert sim.states[2] == MAU_CODE
     assert sim.hits == 2 and sim.mau == 2 and sim.mnu == 0
     assert sim.unique_signatures == 2
-    # The user-facing enum view converts per code.
-    assert sim.state_objects()[0] is HitState.MAU
-    assert sim.state_objects()[1] is HitState.HIT
+    # The oracles' enum view converts per code.
+    assert codes_to_states(sim.states)[0] is HitState.MAU
+    assert codes_to_states(sim.states)[1] is HitState.HIT
 
 
 def test_simulate_capacity_mnu():
@@ -94,7 +94,7 @@ def test_simulate_empty():
 
 def test_simulate_to_hitmap():
     sim = simulate_hitmap(np.array([5, 5, 6]), num_sets=2, ways=2)
-    hitmap = sim.to_hitmap()
+    hitmap = Hitmap.from_simulation(sim)
     assert hitmap.get(1) is HitState.HIT
     assert hitmap.source(1) == 0
     assert hitmap.hit_fraction() == pytest.approx(1 / 3)

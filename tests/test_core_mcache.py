@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hitmap import HitState
+from tests.oracles.hitmap import HitState
 from tests.oracles.mcache import MCache
 
 

@@ -20,6 +20,7 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import RPQHasher
 from repro.core.session import ReuseSession
 from repro.nn.im2col import im2col
+from tests.helpers import assert_simulations_equal, capture_classified
 from tests.oracles.differential import (run_differential,
                                         run_serve_differential,
                                         scalar_reference_simulation)
@@ -32,13 +33,6 @@ GEOMETRIES = [(8, 1, 1), (8, 2, 1), (16, 4, 2), (64, 16, 1), (4, 4, 3)]
 def classify(trace, entries: int, ways: int):
     """The training engine's Hitmap: the signature phase's classify."""
     return ReuseSession(entries, ways).classify(trace)
-
-
-def assert_simulations_equal(a, b):
-    assert list(a.states) == list(b.states)
-    assert list(a.representative) == list(b.representative)
-    assert (a.hits, a.mau, a.mnu, a.unique_signatures) == \
-        (b.hits, b.mau, b.mnu, b.unique_signatures)
 
 
 # ----------------------------------------------------------------------
@@ -185,14 +179,18 @@ def test_vectorized_backend_accumulates_mcache_stats(rng):
     config = MercuryConfig(signature_bits=12, mcache_entries=64,
                            mcache_ways=4, adaptive_stoppage=False)
     engine = ReuseEngine(config)
+    captured = capture_classified(engine)
     vectors = _clustered_vectors(rng)
     weights = rng.normal(size=(vectors.shape[1], 4))
     engine.matmul(vectors, weights, layer="conv", phase="forward")
-    stats = engine.session.stats
-    assert stats.accesses == len(vectors)
+    # The one ledger records exactly the Hitmap the call classified.
+    ((_, simulation),) = captured
     record = engine.stats.get("conv", "forward")
-    assert (stats.hits, stats.mau, stats.mnu) == \
-        (record.hits, record.mau, record.mnu)
+    assert record.hits + record.mau + record.mnu == len(vectors)
+    assert (simulation.hits, simulation.mau, simulation.mnu,
+            simulation.unique_signatures) == \
+        (record.hits, record.mau, record.mnu, record.unique_signatures)
+    assert simulation.hits > 0
 
 
 def test_backends_identical_with_wide_signatures(rng):

@@ -1,5 +1,5 @@
 """Unit tests for the persistent batch MCACHE, the serving cache's
-probe-and-admit path over it and the two hit ledgers."""
+probe-and-admit path over it and the hit ledgers."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.eviction import EVICTION_POLICIES
-from repro.core.hitmap import CODE_TO_STATE, HitState
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.session import ReuseSession
 from repro.serving.cache import ADMISSION_POLICIES, SignatureResultCache
 from repro.serving.engine import ServingPolicy
+from tests.helpers import assert_simulations_equal
 from tests.oracles.differential import probe_and_admit_rows
+from tests.oracles.hitmap import CODE_TO_STATE, Hitmap, HitState
 from tests.oracles.signatures import ints_to_words
 
 
@@ -105,11 +106,12 @@ def test_clear_resets_everything():
 
 def test_stats_counters():
     session = ReuseSession(entries=4, ways=1)  # 4 sets, direct mapped
-    stats = session.stats
-    session.classify(np.array([0, 0, 4]))  # MAU, HIT, MNU (set 0 full)
-    assert (stats.hits, stats.mau, stats.mnu) == (1, 1, 1)
-    fractions = stats.as_fractions()
-    assert abs(sum(fractions.values()) - 1.0) < 1e-9
+    # MAU, HIT, MNU (set 0 full): the Hitmap carries its own counts,
+    # which the training engine merges into its one ledger, ReuseStats.
+    simulation = session.classify(np.array([0, 0, 4]))
+    assert (simulation.hits, simulation.mau, simulation.mnu) == (1, 1, 1)
+    assert simulation.unique_signatures == 2
+    assert session.clears == 1
     # The serving cache's one ledger is its CacheCounters: a 12-row
     # batch of 6 distinct rows, served three times, hits on every row
     # but the 6 first computes.
@@ -184,15 +186,16 @@ def test_simulate_matches_groupby_simulation(make_trace):
     session = ReuseSession(entries=64, ways=4)
     ours = session.classify(trace)
     reference = simulate_hitmap(trace, num_sets=16, ways=4)
-    assert ours == reference
+    assert_simulations_equal(ours, reference)
     # Every classify sees a fresh cache, so a second run is identical.
-    assert session.classify(trace) == ours
+    assert_simulations_equal(session.classify(trace), ours)
     assert session.clears == 2
 
 
 def test_simulate_to_hitmap_round_trip(make_trace):
     trace = make_trace(100, pool_size=20, seed=4)
-    hitmap = ReuseSession(entries=16, ways=2).classify(trace).to_hitmap()
+    hitmap = Hitmap.from_simulation(
+        ReuseSession(entries=16, ways=2).classify(trace))
     counts = hitmap.counts()
     assert counts[None] == 0
     assert counts[HitState.HIT] + counts[HitState.MAU] + \

@@ -30,8 +30,9 @@ from repro.core.reuse import ReuseEngine
 from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
-from tests.helpers import capture_grouped
+from tests.helpers import capture_classified
 from tests.oracles.engine import substitute_segments
+from tests.oracles.hitmap import group_views
 
 KERNELS = (1, 3, 5, 7, 11)
 
@@ -67,19 +68,22 @@ def _linear_pair(engine, rows, length, filters, repeats, seed):
     # Repeated rows hit whatever the signature length.
     x[rng.integers(0, rows, size=repeats)] = x[0]
     grad[rng.integers(0, rows, size=repeats)] = grad[-1]
+    captured = capture_classified(engine)
     results = []
     for layer_engine in (engine, None):
         linear = Linear(length, filters, seed=seed)
         linear.engine = layer_engine
         results.append((linear.forward(x), linear.backward(grad)))
-    return linear, x, grad, results
+    return linear, x, grad, results, captured
 
 
 def _check_linear(engine, rows, length, filters, repeats, seed):
-    linear, x, grad, ((out, grad_in), (exact_out, exact_grad_in)) = \
-        _linear_pair(engine, rows, length, filters, repeats, seed)
-    forward = engine.last_simulations[(linear.layer_name, "forward")]
-    backward = engine.last_simulations[(linear.layer_name, "backward")]
+    linear, x, grad, ((out, grad_in), (exact_out, exact_grad_in)), \
+        captured = _linear_pair(engine, rows, length, filters, repeats,
+                                seed)
+    # One plain signature phase per pass: the forward, then the backward.
+    ((forward_groups, forward), (backward_groups, backward)) = captured
+    assert forward_groups == backward_groups == 1
     _assert_only_hit_rows_differ(out, exact_out, forward.states[None])
     _assert_only_hit_rows_differ(grad_in, exact_grad_in,
                                  backward.states[None])
@@ -126,7 +130,7 @@ def _conv_forward(engine, in_channels, filters, kernel, stride, padding,
     x = rng.normal(size=(batch, in_channels, size, size))
     for channel in constant:
         x[:, channel] = rng.normal()
-    grouped = capture_grouped(engine)
+    captured = capture_classified(engine)
     outputs = []
     for layer_engine in (engine, None):
         conv = Conv2D(in_channels, filters, kernel, stride=stride,
@@ -134,20 +138,18 @@ def _conv_forward(engine, in_channels, filters, kernel, stride, padding,
         conv.engine = layer_engine
         out = conv.forward(x)
         outputs.append(out.transpose(0, 2, 3, 1).reshape(-1, filters))
-    if grouped:
-        (simulations,) = grouped
-    else:
-        simulations = [engine.last_simulations[(conv.layer_name,
-                                                 "forward")]]
+    # One signature phase per forward, one group per input channel.
+    ((groups, simulation),) = captured
+    assert groups == in_channels
+    views = group_views(simulation, groups)
     substituted = substitute_segments(
         im2col(x, kernel, kernel, stride, padding),
-        [simulation.representative for simulation in simulations],
-        kernel * kernel)
+        [representative for _, representative in views], kernel * kernel)
     np.testing.assert_array_equal(
         outputs[0],
         substituted @ conv.weight.value.reshape(filters, -1).T
         + conv.bias.value)
-    states = np.stack([simulation.states for simulation in simulations])
+    states = np.stack([states for states, _ in views])
     return outputs, states
 
 

@@ -51,6 +51,25 @@ class TestSignatureResultCache:
         assert outcome2.computed_unique == 0
         np.testing.assert_array_equal(first, second)
 
+    def test_width_change_is_refused_before_any_bookkeeping(self, rng):
+        """A payload of another width than the stored ones fails the
+        call before it counts a request or claims a line."""
+        cache = SignatureResultCache(ServingPolicy(entries=64, ways=4))
+        wide = rng.normal(size=(2, 12))
+        cache.serve(wide, self._compute(wide, rng.normal(size=(12, 3))), 0)
+        narrow = rng.normal(size=(1, 8))
+        with pytest.raises(ValueError, match="width changed mid-stream"):
+            cache.serve(narrow,
+                        self._compute(narrow, rng.normal(size=(8, 3))), 1)
+        with pytest.raises(ValueError, match="width changed mid-stream"):
+            cache.admit_external(narrow[0], np.zeros(3), 1)
+        with pytest.raises(ValueError, match="width changed mid-stream"):
+            cache.admit_external(wide[0] + 1, np.zeros(5), 1)
+        counters = cache.counters
+        assert (counters.requests, counters.computed,
+                counters.replicated) == (2, 2, 0)
+        assert cache.occupancy() == 2
+
     def test_intra_batch_duplicates_share_one_compute(self, rng):
         policy = ServingPolicy(entries=64, ways=4)
         cache = SignatureResultCache(policy)
@@ -1186,6 +1205,33 @@ class TestSnapshotRestore:
                           exact_check=True, compute="per_request"),
             BatcherConfig(max_batch_size=8, max_wait_s=0.001),
             shards=shards)
+
+    def test_restored_server_keeps_the_output_shape(self, tmp_path):
+        """Hits served before a restored server's first compute come
+        back in the model's output shape, not flattened."""
+        pool = build_request_pool("transformer", pool_size=6, seed=0)
+        trace = generate_trace(TrafficConfig(pattern="zipfian",
+                                             num_requests=20, seed=2), 6)
+
+        def server():
+            return InferenceServer(
+                build_model("transformer", seed=1),
+                ServingPolicy(request_cache=True, vector_cache=False,
+                              exact_check=True, compute="per_request"))
+
+        donor = server()
+        donor.replay(trace, pool)
+        donor.snapshot(tmp_path / "snap")
+        restored = server()
+        restored.restore(tmp_path / "snap")
+        outputs, _ = restored.replay(trace, pool)
+        # Every request hits: the model never runs on the restored server.
+        assert restored.cache_counters().computed == \
+            donor.cache_counters().computed
+        oracle = restored.oracle_outputs(pool)
+        for request, output in zip(trace, outputs):
+            assert output.shape == oracle[request.pool_index].shape
+            assert output.tobytes() == oracle[request.pool_index].tobytes()
 
     def test_restored_server_continues_like_the_donor(self, tmp_path,
                                                       small_pool,
