@@ -6,11 +6,11 @@ Training flushes its MCACHE per layer and keeps nothing across batches
 tag store :class:`~repro.core.mcache_vec.VectorizedMCache`
 (``probe_batch``/``insert``), so capacity behaves like the hardware
 structure — set-associative, no replacement unless an eviction policy
-is configured — and its results live in a dense store indexed by
-MCACHE entry id.  State survives across :meth:`~SignatureResultCache.serve`
-calls, entries age by micro-batch (``ttl_batches``), hits may be
-payload-verified (``exact_check``) and insertion is governed by an
-admission policy.
+is configured — and its results live in a dense store of ``entries``
+rows indexed by MCACHE entry id, a line's ``(set, way)`` slot.  State
+survives across :meth:`~SignatureResultCache.serve` calls, entries age
+by micro-batch (``ttl_batches``), hits may be payload-verified
+(``exact_check``) and insertion is governed by an admission policy.
 
 :meth:`~SignatureResultCache.serve` and a replication push
 (:meth:`~SignatureResultCache.admit_external`) share one
@@ -22,9 +22,9 @@ the eviction policy, if there is one.  A restore makes the same insert.
 :meth:`~SignatureResultCache.state_dict` /
 :meth:`~SignatureResultCache.load_state_dict` snapshot the cache to
 disk and warm-start it after a restart; the restore rebuilds the
-MCACHE by re-inserting the resident signatures in entry-id order,
-which reproduces the exact (set, way, entry-id) placement because
-insertion is deterministic first-come.
+MCACHE by re-inserting the resident signatures in ``(set, way)``
+order, which puts each back on its own line because a set's lines
+fill in way order.
 
 Admission policies (the ``admission`` axis of
 :class:`~repro.serving.engine.ServingPolicy`):
@@ -56,7 +56,8 @@ from repro.core.eviction import build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import signature_sets
 from repro.core.mcache_vec import VectorizedMCache
-from repro.core.rpq import RPQHasher, coerce_packed, unique_signatures
+from repro.core.rpq import (FAST_PACK_BITS, RPQHasher, coerce_packed,
+                            unique_signatures, words_for_bits)
 
 if TYPE_CHECKING:
     from repro.serving.engine import ServingPolicy
@@ -68,7 +69,9 @@ ADMISSION_POLICIES = ("always", "frequency", "size")
 #: mismatches.  Version 2 added the ``layout`` key and the eviction
 #: metadata arrays.
 #: Version 3 dropped the ``mcache_stats`` meta (``counters`` is the ledger).
-STATE_VERSION = 3
+#: Version 4 keeps one line-ordered layout (no ``layout`` or ``mode``
+#: meta) and records the stream's ``payload_width``.
+STATE_VERSION = 4
 
 
 def _same_bytes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -159,9 +162,9 @@ class SignatureResultCache:
         self._evictor = build_eviction_state(policy.eviction,
                                              self.num_sets, policy.ways)
         self.counters = CacheCounters()
-        # entry id -> micro-batch index of (re)insertion, densely grown
-        # alongside the MCACHE's entry ids.
-        self._entry_batch = np.empty(0, dtype=np.int64)
+        # entry id -> micro-batch index of the line's claim or last
+        # write.
+        self._entry_batch = np.zeros(policy.entries, dtype=np.int64)
         # signature key -> (cumulative row count, last-seen batch): the
         # frequency admission gate's memory for not-yet-admitted
         # signatures.  Bounded — one-shot traffic must not grow it
@@ -170,71 +173,48 @@ class SignatureResultCache:
         # sweep rows stay reproducible).
         self._seen: dict = {}
         self._seen_capacity = max(4 * policy.entries, 1024)
-        # Dense result store, indexed by MCACHE entry id (ids are
-        # bounded by ``entries``: a recycled line keeps its id).
+        # Dense result store, indexed by MCACHE entry id.
         # ``_store_rows`` holds the cached result rows,
         # ``_store_payloads`` the exact-check input payloads; both are
         # allocated on first write because the row width is only known
-        # then (one cache serves one stream of equal-length vectors).
-        self._store_valid = np.empty(0, dtype=bool)
+        # then.  One cache serves one stream of equal-length vectors:
+        # the first serve or push records ``_payload_width``.
+        self._store_valid = np.zeros(policy.entries, dtype=bool)
         self._store_rows: np.ndarray | None = None
         self._store_payloads: np.ndarray | None = None
+        self._payload_width: int | None = None
 
     # ------------------------------------------------------------------
     # Result store
     # ------------------------------------------------------------------
-    def _grow_entry_batches(self, batch_index: int) -> None:
-        missing = self.mcache._next_entry_id - len(self._entry_batch)
-        if missing > 0:
-            self._entry_batch = np.concatenate(
-                [self._entry_batch,
-                 np.full(missing, batch_index, dtype=np.int64)])
-            self._store_valid = np.concatenate(
-                [self._store_valid, np.zeros(missing, dtype=bool)])
-            capacity = len(self._entry_batch)
-            for name in ("_store_rows", "_store_payloads"):
-                store = getattr(self, name)
-                if store is not None and len(store) < capacity:
-                    grown = np.empty((min(max(capacity, 2 * len(store)),
-                                          self.policy.entries),
-                                      store.shape[1]), dtype=np.float64)
-                    grown[:len(store)] = store
-                    setattr(self, name, grown)
-
-    def _ensure_store(self, row_width: int,
-                      payload_width: int | None) -> None:
-        """Allocate (or width-check) the dense result store."""
-        if self._store_rows is None:
-            capacity = max(len(self._entry_batch), 1)
-            self._store_rows = np.empty((capacity, row_width),
-                                        dtype=np.float64)
-            if payload_width is not None:
-                self._store_payloads = np.empty((capacity, payload_width),
-                                                dtype=np.float64)
-            return
-        self._check_widths(payload_width, row_width)
-
-    def _check_widths(self, payload_width: int | None,
+    def _check_widths(self, payload_width: int,
                       row_width: int | None = None) -> None:
-        """Refuse a payload or result width other than the store's.
+        """Refuse a payload or result width other than the stream's,
+        and record the payload width of the first call.
 
         :meth:`serve` and :meth:`admit_external` call it first, so a
         refused call moves no counter and leaves no line behind.
         """
-        rows, payloads = self._store_rows, self._store_payloads
-        if (row_width is not None and rows is not None
-                and rows.shape[1] != row_width) or (
-                payload_width is not None and payloads is not None
-                and payloads.shape[1] != payload_width):
-            raise ValueError("result width changed mid-stream; one "
-                             "cache serves one stream of equal-length "
-                             "vectors")
+        rows = self._store_rows
+        if self._payload_width not in (None, payload_width) or (
+                row_width is not None and rows is not None
+                and rows.shape[1] != row_width):
+            raise ValueError("vector or result width changed mid-stream; "
+                             "one cache serves one stream of "
+                             "equal-length vectors")
+        self._payload_width = payload_width
 
     def _store_write(self, entry_ids: np.ndarray, rows: np.ndarray,
                      payloads: np.ndarray | None) -> None:
         """Admit computed rows (and exact-check payloads) by entry id."""
-        self._ensure_store(rows.shape[1],
-                           None if payloads is None else payloads.shape[1])
+        self._check_widths(self._payload_width, rows.shape[1])
+        if self._store_rows is None:
+            self._store_rows = np.empty((self.policy.entries, rows.shape[1]),
+                                        dtype=np.float64)
+            if payloads is not None:
+                self._store_payloads = np.empty(
+                    (self.policy.entries, payloads.shape[1]),
+                    dtype=np.float64)
         self._store_rows[entry_ids] = rows
         if payloads is not None:
             self._store_payloads[entry_ids] = payloads
@@ -356,7 +336,7 @@ class SignatureResultCache:
                 resident_ids = entry_ids[residents]
                 for set_index, way, count in zip(
                         sets[residents].tolist(),
-                        m._entry_way[resident_ids].tolist(),
+                        (resident_ids % m.ways).tolist(),
                         counts[residents].tolist()):
                     evictor.touch(set_index, way, count)
 
@@ -369,6 +349,9 @@ class SignatureResultCache:
             return states, entry_ids, displaced
         claimed_ids = m.insert(uniques[admitted], sets[admitted])
         entry_ids[admitted] = claimed_ids
+        # A freshly claimed line is stamped with its claiming batch; a
+        # recycled one keeps its stamp until its new row is written.
+        self._entry_batch[claimed_ids[claimed_ids >= 0]] = batch_index
         if evictor is None:
             states[admitted[claimed_ids >= 0]] = MAU_CODE
             return states, entry_ids, displaced
@@ -381,7 +364,7 @@ class SignatureResultCache:
                 admitted.tolist(), sets[admitted].tolist(),
                 claimed_ids.tolist(), counts[admitted].tolist()):
             if entry >= 0:
-                evictor.insert(set_index, int(m._entry_way[entry]), count)
+                evictor.insert(set_index, entry % m.ways, count)
             else:
                 entry = self._recycle(set_index, uniques[position], count)
                 entry_ids[position] = entry
@@ -436,7 +419,6 @@ class SignatureResultCache:
         states, entry_ids, displaced = self._probe_and_admit(
             uniques, first_index, inverse, vectors.shape[1] * 8,
             batch_index, counts=counts)
-        self._grow_entry_batches(batch_index)
 
         # Intra-batch aliasing: with ``exact_check`` a row may only
         # share its signature group's result if it has the *bytes* of
@@ -594,7 +576,6 @@ class SignatureResultCache:
         if states[0] == MNU_CODE:
             return False
         entry = int(entry_ids[0])
-        self._grow_entry_batches(batch_index)
         self._store_write(np.array([entry]), row,
                           vector if self.policy.exact_check else None)
         self._entry_batch[entry] = batch_index
@@ -607,45 +588,18 @@ class SignatureResultCache:
     def state_dict(self) -> tuple[dict, dict]:
         """Serialize the cache as ``(meta, arrays)``.
 
-        ``meta`` is JSON-safe (mode, layout, counters, policy
+        ``meta`` is JSON-safe (counters, payload width, policy
         fingerprint); ``arrays`` holds plain numpy arrays fit for
-        ``np.savez`` without pickling: the resident signatures, their
-        insertion batches, the valid-data mask and the stored
-        payload/result matrices (dense — one stream has one vector
-        length, so widths are uniform).
-
-        Two layouts.  ``entry-order`` (no replacement) lists every
-        entry id ever issued — dense ids re-insert to identical
-        placement.  ``line-order`` (eviction active) lists only *live*
-        lines in canonical ``(set, way)`` order — a recycled line's id
-        says nothing about when it was claimed — plus the replacement
-        policy's recency/frequency/segment arrays, so the restored
-        cache evicts exactly as the donor would have.  Ids renumber
-        densely on restore, which is behaviourally invisible (probes
-        resolve ids through the line map) and makes a re-snapshot of
-        the restored cache byte-identical.
+        ``np.savez`` without pickling: the resident signatures in
+        ``(set, way)`` order with their lines' batch stamps and
+        valid-data mask, the stored payload/result matrices of the
+        lines with data (dense — one stream has one vector length, so
+        widths are uniform), the admission gate's memory and, under an
+        eviction policy, its recency/frequency/segment arrays, so the
+        restored cache evicts exactly as the donor would have.
         """
-        m = self.mcache
-        if self._evictor is not None:
-            sets, ways = np.nonzero(m._valid_tag)  # (set, way) lexicographic
-            sets = sets.astype(np.int64)
-            ways = ways.astype(np.int64)
-            entry_batch = self._entry_batch[m._line_entry[sets, ways]]
-            layout = "line-order"
-        else:
-            count = m._next_entry_id
-            sets, ways = m._entry_set[:count], m._entry_way[:count]
-            entry_batch = self._entry_batch[:count]
-            layout = "entry-order"
-        if m._tag_words is not None:
-            signatures = m._tag_words[sets, ways].copy()
-            mode = "words"
-        else:
-            signatures = m._tags[sets, ways] * m.num_sets + sets
-            mode = "int64"
-        entry_ids = m._line_entry[sets, ways]
-        has_data = self._store_valid[entry_ids] \
-            if len(self._store_valid) else np.zeros(len(sets), dtype=bool)
+        entry_ids, signatures = self.mcache.resident()
+        has_data = self._store_valid[entry_ids]
         data_ids = entry_ids[has_data]
         rows = self._store_rows[data_ids] if len(data_ids) \
             else np.empty((0, 0))
@@ -657,7 +611,7 @@ class SignatureResultCache:
         seen_keys = sorted(self._seen)
         arrays = {
             "signatures": signatures,
-            "entry_batch": np.asarray(entry_batch, dtype=np.int64).copy(),
+            "entry_batch": self._entry_batch[entry_ids],
             "has_data": has_data,
             "payloads": payloads,
             "rows": rows,
@@ -682,9 +636,8 @@ class SignatureResultCache:
             arrays.update(self._evictor.state_arrays())
         meta = {
             "state_version": STATE_VERSION,
-            "mode": mode,
-            "layout": layout,
             "entries": int(len(signatures)),
+            "payload_width": self._payload_width,
             "counters": {name: int(value)
                          for name, value in vars(self.counters).items()},
             "policy": self.policy.fingerprint(),
@@ -694,10 +647,9 @@ class SignatureResultCache:
     def load_state_dict(self, meta: dict, arrays: dict) -> None:
         """Rebuild the cache from a :meth:`state_dict` payload.
 
-        The restored cache is state-identical to the donor: same
-        (set, way, entry-id) placement, same stored data, same ages,
-        same counters — so it reproduces the donor's hit behaviour on
-        any subsequent traffic.
+        The restored cache is state-identical to the donor: same lines,
+        same stored data, same ages, same counters — so it reproduces
+        the donor's hit behaviour on any subsequent traffic.
         """
         if meta.get("state_version") != STATE_VERSION:
             raise ValueError(
@@ -706,30 +658,27 @@ class SignatureResultCache:
         if meta["policy"] != self.policy.fingerprint():
             raise ValueError("snapshot was taken under a different policy; "
                              "refusing to restore")
-        expected_layout = "line-order" if self._evictor is not None \
-            else "entry-order"
-        if meta.get("layout") != expected_layout:
-            # The policy fingerprint (which includes ``eviction``)
-            # should make this unreachable; catch hand-edited or
-            # corrupt payloads loudly rather than misinterpret ids.
-            raise ValueError(
-                f"snapshot layout {meta.get('layout')!r} does not match "
-                f"the {expected_layout!r} layout of this policy")
         self.clear()
+        self._payload_width = meta["payload_width"]
         signatures = np.asarray(arrays["signatures"])
-        self._entry_batch = np.asarray(arrays["entry_batch"],
-                                       dtype=np.int64).copy()
-        self._store_valid = np.zeros(len(self._entry_batch), dtype=bool)
         if len(signatures):
-            # Every signature must claim the next line and probe back to
-            # it: a duplicate resolves to its first copy's id, and an
-            # overfull set leaves a signature without a line.
+            bits = self.policy.signature_bits
+            if signatures.shape[1:] != (() if bits <= FAST_PACK_BITS
+                                        else (words_for_bits(bits),)):
+                raise ValueError(
+                    f"snapshot signatures of shape {signatures.shape[1:]} "
+                    f"per row are not {bits}-bit signatures")
+            # Signatures in (set, way) order re-insert onto increasing
+            # lines, each probing back to its own: a duplicate resolves
+            # to its first copy's line, and an overfull set or an
+            # out-of-order signature breaks the order.
             entry_ids = self.mcache.insert(signatures)
-            if not np.array_equal(entry_ids, np.arange(len(signatures))) \
+            if (entry_ids < 0).any() or (np.diff(entry_ids) <= 0).any() \
                     or not np.array_equal(
                         self.mcache.probe_batch(signatures)[1], entry_ids):
                 raise ValueError("snapshot signatures did not rebuild "
                                  "cleanly (corrupt or wrong geometry)")
+            self._entry_batch[entry_ids] = arrays["entry_batch"]
             has_data = np.asarray(arrays["has_data"], dtype=bool)
             data_ids = entry_ids[has_data]
             if len(data_ids):
@@ -757,7 +706,8 @@ class SignatureResultCache:
                 raise ValueError("snapshot is missing the eviction "
                                  "metadata arrays")
             ranks = np.asarray(arrays["ev_rank"], dtype=np.int64)
-            if not np.array_equal(ranks >= 0, self.mcache._valid_tag):
+            if not np.array_equal(np.flatnonzero(ranks >= 0),
+                                  self.mcache.resident()[0]):
                 raise ValueError("snapshot eviction metadata does not "
                                  "cover the resident lines")
             self._evictor.load_state_arrays(arrays)
@@ -768,9 +718,9 @@ class SignatureResultCache:
 
     def clear(self) -> None:
         self.mcache.clear()
-        self._entry_batch = np.empty(0, dtype=np.int64)
+        self._entry_batch[:] = 0
         self._seen = {}
-        self._store_valid = np.empty(0, dtype=bool)
+        self._store_valid[:] = False
         self._store_rows = None
         self._store_payloads = None
         if self._evictor is not None:

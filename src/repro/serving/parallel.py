@@ -96,7 +96,7 @@ def _worker_main(index: int, model, policy: ServingPolicy,
     ``("batch", seq, stacked_payloads)``, ``("stats",)``,
     ``("snapshot",)``, ``("exit",)``; replies: ``("ready", watermark)``
     once at startup, then ``("done", seq, outputs, compute_s, events)``,
-    ``("stats", payload)`` and ``("snapshotted", batch_count)``.
+    ``("stats", payload)`` and ``("snapshotted", batch_index)``.
 
     ``telemetry_window`` > 0 switches on a worker-local telemetry
     bundle: the batch's events are drained off a forwarding
@@ -120,7 +120,7 @@ def _worker_main(index: int, model, policy: ServingPolicy,
     watermark = 0
     if (path / SNAPSHOT_MANIFEST).exists():
         manifest = server.restore(path)
-        watermark = int(manifest["shard_batch_counts"][0])
+        watermark = int(manifest["shard_batch_indices"][0])
     results.put(("ready", watermark))
 
     shard = server.shards[0]
@@ -142,7 +142,7 @@ def _worker_main(index: int, model, policy: ServingPolicy,
             continue
         if kind == "snapshot":
             server.snapshot(path)
-            results.put(("snapshotted", shard.batch_count))
+            results.put(("snapshotted", shard.batch_index))
             continue
         seq, stacked = message[1], message[2]
         if fault is not None and fault.worker == index \

@@ -78,7 +78,9 @@ SNAPSHOT_FORMAT = "repro-serving-snapshot"
 # Version 4: cache state version 3, without the ``mcache_stats`` meta.
 # Version 5: the model's unflattened output shape rides along, so hits
 # served before a restored server's first compute keep that shape.
-SNAPSHOT_VERSION = 5
+# Version 6: cache state version 4 (one line-ordered layout, the payload
+# width) and one batch clock per shard (``shard_batch_indices``).
+SNAPSHOT_VERSION = 6
 SNAPSHOT_MANIFEST = "manifest.json"
 # Largest ``POST /infer`` body the HTTP front end reads; a longer
 # claimed ``Content-Length`` gets a 413 before any of the body is read.
@@ -199,7 +201,6 @@ class _Shard:
                 server._process_shard_batch(_shard, payloads),
             server.batcher_config)
         self.batch_index = 0
-        self.batch_count = 0
 
     def request_counters(self) -> CacheCounters:
         """A fresh copy of the request cache's counters (zeros without)."""
@@ -229,7 +230,7 @@ class _Shard:
         # ``hits``/``hit_rate`` are the cache-lifetime row counters
         # (vector granularity counts per-layer rows, not requests).
         return shard_row(
-            self.index, self.batcher.telemetry.rows, self.batch_count,
+            self.index, self.batcher.telemetry.rows, self.batch_index,
             self.request_counters().merge(self.vector_counters()),
             occupancy)
 
@@ -438,7 +439,6 @@ class InferenceServer:
         if shard.vector_engine is not None:
             shard.vector_engine.end_batch()
         shard.batch_index += 1
-        shard.batch_count += 1
         if observing:
             self._observe_batch(shard, len(arrays), counters_before,
                                 l2_before)
@@ -916,8 +916,6 @@ class InferenceServer:
             "model": self._model_fingerprint(),
             "shard_batch_indices": [shard.batch_index
                                     for shard in self.shards],
-            "shard_batch_counts": [shard.batch_count
-                                   for shard in self.shards],
             "output_tail": None if self._output_tail is None
             else list(self._output_tail),
             "layer_stats": [[asdict(record) for record
@@ -987,11 +985,9 @@ class InferenceServer:
                     record["layer"], int(record["vector_length"]), cache)
         if manifest["output_tail"] is not None:
             self._output_tail = tuple(manifest["output_tail"])
-        for shard, batch_index, batch_count, stats in zip(
-                self.shards, manifest["shard_batch_indices"],
-                manifest["shard_batch_counts"], layer_stats):
+        for shard, batch_index, stats in zip(
+                self.shards, manifest["shard_batch_indices"], layer_stats):
             shard.batch_index = int(batch_index)
-            shard.batch_count = int(batch_count)
             if shard.vector_engine is not None:
                 shard.vector_engine.batch_index = int(batch_index)
                 shard.vector_engine.stats = stats
@@ -1025,7 +1021,7 @@ class InferenceServer:
             shard.batcher.telemetry for shard in self.shards)
         return build_report(
             requests=requests,
-            batches=sum(shard.batch_count for shard in self.shards),
+            batches=sum(shard.batch_index for shard in self.shards),
             duration_s=duration_s, latencies_s=latencies_s,
             request_cache=CacheCounters.aggregate(
                 shard.request_counters() for shard in self.shards).to_dict()

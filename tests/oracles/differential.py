@@ -12,7 +12,7 @@ and through production code:
 * :func:`run_differential` — replay a trace in (possibly ragged) chunks
   against a persistent line-level cache and a serving cache's
   probe-and-admit step (:func:`probe_and_admit_rows`) and list every
-  probe whose state or entry id differs;
+  probe whose state or line differs;
 * :func:`run_serve_differential` — replay a trace through a
   :class:`~repro.serving.cache.SignatureResultCache` and through the line-level
   model's data phase (VD bits, write/read, flash invalidation) and list
@@ -132,7 +132,9 @@ def run_differential(signatures, entries: int, ways: int,
     ``chunk_sizes`` are the batch sizes; the line-level model always
     steps one probe at a time.  Defaults to one single batch.  Besides
     states, entry ids and occupancy, the per-row HIT / MAU / MNU counts
-    must equal the line-level model's counters.
+    must equal the line-level model's counters.  The serving cache's
+    entry id of a line is its ``(set, way)`` slot, so each probe's id
+    must be the slot of the oracle's line for its entry id.
     """
     signatures = np.atleast_1d(np.asarray(signatures))
     scalar_values = signatures_to_ints(signatures)
@@ -149,11 +151,12 @@ def run_differential(signatures, entries: int, ways: int,
         for offset, index in enumerate(range(start, stop)):
             state, entry_id = scalar.lookup_or_insert(
                 int(scalar_values[index]))
+            slot = scalar.slot(entry_id)
             if (STATE_TO_CODE[state] != int(vec_states[offset])
-                    or entry_id != vec_entries[offset]):
+                    or slot != vec_entries[offset]):
                 report.mismatches.append({
                     "probe": index, "signature": int(scalar_values[index]),
-                    "scalar": (state.value, entry_id),
+                    "scalar": (state.value, slot),
                     "vectorized": (CODE_TO_STATE[int(vec_states[offset])].value,
                                    int(vec_entries[offset]))})
         report.chunks += 1

@@ -147,6 +147,14 @@ class MCache:
                 return True, line.entry_id
         return False, -1
 
+    def slot(self, entry_id: int) -> int:
+        """``set * ways + way`` of the line holding ``entry_id``; -1 for
+        the -1 of an MNU.  The batch MCACHE names its lines this way."""
+        if entry_id < 0:
+            return -1
+        set_idx, way = self._id_index[entry_id]
+        return set_idx * self.ways + way
+
     # ------------------------------------------------------------------
     # Data phase (results computed / reused during dot products)
     # ------------------------------------------------------------------

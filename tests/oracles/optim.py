@@ -69,7 +69,7 @@ class ReferenceAdam:
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
+            v += (1.0 - self.beta2) * np.square(grad)
             m_hat = m / bias1
             v_hat = v / bias2
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -94,10 +94,8 @@ class ReferenceSignatureResultCache(SignatureResultCache):
                              residents.tolist()))
             for position in residents[np.argsort(first_index[residents],
                                                  kind="stable")]:
-                entry = int(entry_ids[position])
-                evictor.touch(int(m._entry_set[entry]),
-                              int(m._entry_way[entry]),
-                              count=int(counts[position]))
+                set_index, way = divmod(int(entry_ids[position]), m.ways)
+                evictor.touch(set_index, way, count=int(counts[position]))
 
         absent = np.flatnonzero(~present)
         admitted = self._admitted_absents(
@@ -108,6 +106,7 @@ class ReferenceSignatureResultCache(SignatureResultCache):
         arrival = admitted[np.argsort(first_index[admitted], kind="stable")]
         claimed_ids = m.insert(uniques[arrival])
         entry_ids[arrival] = claimed_ids
+        self._entry_batch[claimed_ids[claimed_ids >= 0]] = batch_index
         if evictor is None:
             states[arrival[claimed_ids >= 0]] = MAU_CODE
             return states, entry_ids, displaced
@@ -118,7 +117,7 @@ class ReferenceSignatureResultCache(SignatureResultCache):
                 arrival.tolist(), arrival_sets.tolist(),
                 claimed_ids.tolist()):
             if entry >= 0:
-                evictor.insert(set_index, int(m._entry_way[entry]),
+                evictor.insert(set_index, entry % m.ways,
                                count=int(counts[position]))
             else:
                 entry = self._recycle(set_index, uniques[position],
@@ -152,6 +151,7 @@ class ReferenceSignatureResultCache(SignatureResultCache):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("serve expects 2D (rows, features) vectors")
+        self._check_widths(vectors.shape[1])
         num_rows = len(vectors)
         counters = self.counters
         counters.requests += num_rows
@@ -165,7 +165,6 @@ class ReferenceSignatureResultCache(SignatureResultCache):
         states, entry_ids, displaced = self._probe_and_admit(
             uniques, first_index, inverse, vectors.shape[1] * 8,
             batch_index)
-        self._grow_entry_batches(batch_index)
 
         # Intra-batch aliasing: with ``exact_check`` a row may only
         # share its signature group's result if it has the *bytes* of

@@ -61,7 +61,7 @@ def _cache_state(server: InferenceServer) -> list:
     state = []
     for shard in server.shards:
         meta, arrays = shard.request_cache.state_dict()
-        state.append((shard.batch_index, shard.batch_count,
+        state.append((shard.batch_index,
                       json.dumps(meta, sort_keys=True),
                       {name: (value.dtype.str, value.shape, value.tobytes())
                        for name, value in arrays.items()}))
@@ -95,8 +95,8 @@ def _snapshot(directory, two_servers: bool = False) -> Writer:
         # snapshots state-13.npz.
         other = _server()
         other.replay(TRACE[:24], _pool(3))
-        assert sum(shard.batch_count for shard in other.shards) \
-            == sum(shard.batch_count for shard in donor.shards) == 13
+        assert sum(shard.batch_index for shard in other.shards) \
+            == sum(shard.batch_index for shard in donor.shards) == 13
     else:
         other = donor
         other.replay(TRACE[24:], _pool(0))

@@ -269,11 +269,13 @@ def test_capacity_is_never_exceeded_under_eviction(trace):
         cache.serve(batch, lambda rows, b=batch: b[rows] @ weights,
                     offset)
         assert cache.occupancy() <= entries
-        per_set = cache.mcache._valid_tag.sum(axis=1)
+        slots, _ = cache.mcache.resident()
+        per_set = np.bincount(slots // ways, minlength=entries // ways)
         assert (per_set <= ways).all()
         # Replacement happens in place, so the prefix-occupancy rule
         # of the no-replacement store still holds.
-        assert (per_set == cache.mcache._occupancy).all()
+        np.testing.assert_array_equal(slots % ways, np.concatenate(
+            [np.arange(count) for count in per_set]))
 
 
 def _row_by_row(rows, weights):
@@ -328,7 +330,7 @@ def test_line_changing_hands_twice_in_a_batch_stores_the_last_owner():
     owner = [row for row in range(3) if session.mcache.probe_batch(
         session.hasher.signatures(pool[row:row + 1], 16))[0][0]]
     assert len(owner) == 1
-    entry = int(session.mcache._line_entry[0, 0])
+    entry = int(session.mcache.resident()[0][0])
     np.testing.assert_array_equal(session._store_payloads[entry],
                                   pool[owner[0]])
     np.testing.assert_array_equal(session._store_rows[entry],

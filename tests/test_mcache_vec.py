@@ -54,10 +54,13 @@ def test_full_set_gives_mnu_no_replacement():
 
 def test_insert_claims_ways_per_set_in_arrival_order():
     cache = VectorizedMCache(entries=4, ways=2)  # even -> set 0, odd -> 1
-    cache.insert([1])
+    # A line's entry id is its slot set * ways + way.
+    assert cache.insert([1]).tolist() == [2]
     # Set 1 has one free way left, set 0 two: 3 claims it, 5 does not.
-    assert cache.insert([3, 0, 5, 2, 4]).tolist() == [1, 2, -1, 3, -1]
-    assert cache._line_entry.tolist() == [[2, 3], [0, 1]]
+    assert cache.insert([3, 0, 5, 2, 4]).tolist() == [3, 0, -1, 1, -1]
+    slots, signatures = cache.resident()
+    assert slots.tolist() == [0, 1, 2, 3]
+    assert signatures.tolist() == [0, 2, 1, 3]
 
 
 def test_batch_mixes_hits_maus_and_mnus():
@@ -80,7 +83,7 @@ def test_empty_batch():
     assert len(cache.insert([])) == 0
     present, entries = cache.probe_batch([])
     assert len(present) == 0 and len(entries) == 0
-    assert cache.occupancy() == 0 and cache._next_entry_id == 0
+    assert cache.occupancy() == 0 and len(cache.resident()[0]) == 0
     assert ReuseSession(4, 2).classify(
         np.empty(0, dtype=np.int64)).unique_signatures == 0
 
@@ -98,10 +101,15 @@ def test_probe_does_not_insert():
 
 def test_clear_resets_everything():
     cache = VectorizedMCache(entries=8, ways=2)
-    cache.insert([1, 2])
+    cache.insert([1, 3])
     cache.clear()
     assert cache.occupancy() == 0
-    assert cache.insert([1]).tolist() == [0]
+    assert cache.insert([1]).tolist() == [2]     # set 1, way 0
+    # A clear also frees the tag format for a new signature length.
+    cache.clear()
+    wide = ints_to_words([(1 << 70) + 1])
+    assert cache.insert(wide).tolist() == [2]
+    assert cache.probe_batch(wide)[1].tolist() == [2]
 
 
 def test_stats_counters():
@@ -202,20 +210,43 @@ def test_simulate_to_hitmap_round_trip(make_trace):
         counts[HitState.MNU] == 100
 
 
-def test_wide_signatures_promote_to_object():
-    """Multi-word batches promote the tag store to full-value words."""
+def test_wide_signatures_fill_the_words_store():
+    """Multi-word batches keep full-value words per line."""
     session = _session(entries=4, ways=2)
     # 2 sets x 2 ways; +0/+2/+4 land in set 0, so +4 finds it full.
     wide = ints_to_words([(1 << 70) + k for k in (0, 1, 0, 2, 4)])
-    states, _ = probe_and_admit_rows(session, wide)
+    states, entries = probe_and_admit_rows(session, wide)
     assert _state_names(states) == ["MAU", "MAU", "HIT", "MAU", "MNU"]
-    assert session.mcache._tag_words is not None
-    # Mixed int64 batches keep working after the promotion.
-    states2, _ = probe_and_admit_rows(session, np.array([5, 5]))
-    assert _state_names(states2) == ["MAU", "HIT"]
-    states3, _ = probe_and_admit_rows(session,
+    assert entries.tolist() == [0, 2, 0, 1, -1]
+    slots, signatures = session.mcache.resident()
+    assert slots.tolist() == [0, 1, 2]
+    np.testing.assert_array_equal(signatures, wide[[0, 3, 1]])
+    states2, _ = probe_and_admit_rows(session,
                                       ints_to_words([(1 << 70) + 1]))
-    assert _state_names(states3) == ["HIT"]
+    assert _state_names(states2) == ["HIT"]
+
+
+def test_a_batch_in_the_other_format_is_refused():
+    """The first insert fixes the tag format; a batch in the other one
+    (int64 after words, words after int64, or words of another width)
+    is refused and leaves the store unchanged."""
+    for resident, other in (
+            (np.array([4, 7], dtype=np.int64), ints_to_words([4, 9])),
+            (ints_to_words([4, 7]), np.array([4, 9], dtype=np.int64)),
+            (ints_to_words([4, 7]), ints_to_words([4, 9], num_words=2))):
+        cache = VectorizedMCache(entries=4, ways=2)
+        cache.insert(resident)
+        before = cache.resident()
+        for call in (cache.insert, cache.probe_batch):
+            with pytest.raises(ValueError, match="one signature length"):
+                call(other)
+        with pytest.raises(ValueError, match="one signature length"):
+            cache.replace_line(0, 0, other[0])
+        after = cache.resident()
+        for was, now in zip(before, after):
+            np.testing.assert_array_equal(was, now)
+        assert cache.probe_batch(resident)[1].tolist() == \
+            before[0][[0, 1]].tolist()
 
 
 @pytest.mark.parametrize("signatures", [
@@ -240,6 +271,6 @@ def test_unpacked_signatures_are_rejected(signatures):
 def test_replace_line_keeps_the_entry_id():
     cache = VectorizedMCache(entries=2, ways=2)   # one set, two ways
     entries = cache.insert([4, 6])
-    assert cache.replace_line(0, 1, 8) == entries[1]
+    assert cache.replace_line(0, 1, 8) == entries[1] == 1
     assert cache.probe_batch([6, 8])[1].tolist() == [-1, entries[1]]
     assert cache.occupancy() == 2

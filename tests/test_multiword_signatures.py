@@ -84,35 +84,6 @@ def test_multiword_persistent_replay_property(values, picks, chunks,
         assert report.identical, report.describe()
 
 
-@settings(deadline=None)
-@given(narrow=st.lists(st.integers(0, 1 << 40), min_size=1, max_size=40),
-       wide=st.lists(wide_values, min_size=1, max_size=40),
-       geometry=st.sampled_from(GEOMETRIES))
-def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
-    """int64 batches followed by multi-word batches (the adaptive-growth
-    transition) keep matching resident lines by full value."""
-    entries, ways = geometry
-    cache = SignatureResultCache(ServingPolicy(entries=entries, ways=ways))
-    scalar_trace = list(narrow) + list(wide) + list(narrow)
-
-    # Replay: one narrow int64 batch, one wide multi-word batch, then
-    # the narrow values again (now against the promoted words store).
-    results = []
-    for batch in (np.array(narrow, dtype=np.int64), ints_to_words(wide),
-                  np.array(narrow, dtype=np.int64)):
-        results.append(probe_and_admit_rows(cache, batch))
-
-    oracle = MCache(entries=entries, ways=ways)
-    position = 0
-    for states, entry_ids in results:
-        for offset in range(len(states)):
-            state, entry_id = oracle.lookup_or_insert(
-                int(scalar_trace[position]))
-            assert state.code == states[offset]
-            assert entry_id == int(entry_ids[offset])
-            position += 1
-
-
 def test_uint64_signatures_beyond_int63_stay_exact():
     """Values >= 2^63 must not wrap through int64: a 1-D uint64 batch is
     refused, and the multi-word form keeps oracle bit-identity."""
@@ -126,7 +97,7 @@ def test_uint64_signatures_beyond_int63_stay_exact():
     for offset, value in enumerate(values):
         state, entry_id = oracle.lookup_or_insert(value)
         assert state.code == states[offset]
-        assert entry_id == int(entry_ids[offset])
+        assert oracle.slot(entry_id) == int(entry_ids[offset])
 
 
 def test_non_integral_float_signatures_are_rejected():
@@ -142,28 +113,29 @@ def test_non_integral_float_signatures_are_rejected():
 
 
 def test_probe_batch_is_non_mutating_across_representations():
-    """Read-only probes never promote the tag store and never claim a
-    line."""
+    """Read-only probes never fix the tag format and never claim a
+    line; once an insert has fixed it, a probe in the other format is
+    refused."""
     cache = VectorizedMCache(entries=8, ways=2)
     cache.insert([5])
     cache.clear()                          # leaves the cache clean
-    assert cache._tag_words is None and cache.occupancy() == 0
+    assert cache.occupancy() == 0
 
     wide = ints_to_words([(1 << 70) + 3, 5, (1 << 64) - 5])
     present, entry_ids = cache.probe_batch(wide)
     # Cache was cleared: everything misses, nothing mutates.
-    assert not present.any()
-    assert cache._tag_words is None and cache.occupancy() == 0
+    assert not present.any() and (entry_ids == -1).all()
+    assert cache.occupancy() == 0
 
-    cache.insert([5])
-    present, entry_ids = cache.probe_batch(wide)
-    assert list(present) == [False, True, False]
-    assert entry_ids[1] >= 0
-    assert cache._tag_words is None                # still int64 mode
-    # int64 probes against a words-mode store bridge the other way too.
+    cache.insert([5])                      # fixes the int64 format
+    with pytest.raises(ValueError, match="one signature length"):
+        cache.probe_batch(wide)
+    assert cache.probe_batch([5])[0].tolist() == [True]
     cache.clear()
     cache.insert(ints_to_words([(1 << 70) + 3, 9]))
-    present, _ = cache.probe_batch(np.array([9, 10], dtype=np.int64))
+    with pytest.raises(ValueError, match="one signature length"):
+        cache.probe_batch(np.array([9, 10], dtype=np.int64))
+    present, _ = cache.probe_batch(ints_to_words([9, 10], num_words=2))
     assert list(present) == [True, False]
 
 

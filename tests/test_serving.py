@@ -70,6 +70,36 @@ class TestSignatureResultCache:
                 counters.replicated) == (2, 2, 0)
         assert cache.occupancy() == 2
 
+    def test_payload_width_is_kept_without_exact_check(self, rng):
+        """Without ``exact_check`` no payload is stored, yet the first
+        serve records the stream's payload width, and a payload of
+        another width is refused before any counter, hash or probe
+        moves (it used to hash by another projection into the same
+        lines and hit rows of the old width).  The snapshot carries the
+        width to a restored cache."""
+        policy = ServingPolicy(entries=64, ways=64, signature_bits=2,
+                               exact_check=False)
+        cache = SignatureResultCache(policy)
+        wide = rng.normal(size=(8, 12))
+        cache.serve(wide, self._compute(wide, rng.normal(size=(12, 3))), 0)
+        narrow = rng.normal(size=(8, 8))
+        for target in (cache, SignatureResultCache(policy)):
+            if target is not cache:
+                target.load_state_dict(*cache.state_dict())
+            before = dict(vars(target.counters))
+            lines = target.occupancy()
+            hashed, computed = [], []
+            signatures = target.hasher.signatures
+            target.hasher.signatures = \
+                lambda *args: hashed.append(args) or signatures(*args)
+            with pytest.raises(ValueError, match="width changed mid-stream"):
+                target.serve(narrow, computed.append, 1)
+            with pytest.raises(ValueError, match="width changed mid-stream"):
+                target.admit_external(narrow[0], np.zeros(3), 1)
+            assert hashed == [] and computed == []
+            assert vars(target.counters) == before
+            assert target.occupancy() == lines
+
     def test_intra_batch_duplicates_share_one_compute(self, rng):
         policy = ServingPolicy(entries=64, ways=4)
         cache = SignatureResultCache(policy)

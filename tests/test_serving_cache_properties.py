@@ -17,6 +17,9 @@ policy:
   the replacement policies' recency/frequency/segment metadata, and a
   snapshot taken under one eviction policy must refuse to load into a
   session running another (the policy fingerprint seals it).
+
+Signature lengths include 70 bits, so each property also covers the
+multi-word tag store.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rpq import signature_words
 from repro.serving import ServingPolicy, SignatureResultCache
 
 # Small vector pools force collisions, repeats and set conflicts.
@@ -54,7 +58,7 @@ def serve_sequences(draw):
                for _ in range(num_batches)]
     policy = dict(
         entries=entries, ways=ways,
-        signature_bits=draw(st.sampled_from([4, 16, 32])),
+        signature_bits=draw(st.sampled_from([4, 16, 32, 70])),
         ttl_batches=draw(st.sampled_from([None, 0, 1, 3])),
         exact_check=draw(st.booleans()),
         admission=draw(st.sampled_from(["always", "frequency", "size"])),
@@ -75,6 +79,20 @@ def _drive(cache: SignatureResultCache, pool: np.ndarray, batches,
     return outcomes
 
 
+def _assert_prefix_occupancy(cache: SignatureResultCache) -> None:
+    """At most ``ways`` lines per set, and a set's lines are its ways
+    ``0..occupancy-1`` (the no-replacement insert rule, which in-place
+    replacement keeps)."""
+    slots, _ = cache.mcache.resident()
+    ways = cache.policy.ways
+    per_set = np.bincount(slots // ways, minlength=cache.num_sets)
+    assert (per_set <= ways).all()
+    assert per_set.sum() == cache.occupancy() <= cache.policy.entries
+    np.testing.assert_array_equal(slots, np.concatenate(
+        [set_index * ways + np.arange(count)
+         for set_index, count in enumerate(per_set)]))
+
+
 @given(serve_sequences())
 @settings(max_examples=40)
 def test_capacity_is_never_exceeded(sequence):
@@ -84,11 +102,7 @@ def test_capacity_is_never_exceeded(sequence):
     weights = np.random.default_rng(1).normal(size=(pool.shape[1], 3))
     for offset, batch in enumerate(_batches(batches, pool)):
         cache.serve(batch, lambda rows, b=batch: b[rows] @ weights, offset)
-        assert cache.occupancy() <= policy.entries
-        per_set = cache.mcache._valid_tag.sum(axis=1)
-        assert (per_set <= policy.ways).all()
-        # Occupied ways form a prefix (the no-replacement insert rule).
-        assert (per_set == cache.mcache._occupancy).all()
+        _assert_prefix_occupancy(cache)
 
 
 @given(serve_sequences())
@@ -103,7 +117,7 @@ def test_ttl_hits_are_never_stale_and_ages_are_monotonic(sequence):
     policy = ServingPolicy(request_cache=True, **policy_kwargs)
     cache = SignatureResultCache(policy)
     ttl = policy.ttl_batches
-    previous_stamps = np.empty(0, dtype=np.int64)
+    previous_slots = previous_stamps = np.empty(0, dtype=np.int64)
     for offset, batch in enumerate(_batches(batches, pool)):
         results, _ = cache.serve(
             batch,
@@ -113,10 +127,12 @@ def test_ttl_hits_are_never_stale_and_ages_are_monotonic(sequence):
             assert (results[:, 0] >= offset - ttl).all(), \
                 "served a row older than ttl_batches"
         assert (results[:, 0] <= offset).all()
-        # Insertion stamps never move backwards for an existing entry.
-        stamps = cache._entry_batch.copy()
-        assert (stamps[:len(previous_stamps)] >= previous_stamps).all()
-        previous_stamps = stamps
+        # Insertion stamps never move backwards on a line that was
+        # already live (lines never move or free up between batches).
+        stamps = cache._entry_batch
+        assert (stamps[previous_slots] >= previous_stamps).all()
+        previous_slots = cache.mcache.resident()[0]
+        previous_stamps = stamps[previous_slots]
 
 
 @given(serve_sequences(), st.integers(min_value=0, max_value=2 ** 16))
@@ -142,14 +158,13 @@ def test_snapshot_restore_round_trip_is_state_identical(sequence,
         np.testing.assert_array_equal(arrays[name], arrays2[name],
                                       err_msg=name)
     assert restored.occupancy() == donor.occupancy()
-    # Entry ids renumber densely on a line-order restore (eviction
-    # orphans are dropped), so compare the TTL stamps per live line
-    # rather than the raw append-only array.
-    live = donor.mcache._valid_tag
-    np.testing.assert_array_equal(live, restored.mcache._valid_tag)
-    np.testing.assert_array_equal(
-        restored._entry_batch[restored.mcache._line_entry[live]],
-        donor._entry_batch[donor.mcache._line_entry[live]])
+    # Every signature is back on its own line, with its TTL stamp.
+    live, signatures = donor.mcache.resident()
+    restored_live, restored_signatures = restored.mcache.resident()
+    np.testing.assert_array_equal(live, restored_live)
+    np.testing.assert_array_equal(signatures, restored_signatures)
+    np.testing.assert_array_equal(restored._entry_batch[live],
+                                  donor._entry_batch[live])
 
     # Behaviour-identical on arbitrary follow-up traffic.
     follow_rng = np.random.default_rng(follow_seed)
@@ -211,14 +226,6 @@ def test_eviction_snapshot_refuses_ttl_only_policy():
         into_lfu.load_state_dict(lru_meta, lru_arrays)
 
 
-def test_eviction_snapshot_layouts_are_marked():
-    """Snapshots declare their array layout so mixups fail loudly."""
-    lru_meta, _ = _driven_cache("lru").state_dict()
-    plain_meta, _ = _driven_cache("none").state_dict()
-    assert lru_meta["layout"] == "line-order"
-    assert plain_meta["layout"] == "entry-order"
-
-
 def test_missing_eviction_metadata_fails_loudly():
     """A line-order snapshot without eviction arrays is rejected."""
     import pytest
@@ -234,7 +241,7 @@ def test_missing_eviction_metadata_fails_loudly():
 
 def test_corrupt_snapshot_signatures_are_rejected():
     """The restore re-inserts the snapshot's signatures and refuses any
-    that do not each claim the next line and probe back to it."""
+    that do not land in line order or probe back to their own line."""
     import pytest
 
     donor = _driven_cache("none")
@@ -246,10 +253,32 @@ def test_corrupt_snapshot_signatures_are_rejected():
     duplicated[1] = duplicated[0]
     # Distinct values, every one in set 0: more than ``ways`` of them.
     overfull = np.arange(len(signatures), dtype=np.int64) * num_sets
-    for corrupt in (duplicated, overfull):
+    # The same lines listed out of (set, way) order.
+    reordered = signatures[::-1].copy()
+    for corrupt in (duplicated, overfull, reordered):
         restored = SignatureResultCache(donor.policy)
         with pytest.raises(ValueError, match="did not rebuild cleanly"):
             restored.load_state_dict(meta, {**arrays, "signatures": corrupt})
+
+
+def test_snapshot_in_the_wrong_signature_format_is_refused():
+    """A restore refuses signatures in a format other than the one the
+    policy's ``signature_bits`` produce, and claims no line."""
+    import pytest
+
+    for bits, widen in ((16, 1), (70, 3)):
+        policy = ServingPolicy(request_cache=True, entries=8, ways=4,
+                               signature_bits=bits)
+        donor = SignatureResultCache(policy)
+        _drive(donor, _pool(7, 10, 4), [[0, 1, 2, 3]],
+               np.random.default_rng(3).normal(size=(4, 3)))
+        meta, arrays = donor.state_dict()
+        # The same values as words of another width.
+        wrong = signature_words(arrays["signatures"], widen)
+        restored = SignatureResultCache(policy)
+        with pytest.raises(ValueError, match=f"not {bits}-bit signatures"):
+            restored.load_state_dict(meta, {**arrays, "signatures": wrong})
+        assert restored.occupancy() == 0
 
 
 def test_identical_nan_payloads_hit_without_collisions():
