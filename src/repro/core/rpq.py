@@ -51,6 +51,14 @@ WORD_BITS = 64
 # seed stream makes every block independent of how many blocks follow.
 PROJECTION_BLOCK_BITS = 16
 
+# RPQHasher.signatures projects, quantises and packs this many rows at a
+# time, so each block's projection is packed while it is still in cache
+# (a 2048 x 20 float64 block is 320 kB).  A multiple of the dgemm row
+# unroll, so on one BLAS thread a full block's projection equals the
+# unblocked GEMM's rows bit for bit; a short last block rounds as a call
+# of that many rows always did.
+HASH_BLOCK_ROWS = 2048
+
 
 # ----------------------------------------------------------------------
 # Packed-signature representation helpers
@@ -393,9 +401,26 @@ class RPQHasher:
         """Return one packed integer signature per row of ``vectors``.
 
         Equal to ``pack_bits(self.signature_bits_matrix(vectors,
-        signature_bits))``; the fresh projection is quantised in place.
+        signature_bits))``.  Rows are projected :data:`HASH_BLOCK_ROWS`
+        at a time into one reused scratch block, which is quantised in
+        place and packed before the next block is projected, so the
+        sign pass and the pack read it from cache.
         """
-        return pack_projection(self.project(vectors, signature_bits))
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        matrix = self.projection_matrix(vectors.shape[1], signature_bits)
+        num_rows = len(vectors)
+        if signature_bits <= FAST_PACK_BITS:
+            packed = np.empty(num_rows, dtype=np.int64)
+        else:
+            packed = np.empty((num_rows, words_for_bits(signature_bits)),
+                              dtype=np.uint64)
+        part = np.empty((min(num_rows, HASH_BLOCK_ROWS), signature_bits))
+        for lo in range(0, num_rows, HASH_BLOCK_ROWS):
+            hi = min(lo + HASH_BLOCK_ROWS, num_rows)
+            block = part[:hi - lo]
+            np.matmul(vectors[lo:hi], matrix, out=block)
+            packed[lo:hi] = pack_projection(block)
+        return packed
 
     # ------------------------------------------------------------------
     def similarity_fraction(self, vectors: np.ndarray,

@@ -22,20 +22,28 @@ class BatchNorm2D(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # The input is centred once and normalised in place.  The
+        # statistics are ``np.mean`` and ``np.var``'s own op sequence
+        # (sum, divide; subtract, square, sum, divide), so they equal
+        # those functions bit for bit; ``x_hat`` keeps the input's
+        # layout, whose strides set the backward's reduction order.
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            axes = (0, 2, 3)
+            count = x.shape[0] * x.shape[2] * x.shape[3]
+            mean4 = np.add.reduce(x, axis=axes, keepdims=True) / count
+            x_hat = x - mean4
+            var = np.add.reduce(np.square(x_hat), axis=axes) / count
+            mean = mean4.reshape(-1)
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            mean = self.running_mean
             var = self.running_var
+            x_hat = x - self.running_mean[None, :, None, None]
 
-        mean4 = mean[None, :, None, None]
         std4 = np.sqrt(var[None, :, None, None] + self.eps)
-        x_hat = (x - mean4) / std4
+        x_hat /= std4
         out = self.gamma.value[None, :, None, None] * x_hat + \
             self.beta.value[None, :, None, None]
         self._cache = (x_hat, std4)

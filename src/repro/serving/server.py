@@ -289,6 +289,9 @@ class InferenceServer:
         self._window_batches = 0
         self._window_delta = CacheCounters()
         self._clears_applied = 0
+        # The shards' batch clocks when the current replay/serve_trace
+        # began, so its report counts its own batches after a warm start.
+        self._run_start_batches = 0
 
         self._output_tail: tuple | None = None
         self._compute_time_s = 0.0
@@ -559,9 +562,11 @@ class InferenceServer:
         Resets the window accumulators and the controller so every run
         observes windows from a clean state — which is what makes the
         recorded decision stream reproducible from the manifest alone
-        (``repro.obs.controller.replay_decisions``).  No-op when
+        (``repro.obs.controller.replay_decisions``).  Apart from
+        marking where the run's batch count starts, a no-op when
         telemetry is off.
         """
+        self._run_start_batches = self._batches_served()
         if self.telemetry is None:
             return
         self._window_index = 0
@@ -1015,13 +1020,20 @@ class InferenceServer:
                 shard.vector_engine.counters() for shard in self.shards)
         return CacheCounters()
 
+    def _batches_served(self) -> int:
+        """Batches every shard has run, restored ones included."""
+        return sum(shard.batch_index for shard in self.shards)
+
     def _report(self, requests: int, duration_s: float, latencies_s,
-                **extra) -> ServingReport:
+                batches: int | None = None, **extra) -> ServingReport:
+        """The report of the current run: ``batches`` counts the
+        batches since :meth:`_begin_run` unless given."""
         telemetry = BatcherTelemetry.aggregate(
             shard.batcher.telemetry for shard in self.shards)
+        if batches is None:
+            batches = self._batches_served() - self._run_start_batches
         return build_report(
-            requests=requests,
-            batches=sum(shard.batch_index for shard in self.shards),
+            requests=requests, batches=batches,
             duration_s=duration_s, latencies_s=latencies_s,
             request_cache=CacheCounters.aggregate(
                 shard.request_counters() for shard in self.shards).to_dict()
@@ -1050,7 +1062,7 @@ class InferenceServer:
             shard.batcher.telemetry for shard in self.shards)
         payload = self._report(telemetry.completed,
                                time.perf_counter() - self._started_at,
-                               ()).to_dict()
+                               (), batches=self._batches_served()).to_dict()
         histogram = telemetry.latency_hist
         payload.update(latency_p50_ms=histogram.percentile(50) * 1e3,
                        latency_p95_ms=histogram.percentile(95) * 1e3,

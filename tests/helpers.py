@@ -33,6 +33,22 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+#: Memory layouts a conv or BatchNorm input arrives in: a fresh array,
+#: the NCHW view of NHWC memory that ``Conv2D.forward`` returns, and
+#: Fortran order.
+LAYOUTS = ("c", "nhwc", "fortran")
+
+
+def in_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x``'s values in one of :data:`LAYOUTS`."""
+    if layout == "nhwc":
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+            0, 3, 1, 2)
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    return x
+
+
 def assert_simulations_equal(got, want) -> None:
     """Two ``HitmapSimulation`` results hold the same arrays and counts."""
     np.testing.assert_array_equal(got.states, want.states)

@@ -45,6 +45,8 @@ Oracle                                        Production function it checks
                                               and gradients (tolerance oracle, 1e-12)
 ``layers.PowGELU``                            ``repro.nn.GELU`` multiplied cube, forward and
                                               backward (tolerance oracle, 1e-12)
+``layers.TwoPassBatchNorm2D``                 ``repro.nn.BatchNorm2D`` one-pass centring (output,
+                                              running statistics, cache: bytes and strides)
 ``baselines.LoopUnlimitedSimilarityBound``    ``UnlimitedSimilarityBound.layer_report``
                                               (row-sorted distinct-value count)
 ``pe.PEConfig`` / ``pe.ProcessingElement``    ``repro.accelerator.signature_pipeline``'s PE
@@ -61,7 +63,7 @@ ORACLE_NAMES = frozenset({
     "ReferenceLFU", "ReferenceSLRU", "words_to_ints", "ints_to_words",
     "signatures_to_ints", "per_call_matmul_groups", "substitute_segments",
     "Reservoir", "col2im_reference", "ReferenceSGD", "ReferenceAdam",
-    "EinsumMultiHeadSelfAttention", "PowGELU",
+    "EinsumMultiHeadSelfAttention", "PowGELU", "TwoPassBatchNorm2D",
     "LoopUnlimitedSimilarityBound", "PEConfig", "ProcessingElement",
     "ReferenceSignatureResultCache", "HitState", "Hitmap",
     "CODE_TO_STATE", "STATE_TO_CODE", "codes_to_states", "states_to_codes",

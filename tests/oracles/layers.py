@@ -1,5 +1,6 @@
-"""Einsum attention and a ``pow`` GELU: tolerance oracles for the
-transformer kernels.
+"""Layer oracles: einsum attention and a ``pow`` GELU, tolerance
+oracles for the transformer kernels, and a two-pass BatchNorm, a
+bitwise oracle.
 
 :class:`EinsumMultiHeadSelfAttention` contracts the attention core
 (scores, context and their four gradients) with ``np.einsum``;
@@ -8,13 +9,18 @@ run one ``np.matmul`` per product and multiply the cube out, which
 sums and rounds differently, so the two agree within a tolerance, not
 bit for bit.  The projections and the softmax are the production
 code's, so any deviation larger than rounding is a kernel fault.
+
+:class:`TwoPassBatchNorm2D` takes its statistics with ``x.mean`` and
+``x.var`` and centres the input again to normalise it.  The production
+layer centres once and runs the same op sequence, so the two agree in
+bytes and in strides.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import GELU, MultiHeadSelfAttention
+from repro.nn import GELU, BatchNorm2D, MultiHeadSelfAttention
 from repro.nn.layers.activations import softmax
 
 
@@ -73,3 +79,28 @@ class PowGELU(GELU):
         d_inner = self._COEFF * (1.0 + 3 * 0.044715 * x ** 2)
         grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
         return grad_output * grad
+
+
+class TwoPassBatchNorm2D(BatchNorm2D):
+    """BatchNorm whose forward reads its input for the mean, twice more
+    inside ``x.var`` and once more to centre it."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.training:
+            mean = x.mean(axis=(0, 2, 3))
+            var = x.var(axis=(0, 2, 3))
+            self.running_mean = ((1 - self.momentum) * self.running_mean
+                                 + self.momentum * mean)
+            self.running_var = ((1 - self.momentum) * self.running_var
+                                + self.momentum * var)
+        else:
+            mean = self.running_mean
+            var = self.running_var
+
+        mean4 = mean[None, :, None, None]
+        std4 = np.sqrt(var[None, :, None, None] + self.eps)
+        x_hat = (x - mean4) / std4
+        out = self.gamma.value[None, :, None, None] * x_hat + \
+            self.beta.value[None, :, None, None]
+        self._cache = (x_hat, std4)
+        return out

@@ -149,6 +149,20 @@ class TestReproServeCli:
         assert "warm-started" in out
         assert "this run: hit rate 100.00%" in out
 
+    def test_warm_start_report_counts_this_runs_batches(self, tmp_path,
+                                                        capsys):
+        # The restored batch clocks hold the donor's 50 batches; the
+        # warm run's report counts only its own.
+        from repro.serving.cli import serve_main
+        snap = str(tmp_path / "lru_snapshot")
+        base = ["--requests", "150", "--eviction", "lru", "--entries", "8",
+                "--ways", "8", "--traffic", "zipfian", "--rotate-every",
+                "40"]
+        assert serve_main(base + ["--snapshot-to", snap]) == 0
+        assert "50 micro-batches, mean size 3.0)" in capsys.readouterr().out
+        assert serve_main(base + ["--warm-start", snap]) == 0
+        assert "50 micro-batches, mean size 3.0)" in capsys.readouterr().out
+
     def test_warm_start_gate_fails_cold(self, tmp_path, capsys):
         from repro.serving.cli import serve_main
         code = serve_main(["--requests", "40", "--pool-size", "8",

@@ -1,12 +1,15 @@
 """Tests for Random Projection with Quantization."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.rpq import (RPQHasher, pack_bits, packed_unique,
+from repro.core.rpq import (HASH_BLOCK_ROWS, RPQHasher, pack_bits,
+                            pack_projection, packed_unique,
                             signature_via_convolution, unique_signatures,
                             words_for_bits)
+from repro.nn.im2col import im2col
 from tests.oracles.signatures import ints_to_words, signatures_to_ints
 
 
@@ -323,3 +326,53 @@ def test_signatures_equal_packed_bit_matrix(batch):
         packed = hasher.signatures(vectors, bits)
     assert packed.dtype == expected.dtype
     np.testing.assert_array_equal(packed, expected)
+
+
+#: (kernel_h, kernel_w) of a conv whose segment view has rows this long.
+SEGMENT_KERNELS = {1: (1, 1), 8: (2, 4), 9: (3, 3), 27: (3, 9),
+                   64: (8, 8), 576: (24, 24)}
+
+
+def _hash_input(rows, length, layout, rng):
+    """A ``(rows, length)`` float64 batch in one of the layouts the hasher
+    is handed: a fresh array, a conv's ``(N·C, k·k)`` segment view of its
+    im2col over NHWC memory, or a column-strided view."""
+    if layout == "segment":
+        kernel_h, kernel_w = SEGMENT_KERNELS[length]
+        channels = 3
+        side = max(kernel_h, kernel_w) + int(np.ceil(np.sqrt(
+            rows / channels))) + 1
+        nhwc = rng.normal(size=(1, side, side, channels))
+        nhwc[nhwc < -0.5] = 0.0
+        cols = im2col(nhwc.transpose(0, 3, 1, 2), kernel_h, kernel_w)
+        return cols.reshape(-1, length)[:rows]
+    wide = rng.normal(size=(rows, 2 * length))
+    if layout == "strided":
+        return wide[:, ::2]
+    return np.ascontiguousarray(wide[:, :length])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "segment", "strided"])
+@pytest.mark.parametrize("rows_of", [lambda b: 0, lambda b: 1,
+                                     lambda b: b - 1, lambda b: b,
+                                     lambda b: b + 1, lambda b: 3 * b + 5],
+                         ids=["0", "1", "B-1", "B", "B+1", "3B+5"])
+def test_blocked_signatures_equal_the_unblocked_hash(rows_of, layout):
+    """Hashing in blocks of :data:`HASH_BLOCK_ROWS` rows gives, byte for
+    byte, the signatures of the bit matrix and of one unblocked
+    projection, at every block boundary, vector length and width (both
+    packs, the int64 edge and the multi-word form)."""
+    rows = rows_of(HASH_BLOCK_ROWS)
+    rng = np.random.default_rng(rows)
+    hasher = RPQHasher(seed=7)
+    for length in SEGMENT_KERNELS:
+        vectors = _hash_input(rows, length, layout, rng)
+        assert vectors.shape == (rows, length)
+        for bits in (1, 20, 52, 53, 62, 63, 70):
+            packed = hasher.signatures(vectors, bits)
+            from_bits = pack_bits(hasher.signature_bits_matrix(vectors, bits))
+            unblocked = pack_projection(hasher.project(vectors, bits))
+            for expected in (from_bits, unblocked):
+                assert packed.dtype == expected.dtype
+                assert packed.shape == expected.shape
+                assert packed.tobytes() == expected.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn.im2col import (col2im, conv_output_size, im2col,
                              im2col_view, sliding_windows)
+from tests.helpers import LAYOUTS, in_layout
 from tests.oracles.im2col import col2im_reference, im2col_reference
 
 
@@ -99,20 +100,6 @@ def test_im2col_view_defers_the_copy():
                                   im2col(x, 3, 3))
 
 
-#: Memory layouts a conv input arrives in: a fresh array, the NCHW view
-#: of NHWC memory that ``Conv2D.forward`` returns, and Fortran order.
-LAYOUTS = ("c", "nhwc", "fortran")
-
-
-def _in_layout(x, layout):
-    if layout == "nhwc":
-        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
-            0, 3, 1, 2)
-    if layout == "fortran":
-        return np.asfortranarray(x)
-    return x
-
-
 @settings(deadline=None, max_examples=30)
 @given(batch=st.integers(1, 3), channels=st.integers(1, 3),
        size=st.integers(4, 9), kernel=st.integers(1, 3),
@@ -121,7 +108,7 @@ def _in_layout(x, layout):
 def test_im2col_matches_reference_bitwise(batch, channels, size, kernel,
                                           stride, pad, layout):
     """The strided rewrite gathers exactly the loop oracle's values."""
-    x = _in_layout(np.random.default_rng(size * 7 + kernel).normal(
+    x = in_layout(np.random.default_rng(size * 7 + kernel).normal(
         size=(batch, channels, size, size)), layout)
     fast = im2col(x, kernel, kernel, stride=stride, pad=pad)
     reference = im2col_reference(x, kernel, kernel, stride=stride, pad=pad)
@@ -140,8 +127,8 @@ def test_im2col_matches_reference_bitwise(batch, channels, size, kernel,
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("stride", [1, 2])
 def test_pointwise_im2col_matches_reference(layout, stride):
-    x = _in_layout(np.random.default_rng(5).normal(size=(2, 3, 5, 4)),
-                   layout)
+    x = in_layout(np.random.default_rng(5).normal(size=(2, 3, 5, 4)),
+                  layout)
     cols = im2col(x, 1, 1, stride=stride)
     np.testing.assert_array_equal(
         cols, im2col_reference(x, 1, 1, stride=stride))

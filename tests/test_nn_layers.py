@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (BatchNorm2D, Conv2D, Dropout, Flatten, GlobalAvgPool2D,
                       LayerNorm, Linear, MaxPool2D, ReLU, GELU, Embedding)
 from repro.nn.layers.activations import softmax
-from tests.helpers import numerical_gradient, relative_error
+from tests.helpers import (LAYOUTS, in_layout, numerical_gradient,
+                           relative_error)
+from tests.oracles.layers import TwoPassBatchNorm2D
 
 RNG = np.random.default_rng(42)
 
@@ -192,6 +196,56 @@ def test_batchnorm_gradients():
     _check_input_gradient(layer, x, tolerance=1e-3)
     _check_param_gradient(layer, x, layer.gamma, tolerance=1e-3)
     _check_param_gradient(layer, x, layer.beta, tolerance=1e-3)
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    np.testing.assert_array_equal(actual.view(np.uint64),
+                                  expected.view(np.uint64))
+
+
+def _bn_input(rng, shape, layout):
+    return in_layout(rng.normal(loc=rng.normal(scale=3.0),
+                                scale=rng.uniform(0.1, 4.0), size=shape),
+                     layout)
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch=st.integers(1, 9), channels=st.integers(1, 64),
+       height=st.integers(1, 17), width=st.integers(1, 17),
+       layout=st.sampled_from(LAYOUTS),
+       training=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_batchnorm_matches_the_two_pass_oracle_bitwise(
+        batch, channels, height, width, layout, training, seed):
+    """One-pass centring keeps the two-pass layer's output, running
+    statistics and cached ``x_hat``/``std4`` in bytes and in strides
+    (the strides set BN backward's reduction order), and so its
+    gradients."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, channels, height, width)
+    layer, oracle = BatchNorm2D(channels), TwoPassBatchNorm2D(channels)
+    for bn in (layer, oracle):
+        bn.gamma.value[:] = np.linspace(0.5, 1.5, channels)
+        bn.beta.value[:] = np.linspace(-1.0, 1.0, channels)
+    # A training step first, so eval mode reads non-trivial statistics.
+    warm = _bn_input(rng, shape, layout)
+    layer.forward(warm)
+    oracle.forward(warm)
+    layer.training = oracle.training = training
+
+    x = _bn_input(rng, shape, layout)
+    _assert_same_bytes(layer.forward(x), oracle.forward(x))
+    _assert_same_bytes(layer.running_mean, oracle.running_mean)
+    _assert_same_bytes(layer.running_var, oracle.running_var)
+    for cached, expected in zip(layer._cache, oracle._cache):
+        _assert_same_bytes(cached, expected)
+
+    upstream = rng.normal(size=shape)
+    _assert_same_bytes(layer.backward(upstream), oracle.backward(upstream))
+    _assert_same_bytes(layer.gamma.grad, oracle.gamma.grad)
+    _assert_same_bytes(layer.beta.grad, oracle.beta.grad)
 
 
 def test_layernorm_gradients():

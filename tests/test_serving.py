@@ -965,6 +965,19 @@ class TestInferenceServer:
         assert report_a.request_cache == report_b.request_cache
         assert report_a.batches == report_b.batches
 
+    def test_second_replay_reports_its_own_batches(self, small_pool,
+                                                   zipf_trace):
+        """A report's ``batches`` counts its own run, with telemetry off;
+        ``stats()`` stays lifetime."""
+        model = build_model("squeezenet", num_classes=4, seed=3)
+        server = InferenceServer(model, ServingPolicy())
+        assert server.telemetry is None
+        _, first = server.replay(zipf_trace, small_pool)
+        _, second = server.replay(zipf_trace, small_pool)
+        # Batch membership depends only on the trace and the batcher.
+        assert 0 < second.batches == first.batches < len(zipf_trace)
+        assert server.stats()["batches"] == first.batches + second.batches
+
     def test_async_serve_trace(self, small_pool, zipf_trace):
         model = build_model("squeezenet", num_classes=4, seed=3)
         server = InferenceServer(model, ServingPolicy())
