@@ -21,7 +21,10 @@ from pathlib import Path
 from repro.durable import commit, read
 
 AUDIT_FORMAT = "repro-obs-audit"
-AUDIT_VERSION = 1
+# Version 2: the summary's ``requests``/``batches``/``hit_rate`` count
+# the run alone.  Version 1 read ``hit_rate`` over the caches' lifetime,
+# so a second run or a warm start mixed in the donor's traffic.
+AUDIT_VERSION = 2
 AUDIT_MANIFEST = "audit.json"
 
 

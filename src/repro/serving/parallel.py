@@ -49,11 +49,10 @@ import numpy as np
 from repro.obs import Telemetry
 from repro.obs.bus import Event
 from repro.serving.batcher import BatcherConfig
-from repro.serving.cache import CacheCounters
 from repro.serving.engine import ServingPolicy
 from repro.serving.loadgen import Request
 from repro.serving.server import (SNAPSHOT_MANIFEST, InferenceServer,
-                                  ServingReport, build_report, shard_row,
+                                  RunLedger, ServingReport, build_report,
                                   simulate_clock)
 
 #: Exit code a fault-injected worker dies with (distinguishable from
@@ -96,7 +95,7 @@ def _worker_main(index: int, model, policy: ServingPolicy,
     ``("batch", seq, stacked_payloads)``, ``("stats",)``,
     ``("snapshot",)``, ``("exit",)``; replies: ``("ready", watermark)``
     once at startup, then ``("done", seq, outputs, compute_s, events)``,
-    ``("stats", payload)`` and ``("snapshotted", batch_index)``.
+    ``("stats", shard_ledger)`` and ``("snapshotted", batch_index)``.
 
     ``telemetry_window`` > 0 switches on a worker-local telemetry
     bundle: the batch's events are drained off a forwarding
@@ -131,14 +130,9 @@ def _worker_main(index: int, model, policy: ServingPolicy,
         if kind == "exit":
             return
         if kind == "stats":
-            # Fresh readings only: the queue pickles on its feeder
-            # thread, after the next batch may have run.
-            results.put(("stats", {
-                "row": shard.stats_row(),
-                "request": shard.request_counters(),
-                "vector": shard.vector_counters(),
-                "layers": shard.layer_summary(),
-            }))
+            # The ledger is a fresh copy: the queue pickles on its
+            # feeder thread, after the next batch may have run.
+            results.put(("stats", shard.ledger()))
             continue
         if kind == "snapshot":
             server.snapshot(path)
@@ -242,14 +236,16 @@ class _Worker:
 class ParallelInferenceServer:
     """N hash-ring shards as supervised worker processes.
 
-    Routing, batch composition, the exactness oracle, the audited run
-    lifecycle and the report builder come from an in-process
-    :class:`InferenceServer` front configured with the same shard count
-    and telemetry, so a parallel replay partitions, batches and reports
-    exactly as the single-process replay would — the workers only move
-    *where* each shard's stream executes.  Use as a context manager (or
-    call :meth:`start`/:meth:`stop`); workers persist across replays,
-    so repeated replays on warm workers measure steady-state speed.
+    Routing, batch composition, the exactness oracle and the audited
+    run lifecycle come from an in-process :class:`InferenceServer`
+    front configured with the same shard count and telemetry, and the
+    report from the same :func:`~repro.serving.server.build_report`
+    over the workers' ledgers, so a parallel replay partitions, batches
+    and reports exactly as the single-process replay would — the
+    workers only move *where* each shard's stream executes.  Use as a
+    context manager (or call :meth:`start`/:meth:`stop`); workers
+    persist across replays, so repeated replays on warm workers measure
+    steady-state speed.
     """
 
     def __init__(self, model, policy: ServingPolicy | None = None,
@@ -288,6 +284,8 @@ class ParallelInferenceServer:
         self.max_respawns = max_respawns
         self.fault = fault
         self.telemetry = telemetry
+        # Lifetime respawns: the ``max_respawns`` budget; a report
+        # counts its own run's through the ledger.
         self.recoveries = 0
 
         self._front = InferenceServer(model, self.policy,
@@ -346,10 +344,12 @@ class ParallelInferenceServer:
         """Engine-less per-request forwards (same oracle as the front)."""
         return self._front.oracle_outputs(payloads)
 
-    def shard_for(self, payload) -> int:
-        return self._front.shard_for(payload)
-
     # -- worker RPC helpers ---------------------------------------------
+    def _ledger(self) -> RunLedger:
+        """The workers' shard ledgers plus this supervisor's respawns."""
+        return RunLedger(self._ask_all("stats", "stats"),
+                         recoveries=self.recoveries)
+
     def _ask_all(self, request: str, answer: str) -> list:
         """Send ``request`` to every worker; each one's ``answer`` payload."""
         for worker in self._workers:
@@ -371,20 +371,21 @@ class ParallelInferenceServer:
 
     # -- the supervised parallel replay ---------------------------------
     def _recover(self, worker: _Worker, plan: list, acked: dict,
-                 base: int) -> None:
+                 ledger: RunLedger) -> None:
         """Respawn one worker and re-dispatch its outstanding stream.
 
         ``plan`` is the worker's full batch stream for this replay (the
         stacked payloads, indexed by sequence).  The restored
-        snapshot's watermark counts *lifetime* batches; ``base`` is the
-        worker's lifetime count when this replay began (and, thanks to
-        the pre-dispatch snapshot, a floor for any restored watermark),
-        so ``watermark - base`` is the first replay sequence the
-        restored cache has not absorbed — everything from there on is
-        re-sent and replays the exact transitions it missed.
-        Re-executed batches that were already acked overwrite their
-        outputs with identical values (their cache decisions replay
-        identically from the restored state).
+        snapshot's watermark counts *lifetime* batches; ``base``, from
+        the replay's start ``ledger``, is the worker's lifetime count
+        when this replay began (and, thanks to the pre-dispatch
+        snapshot, a floor for any restored watermark), so
+        ``watermark - base`` is the first replay sequence the restored
+        cache has not absorbed — everything from there on is re-sent
+        and replays the exact transitions it missed.  Re-executed
+        batches that were already acked overwrite their outputs with
+        identical values (their cache decisions replay identically from
+        the restored state).
         """
         if self.recoveries >= self.max_respawns:
             raise RuntimeError(
@@ -396,6 +397,13 @@ class ParallelInferenceServer:
                 acked[(worker.index, reply[1])] = (reply[2], reply[3],
                                                    reply[4])
         watermark = worker.wait_ready(self.worker_timeout_s)
+        base = ledger.shards[worker.index].batches
+        if watermark < base:
+            # Without snapshots the worker restarts from an older state
+            # and re-runs the whole plan: the run's ledger starts there.
+            worker.tasks.put(("stats",))
+            ledger.shards[worker.index] = worker.results.get(
+                timeout=self.worker_timeout_s)[1]
         resume_from = max(0, watermark - base)
         if self.telemetry is not None:
             self.telemetry.announce(
@@ -424,7 +432,7 @@ class ParallelInferenceServer:
                             for k in members])
                   for _close, members in batches] for batches in schedule]
 
-        baseline = self._ask_all("stats", "stats")
+        ledger = self._ledger()
         if self.snapshot_every_batches:
             # Pin every worker's recovery floor at this replay's start:
             # a respawn can then never restore to a state missing an
@@ -476,7 +484,7 @@ class ParallelInferenceServer:
                 if not worker.process.is_alive() \
                         or silent_s > self.worker_timeout_s:
                     self._recover(worker, plans[worker.index], acked,
-                                  baseline[worker.index]["row"]["batches"])
+                                  ledger)
                     # _recover may have salvaged late acks directly
                     # into ``acked``; resync the progress count.
                     received[worker.index] = sum(
@@ -503,10 +511,14 @@ class ParallelInferenceServer:
         self._compute_time_s += sum(map(sum, compute_s))
         latencies, simulated = simulate_clock(arrivals, schedule, compute_s)
 
-        report = self._build_report(
-            schedule, makespan, latencies, baseline,
-            self._ask_all("stats", "stats"),
-            simulated_makespan_s=simulated, measured_makespan_s=makespan)
+        # A respawned worker restores its clocks, counters and layer
+        # statistics from its snapshot and re-runs the batches after
+        # it, so the ledger difference holds across recoveries too.
+        report = build_report(
+            ledger, self._ledger(), requests=len(trace),
+            duration_s=makespan, latencies_s=latencies,
+            telemetry=self.telemetry, simulated_makespan_s=simulated,
+            measured_makespan_s=makespan)
         self._front._finalize_run(report)
         return outputs, report
 
@@ -532,54 +544,3 @@ class ParallelInferenceServer:
         self.telemetry.bus.emit_event(Event(kind, source, payload))
         if kind == "serve.window" and self.telemetry.recorder is not None:
             self.telemetry.recorder.record_window(payload)
-
-    def _build_report(self, schedule: list, duration_s: float, latencies,
-                      baseline: list, final: list, **extra
-                      ) -> ServingReport:
-        """This replay's report from worker counter *deltas*.
-
-        Workers are long-lived (and may be warm-restored), so their
-        lifetime counters include earlier traffic; diffing against the
-        pre-dispatch baseline isolates this replay.  A respawned worker
-        restores its counters and layer statistics from its snapshot,
-        so the deltas hold across recoveries too.  Requests and batches
-        per shard come from the schedule itself.
-        """
-        request_deltas, vector_deltas = [], []
-        shard_stats, layer_stats = [], []
-        for index, (before, after) in enumerate(zip(baseline, final)):
-            request = after["request"] - before["request"]
-            vector = after["vector"] - before["vector"]
-            request_deltas.append(request)
-            vector_deltas.append(vector)
-            shard_stats.append(shard_row(
-                index, sum(len(members) for _close, members
-                           in schedule[index]),
-                len(schedule[index]),
-                CacheCounters.aggregate([request, vector]),
-                after["row"]["occupancy"]))
-            earlier = {(row["layer"], row["phase"]): row
-                       for row in before["layers"]}
-            for row in after["layers"]:
-                prior = earlier.get((row["layer"], row["phase"]))
-                if prior is not None:
-                    vectors = row["vectors"] - prior["vectors"]
-                    hits = row["hits"] - prior["hits"]
-                    row = dict(row, vectors=vectors, hits=hits,
-                               hit_fraction=hits / vectors
-                               if vectors else 0.0)
-                layer_stats.append(dict(row, shard=index))
-        requests = len(latencies)
-        batches = sum(map(len, schedule))
-        return build_report(
-            requests=requests, batches=batches, duration_s=duration_s,
-            latencies_s=latencies,
-            request_cache=CacheCounters.aggregate(request_deltas).to_dict()
-            if self.policy.request_cache else {},
-            vector_cache=CacheCounters.aggregate(vector_deltas).to_dict()
-            if self.policy.vector_cache else {},
-            shard_stats=shard_stats, layer_stats=layer_stats,
-            mean_batch_size=requests / batches if batches else 0.0,
-            recoveries=self.recoveries,
-            telemetry=self.telemetry.summary()
-            if self.telemetry is not None else {}, **extra)

@@ -80,7 +80,9 @@ SNAPSHOT_FORMAT = "repro-serving-snapshot"
 # served before a restored server's first compute keep that shape.
 # Version 6: cache state version 4 (one line-ordered layout, the payload
 # width) and one batch clock per shard (``shard_batch_indices``).
-SNAPSHOT_VERSION = 6
+# Version 7: one row clock per shard (``shard_rows``), so a restored
+# shard's ledger, and a respawned worker's, keep counting its rows.
+SNAPSHOT_VERSION = 7
 SNAPSHOT_MANIFEST = "manifest.json"
 # Largest ``POST /infer`` body the HTTP front end reads; a longer
 # claimed ``Content-Length`` gets a 413 before any of the body is read.
@@ -89,7 +91,17 @@ MAX_INFER_BODY_BYTES = 16 * 1024 * 1024
 
 @dataclass
 class ServingReport:
-    """Aggregate telemetry of one served trace."""
+    """Telemetry of one served run (:func:`build_report`).
+
+    Every count is a run delta, so a second or warm-started run counts
+    only its own traffic: ``requests``, ``batches``,
+    ``mean_batch_size``, ``request_cache``, ``vector_cache``,
+    ``hit_rate``, ``recoveries``, ``shard_stats``' and ``layer_stats``'
+    counts and ``l2``'s ``hits``/``misses``/``inserts``.
+    ``shard_stats``' ``occupancy``, ``layer_stats``' ``detection_on``
+    and ``l2``'s ``entries`` are levels at run end; ``telemetry`` is the
+    bus's lifetime digest.  ``/stats`` is lifetime throughout.
+    """
 
     requests: int = 0
     batches: int = 0
@@ -125,17 +137,81 @@ class ServingReport:
         return asdict(self)
 
 
-def build_report(*, requests: int, batches: int, duration_s: float,
-                 latencies_s, request_cache: dict, vector_cache: dict,
-                 shard_stats: list, layer_stats: list,
-                 **extra) -> ServingReport:
-    """Assemble one run's :class:`ServingReport`.
+@dataclass
+class ShardLedger:
+    """One shard's running totals: batch and row clocks (both ride in
+    snapshots), cache counters (``None`` for a cache that is off),
+    per-(layer, phase) reuse rows and resident lines."""
 
-    The one report path of both servers.  The ``latency_*`` fields are
-    exact reads of the run's own per-request latency array; the hit
-    rate is the request cache's when one is on, else the vector
-    cache's.  ``extra`` fills the remaining report fields.
+    batches: int = 0
+    rows: int = 0
+    request: CacheCounters | None = field(default_factory=CacheCounters)
+    vector: CacheCounters | None = field(default_factory=CacheCounters)
+    layers: list = field(default_factory=list)
+    occupancy: int = 0
+
+
+@dataclass
+class RunLedger:
+    """A server's running totals: one :class:`ShardLedger` per shard,
+    the shared L2's counters and the supervisor's worker respawns."""
+
+    shards: list
+    l2: dict = field(default_factory=dict)
+    recoveries: int = 0
+
+
+def build_report(start: RunLedger, end: RunLedger, *, requests: int,
+                 duration_s: float, latencies_s, telemetry=None,
+                 **extra) -> ServingReport:
+    """The one :class:`ServingReport` builder: ``end`` minus ``start``.
+
+    Both servers call it with the ledger read when the run began and
+    the one read when it ended.  The ``latency_*`` fields are exact
+    reads of the run's own per-request latency array; the hit rate is
+    the request cache's when one is on, else the vector cache's.
+    ``telemetry`` (a :class:`repro.obs.Telemetry` or ``None``) adds its
+    lifetime digest; ``extra`` fills the remaining report fields.
     """
+    request_deltas, vector_deltas = [], []
+    shard_stats, layer_stats = [], []
+    for index, (before, after) in enumerate(zip(start.shards, end.shards)):
+        # ``None`` stays ``None``: that cache is off.
+        request = after.request and after.request - before.request
+        vector = after.vector and after.vector - before.vector
+        request_deltas.append(request)
+        vector_deltas.append(vector)
+        # ``hits``/``hit_rate`` count rows at both granularities.
+        merged = CacheCounters.aggregate(
+            counters for counters in (request, vector) if counters)
+        shard_stats.append({
+            "shard": index, "requests": after.rows - before.rows,
+            "hits": merged.hits, "hit_rate": merged.hit_rate,
+            "batches": after.batches - before.batches,
+            "occupancy": after.occupancy})
+        earlier = {(row["layer"], row["phase"]): row
+                   for row in before.layers}
+        for row in after.layers:
+            prior = earlier.get((row["layer"], row["phase"]))
+            vectors = row["vectors"] - (prior["vectors"] if prior else 0)
+            hits = row["hits"] - (prior["hits"] if prior else 0)
+            layer_stats.append(dict(
+                row, vectors=vectors, hits=hits,
+                hit_fraction=hits / vectors if vectors else 0.0,
+                shard=index))
+    request_cache = CacheCounters.aggregate(request_deltas).to_dict() \
+        if None not in request_deltas else {}
+    vector_cache = CacheCounters.aggregate(vector_deltas).to_dict() \
+        if None not in vector_deltas else {}
+    l2 = {}
+    if end.l2:
+        l2 = {name: end.l2[name] - start.l2.get(name, 0)
+              for name in ("hits", "misses", "inserts")}
+        lookups = l2["hits"] + l2["misses"]
+        l2.update(entries=end.l2["entries"],
+                  hit_rate=l2["hits"] / lookups if lookups else 0.0)
+    rows = sum(row["requests"] for row in shard_stats)
+    batches = sum(row["batches"] for row in shard_stats)
     latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1e3
     p50 = p95 = p99 = mean = 0.0
     if len(latencies_ms):
@@ -143,14 +219,19 @@ def build_report(*, requests: int, batches: int, duration_s: float,
                          np.percentile(latencies_ms, (50, 95, 99)))
         mean = float(latencies_ms.mean())
     return ServingReport(
-        requests=requests, batches=batches, duration_s=duration_s,
+        requests=requests, batches=batches,
+        mean_batch_size=rows / batches if batches else 0.0,
+        duration_s=duration_s,
         throughput_rps=requests / duration_s if duration_s else 0.0,
         latency_p50_ms=p50, latency_p95_ms=p95, latency_p99_ms=p99,
         latency_mean_ms=mean,
         request_cache=request_cache, vector_cache=vector_cache,
         layer_stats=layer_stats,
         hit_rate=(request_cache or vector_cache).get("hit_rate", 0.0),
-        shards=len(shard_stats), shard_stats=shard_stats, **extra)
+        shards=len(shard_stats), shard_stats=shard_stats,
+        recoveries=end.recoveries - start.recoveries, l2=l2,
+        telemetry=telemetry.summary() if telemetry is not None else {},
+        **extra)
 
 
 def simulate_clock(arrivals: np.ndarray, schedule: list, compute_s: list
@@ -174,18 +255,6 @@ def simulate_clock(arrivals: np.ndarray, schedule: list, compute_s: list
     return latencies, makespan
 
 
-def shard_row(index: int, requests: int, batches: int,
-              counters: CacheCounters, occupancy: int) -> dict:
-    """One ``ServingReport.shard_stats`` row.
-
-    ``counters`` merges the shard's request and vector cache counters,
-    so ``hits``/``hit_rate`` count rows at both granularities.
-    """
-    return {"shard": index, "requests": requests, "hits": counters.hits,
-            "hit_rate": counters.hit_rate, "batches": batches,
-            "occupancy": occupancy}
-
-
 class _Shard:
     """One serving worker: caches, vector engine and micro-batcher."""
 
@@ -201,38 +270,20 @@ class _Shard:
                 server._process_shard_batch(_shard, payloads),
             server.batcher_config)
         self.batch_index = 0
+        self.rows = 0
 
-    def request_counters(self) -> CacheCounters:
-        """A fresh copy of the request cache's counters (zeros without)."""
-        return CacheCounters.aggregate(
-            [self.request_cache.counters]
-            if self.request_cache is not None else [])
-
-    def vector_counters(self) -> CacheCounters:
-        """The vector caches' aggregated counters (zeros without)."""
-        return self.vector_engine.counters() \
-            if self.vector_engine is not None else CacheCounters()
-
-    def layer_summary(self) -> list[dict]:
-        return self.vector_engine.layer_summary() \
-            if self.vector_engine is not None else []
-
-    def stats_row(self) -> dict:
-        occupancy = 0
+    def ledger(self) -> ShardLedger:
+        """This shard's running totals, as fresh copies."""
+        entry = ShardLedger(self.batch_index, self.rows, None, None)
         if self.request_cache is not None:
-            occupancy += self.request_cache.occupancy()
+            entry.request = CacheCounters.aggregate(
+                [self.request_cache.counters])
+            entry.occupancy += self.request_cache.occupancy()
         if self.vector_engine is not None:
-            occupancy += sum(self.vector_engine.occupancy().values())
-        # ``requests`` counts what the router actually sent here (the
-        # exact row total across this shard's batches), so balance is
-        # meaningful for every cache policy — including cache-less
-        # ones, where the row-level cache counters stay at zero.
-        # ``hits``/``hit_rate`` are the cache-lifetime row counters
-        # (vector granularity counts per-layer rows, not requests).
-        return shard_row(
-            self.index, self.batcher.telemetry.rows, self.batch_index,
-            self.request_counters().merge(self.vector_counters()),
-            occupancy)
+            entry.vector = self.vector_engine.counters()
+            entry.layers = self.vector_engine.layer_summary()
+            entry.occupancy += sum(self.vector_engine.occupancy().values())
+        return entry
 
 
 class InferenceServer:
@@ -289,9 +340,6 @@ class InferenceServer:
         self._window_batches = 0
         self._window_delta = CacheCounters()
         self._clears_applied = 0
-        # The shards' batch clocks when the current replay/serve_trace
-        # began, so its report counts its own batches after a warm start.
-        self._run_start_batches = 0
 
         self._output_tail: tuple | None = None
         self._compute_time_s = 0.0
@@ -300,16 +348,6 @@ class InferenceServer:
             # Cached rows are only valid for the weights that computed
             # them; binding refuses a persisted store from another model.
             l2.bind_model(self._model_fingerprint())
-
-    # -- single-shard-era conveniences ---------------------------------
-    @property
-    def request_cache(self):
-        """Shard 0's request cache (the only one when ``shards=1``)."""
-        return self.shards[0].request_cache
-
-    @property
-    def vector_engine(self):
-        return self.shards[0].vector_engine
 
     # ------------------------------------------------------------------
     # Routing
@@ -388,8 +426,10 @@ class InferenceServer:
         The batch serves its most common payload shape (a tie goes to
         the shape that arrived first).  Each other payload touches no
         cache and gets its own ``ValueError``, naming both shapes, in
-        its result slot, so it fails alone.
+        its result slot, so it fails alone.  Every payload advances the
+        shard's row clock.
         """
+        shard.rows += len(payloads)
         arrays = [np.asarray(payload) for payload in payloads]
         shapes = [array.shape for array in arrays]
         counts: dict = {}
@@ -420,7 +460,8 @@ class InferenceServer:
         stacked = np.array(arrays)
         observing = self.bus is not None
         if observing:
-            counters_before = shard.request_counters() \
+            counters_before = CacheCounters.aggregate(
+                [shard.request_cache.counters]) \
                 if shard.request_cache is not None else None
             l2_before = (self.l2.hits, self.l2.misses, self.l2.inserts) \
                 if self.l2 is not None else None
@@ -562,11 +603,9 @@ class InferenceServer:
         Resets the window accumulators and the controller so every run
         observes windows from a clean state — which is what makes the
         recorded decision stream reproducible from the manifest alone
-        (``repro.obs.controller.replay_decisions``).  Apart from
-        marking where the run's batch count starts, a no-op when
+        (``repro.obs.controller.replay_decisions``).  A no-op when
         telemetry is off.
         """
-        self._run_start_batches = self._batches_served()
         if self.telemetry is None:
             return
         self._window_index = 0
@@ -716,6 +755,7 @@ class InferenceServer:
         outputs in trace order plus a wall-clock report.
         """
         self._begin_run("serve_trace", requests=len(trace))
+        ledger = self.ledger()
         start = time.perf_counter()
         latencies = np.zeros(len(trace))
 
@@ -743,7 +783,9 @@ class InferenceServer:
 
         outputs = asyncio.run(_drive())
         duration = time.perf_counter() - start
-        report = self._report(len(trace), duration, latencies)
+        report = build_report(ledger, self.ledger(), requests=len(trace),
+                              duration_s=duration, latencies_s=latencies,
+                              telemetry=self.telemetry)
         self._finalize_run(report)
         return outputs, report
 
@@ -803,6 +845,7 @@ class InferenceServer:
         shards drain their queues in parallel on the simulated clock.
         """
         self._begin_run("replay", requests=len(trace))
+        ledger = self.ledger()
         arrivals, schedule = self._schedule(trace, pool)
         outputs: list = [None] * len(trace)
         compute_s = [[0.0] * len(batches) for batches in schedule]
@@ -823,7 +866,9 @@ class InferenceServer:
 
         duration = time.perf_counter() - wall_start
         latencies, makespan = simulate_clock(arrivals, schedule, compute_s)
-        report = self._report(len(trace), duration, latencies,
+        report = build_report(ledger, self.ledger(), requests=len(trace),
+                              duration_s=duration, latencies_s=latencies,
+                              telemetry=self.telemetry,
                               simulated_makespan_s=makespan)
         self._finalize_run(report)
         return outputs, report
@@ -921,6 +966,7 @@ class InferenceServer:
             "model": self._model_fingerprint(),
             "shard_batch_indices": [shard.batch_index
                                     for shard in self.shards],
+            "shard_rows": [shard.rows for shard in self.shards],
             "output_tail": None if self._output_tail is None
             else list(self._output_tail),
             "layer_stats": [[asdict(record) for record
@@ -941,8 +987,9 @@ class InferenceServer:
         Validates the manifest (format, version, shard count and the
         full serving-policy fingerprint must match) and rebuilds every
         cache into the donor's exact state — placements, stored data,
-        TTL ages, counters, per-layer statistics and the model's output
-        shape — so subsequent traffic sees the donor's hit behaviour.
+        TTL ages, counters, batch and row clocks, per-layer statistics
+        and the model's output shape — so subsequent traffic sees the
+        donor's hit behaviour.
         Returns the manifest.  All or nothing: every record loads into a
         fresh cache, and the fresh caches go live only once all have
         loaded.
@@ -990,9 +1037,11 @@ class InferenceServer:
                     record["layer"], int(record["vector_length"]), cache)
         if manifest["output_tail"] is not None:
             self._output_tail = tuple(manifest["output_tail"])
-        for shard, batch_index, stats in zip(
-                self.shards, manifest["shard_batch_indices"], layer_stats):
+        for shard, batch_index, rows, stats in zip(
+                self.shards, manifest["shard_batch_indices"],
+                manifest["shard_rows"], layer_stats):
             shard.batch_index = int(batch_index)
+            shard.rows = int(rows)
             if shard.vector_engine is not None:
                 shard.vector_engine.batch_index = int(batch_index)
                 shard.vector_engine.stats = stats
@@ -1009,8 +1058,8 @@ class InferenceServer:
         """Aggregate cache-lifetime counters across every shard.
 
         Counters survive :meth:`restore`, so on a warm-started server
-        they cover the donor's traffic too; diff two calls to measure
-        one run (the CLI's warm-start gate does).
+        they cover the donor's traffic too; a run's report counts only
+        its own (see :meth:`ledger`).
         """
         if self.policy.request_cache:
             return CacheCounters.aggregate(
@@ -1020,49 +1069,29 @@ class InferenceServer:
                 shard.vector_engine.counters() for shard in self.shards)
         return CacheCounters()
 
-    def _batches_served(self) -> int:
-        """Batches every shard has run, restored ones included."""
-        return sum(shard.batch_index for shard in self.shards)
-
-    def _report(self, requests: int, duration_s: float, latencies_s,
-                batches: int | None = None, **extra) -> ServingReport:
-        """The report of the current run: ``batches`` counts the
-        batches since :meth:`_begin_run` unless given."""
-        telemetry = BatcherTelemetry.aggregate(
-            shard.batcher.telemetry for shard in self.shards)
-        if batches is None:
-            batches = self._batches_served() - self._run_start_batches
-        return build_report(
-            requests=requests, batches=batches,
-            duration_s=duration_s, latencies_s=latencies_s,
-            request_cache=CacheCounters.aggregate(
-                shard.request_counters() for shard in self.shards).to_dict()
-            if self.policy.request_cache else {},
-            vector_cache=CacheCounters.aggregate(
-                shard.vector_counters() for shard in self.shards).to_dict()
-            if self.policy.vector_cache else {},
-            shard_stats=[shard.stats_row() for shard in self.shards],
-            layer_stats=[dict(row, shard=shard.index)
-                         for shard in self.shards
-                         for row in shard.layer_summary()],
-            mean_batch_size=telemetry.mean_batch_size,
-            l2=self.l2.stats_dict() if self.l2 is not None else {},
-            telemetry=self.telemetry.summary()
-            if self.telemetry is not None else {}, **extra)
+    def ledger(self) -> RunLedger:
+        """Every shard's running totals and the shared L2's counters."""
+        return RunLedger([shard.ledger() for shard in self.shards],
+                         l2=self.l2.stats_dict() if self.l2 is not None
+                         else {})
 
     def stats(self) -> dict:
         """Live snapshot (the HTTP ``/stats`` payload).
 
-        ``duration_s``/``throughput_rps`` are wall clock since the
-        server was built; ``compute_time_s`` is the model time inside
-        that.  Latency percentiles are lifetime reads of the batchers'
-        merged latency histogram.
+        The report since an all-zero ledger, so lifetime (restored
+        clocks and counters included).  ``duration_s``/
+        ``throughput_rps`` are wall clock since the server was built;
+        ``compute_time_s`` is the model time inside that.  Latency
+        percentiles are lifetime reads of the batchers' merged latency
+        histogram.
         """
         telemetry = BatcherTelemetry.aggregate(
             shard.batcher.telemetry for shard in self.shards)
-        payload = self._report(telemetry.completed,
-                               time.perf_counter() - self._started_at,
-                               (), batches=self._batches_served()).to_dict()
+        payload = build_report(
+            RunLedger([ShardLedger()] * self.num_shards), self.ledger(),
+            requests=telemetry.completed,
+            duration_s=time.perf_counter() - self._started_at,
+            latencies_s=(), telemetry=self.telemetry).to_dict()
         histogram = telemetry.latency_hist
         payload.update(latency_p50_ms=histogram.percentile(50) * 1e3,
                        latency_p95_ms=histogram.percentile(95) * 1e3,

@@ -147,7 +147,7 @@ class TestReproServeCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "warm-started" in out
-        assert "this run: hit rate 100.00%" in out
+        assert "hit rate 100.00%, latency" in out
 
     def test_warm_start_report_counts_this_runs_batches(self, tmp_path,
                                                         capsys):

@@ -1230,7 +1230,7 @@ class TestInferenceServer:
         oracle = server.oracle_outputs(small_pool[:2])
         np.testing.assert_array_equal(results[0], oracle[0])
         np.testing.assert_array_equal(results[3], oracle[1])
-        counters = server.request_cache.counters
+        counters = server.shards[0].request_cache.counters
         assert counters.requests == 2 == counters.hits + counters.computed
 
     def test_invalid_shard_count_rejected(self):
@@ -1568,6 +1568,5 @@ class TestHttpFrontEnd:
         assert sum(shard.batcher.telemetry.rows
                    for shard in server.shards) == 1
         for shard in server.shards:
-            counters = shard.request_counters()
-            assert shard.stats_row()["requests"] == \
-                counters.hits + counters.computed
+            entry = shard.ledger()
+            assert entry.rows == entry.request.hits + entry.request.computed

@@ -71,24 +71,44 @@ class TestParallelParity:
     @pytest.mark.parametrize("policy", [EXACT, LAYERED],
                              ids=["exact", "layered"])
     def test_single_worker_matches_in_process_server_exactly(
-            self, model, pool, trace, policy):
+            self, model, pool, trace, policy, tmp_path):
         """workers=1 is the in-process server behind a process hop.
 
         Identical outputs AND an identical ServingReport apart from
-        timing — the worker runtime must add no cache decisions of its
-        own, and both servers report through one builder.
+        timing — on a first run, a second run on the same warm caches,
+        and a warm start from a snapshot: the worker runtime must add no
+        cache decisions of its own, and both servers report through one
+        builder over one ledger.
         """
         single = InferenceServer(model, policy, CONFIG, shards=1)
-        reference_outputs, reference = single.replay(trace, pool)
+        references = [single.replay(trace, pool) for _ in range(2)]
         with ParallelInferenceServer(model, policy, CONFIG, workers=1,
+                                     snapshot_dir=tmp_path / "workers",
                                      snapshot_every_batches=0) as parallel:
-            outputs, report = parallel.replay(trace, pool)
-        for ours, theirs in zip(outputs, reference_outputs):
-            assert ours.tobytes() == theirs.tobytes()
-        for name in ("requests", "batches", "mean_batch_size",
-                     "request_cache", "vector_cache", "layer_stats",
-                     "hit_rate", "shards", "shard_stats", "telemetry"):
-            assert getattr(report, name) == getattr(reference, name), name
+            runs = [parallel.replay(trace, pool) for _ in range(2)]
+            parallel.snapshot_workers()
+        single.snapshot(tmp_path / "single")
+        restored = InferenceServer(model, policy, CONFIG, shards=1)
+        restored.restore(tmp_path / "single")
+        references.append(restored.replay(trace, pool))
+        # A new supervisor on the same directory: its worker restores
+        # the snapshot the first one left.
+        with ParallelInferenceServer(model, policy, CONFIG, workers=1,
+                                     snapshot_dir=tmp_path / "workers",
+                                     snapshot_every_batches=0) as warm:
+            runs.append(warm.replay(trace, pool))
+        timing = {"duration_s", "throughput_rps", "latency_p50_ms",
+                  "latency_p95_ms", "latency_p99_ms", "latency_mean_ms",
+                  "simulated_makespan_s", "measured_makespan_s"}
+        for run, ((outputs, report), (reference_outputs, reference)) \
+                in enumerate(zip(runs, references)):
+            for ours, theirs in zip(outputs, reference_outputs):
+                assert ours.tobytes() == theirs.tobytes(), run
+            ours, theirs = report.to_dict(), reference.to_dict()
+            for name in set(ours) - timing:
+                assert ours[name] == theirs[name], (run, name)
+            assert report.requests == report.request_cache["requests"] \
+                == len(trace)
 
     def test_single_worker_telemetry_matches_in_process(self, model,
                                                         pool, trace):
@@ -176,6 +196,35 @@ class TestCrashRecovery:
         for name in ("request_cache", "vector_cache", "layer_stats",
                      "shard_stats", "hit_rate"):
             assert getattr(report, name) == getattr(reference, name), name
+
+    def test_each_replay_reports_its_own_recoveries(self, model, pool,
+                                                    trace, tmp_path):
+        # Snapshots off: a worker killed in the second replay restarts
+        # cold and re-runs that replay's whole plan, which its report
+        # counts (the cold cache computes what the lost one had held).
+        # The third replay runs clean and reports no recovery.
+        single = InferenceServer(model, EXACT, CONFIG, shards=1)
+        _, reference = single.replay(trace, pool)
+        fault = FaultInjection(worker=0,
+                               kill_after_batches=reference.batches + 2)
+        with ParallelInferenceServer(model, EXACT, CONFIG, workers=1,
+                                     snapshot_dir=tmp_path / "snaps",
+                                     snapshot_every_batches=0,
+                                     fault=fault) as parallel:
+            parallel.replay(trace, pool)
+            outputs, recovered = parallel.replay(trace, pool)
+            _, clean = parallel.replay(trace, pool)
+        assert recovered.recoveries == 1
+        assert recovered.batches == reference.batches
+        assert recovered.shard_stats[0]["requests"] == len(trace)
+        assert recovered.request_cache == reference.request_cache
+        oracle = parallel.oracle_outputs(pool)
+        for request, output in zip(trace, outputs):
+            np.testing.assert_array_equal(output,
+                                          oracle[request.pool_index])
+        assert clean.recoveries == 0
+        # The respawn budget still counts the server's lifetime.
+        assert parallel.recoveries == 1
 
     def test_hung_worker_is_respawned_after_timeout(self, model, pool,
                                                     trace, tmp_path):
